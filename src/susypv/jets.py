@@ -1,10 +1,10 @@
-"""Leibniz calculus on derivative jets.
+"""Derivative jets and truncated Taylor series.
 
-A jet is a 1-D complex ndarray ``f`` with ``f[n] = f^(n)(x)`` at a fixed
-point. All composition downstream of the seed solutions (Wronskians,
-superpotentials, operator chains) runs through these helpers, so
-differentiation stays exact and failures in the identity checks point at
-formulas rather than discretization.
+A jet ``f`` holds ``f[n] = f^(n)(x)`` at a fixed point, its Taylor series
+``c[n] = f^(n)(x) / n!``. ``binom`` feeds the Leibniz sums on jets (ODE
+closure, first-order operators); Wronskians and superpotentials compose
+series with the ``series_*`` helpers. Differentiation stays exact, so
+failures in identity checks point at formulas, not discretization.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ import numpy as np
 
 __all__ = [
     "binom",
-    "jet_mul",
-    "jet_div",
-    "jet_shift",
-    "jet_log_deriv",
-    "jet_scale",
     "factorials",
     "taylor_from_jet",
     "jet_from_taylor",
@@ -39,47 +34,6 @@ def binom(n: int) -> np.ndarray:
             row[k] = row[k - 1] * (n - k + 1) / k
         _BINOM_CACHE[n] = row
     return row
-
-
-def jet_mul(f: np.ndarray, g: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Jet of f*g: (fg)^(n) = sum_k C(n,k) f^(k) g^(n-k)."""
-    if order is None:
-        order = min(len(f), len(g)) - 1
-    out = np.empty(order + 1, dtype=complex)
-    for n in range(order + 1):
-        c = binom(n)
-        out[n] = np.dot(c[: n + 1] * f[: n + 1], g[n::-1])
-    return out
-
-
-def jet_div(f: np.ndarray, g: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Jet of f/g (g[0] must be nonzero)."""
-    if order is None:
-        order = min(len(f), len(g)) - 1
-    out = np.empty(order + 1, dtype=complex)
-    for n in range(order + 1):
-        acc = f[n]
-        c = binom(n)
-        for k in range(n):
-            acc -= c[k] * out[k] * g[n - k]
-        out[n] = acc / g[0]
-    return out
-
-
-def jet_shift(f: np.ndarray, m: int = 1) -> np.ndarray:
-    """Jet of the m-th derivative: drop the first m entries."""
-    return f[m:]
-
-
-def jet_log_deriv(f: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Jet of (ln f)' = f'/f."""
-    if order is None:
-        order = len(f) - 2
-    return jet_div(f[1:], f, order)
-
-
-def jet_scale(f: np.ndarray, c: complex) -> np.ndarray:
-    return np.asarray(f, dtype=complex) * c
 
 
 def factorials(n: int) -> np.ndarray:

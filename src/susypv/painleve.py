@@ -42,7 +42,6 @@ __all__ = [
     "pv_params_closed_form",
     "pv_params_exact",
     "g_from_quartet",
-    "g_route_b",
     "pv_residual",
     "classify_degenerate",
     "solution_from_quartet",
@@ -257,26 +256,6 @@ def _g_with_errors(quartet: ExtremalQuartet, x: float):
     return (complex(g), complex(gp), complex(gpp)), (e_lh, e_lh1, e_lh2)
 
 
-def g_route_b(spec: SeedSpec, chain, x: float) -> complex:
-    """Alternative g: -x + 2(E0-eps1+k-1) F G / W(F,G).
-
-    F = W(u_1..u_{k-1}), G = W(u_1..u_k, x^{l+1} e^{-x^2/4}); agrees with
-    g_from_quartet because only logarithmic derivatives enter.
-    """
-    from .susy import WronskianStack, ground_style_state
-
-    phi = ground_style_state(spec.ell, decaying=True, lower_branch=False)
-    fst = WronskianStack(chain[:-1])
-    gst = WronskianStack(list(chain) + [phi])
-    fj = fst.jet(x, 1)
-    gj = gst.jet(x, 1)
-    wfg = fj[0] * gj[1] - gj[0] * fj[1]
-    if abs(wfg) == 0.0:
-        raise PoleError(f"W(F,G) vanishes at x={x}")
-    coeff = 2.0 * (e0(spec.ell) - spec.eps1 + spec.k - 1.0)
-    return -x + coeff * fj[0] * gj[0] / wfg
-
-
 def pv_residual(w: complex, w_z: complex, w_zz: complex, z: float, params: PVParams) -> float:
     """Normalized defect of the PV equation at one point.
 
@@ -284,33 +263,9 @@ def pv_residual(w: complex, w_z: complex, w_zz: complex, z: float, params: PVPar
     RHS = (1/(2w) + 1/(w-1)) w'^2 - w'/z + (w-1)^2/z^2 (a w + b/w)
           + c w/z + d w (w+1)/(w-1).
     """
-    res, _ = _pv_residual_and_floor(w, w_z, w_zz, z, params)
+    cl = np.clongdouble
+    res, _ = _residual_ext(cl(w), cl(w_z), cl(w_zz), z, params, 0.0, 0.0, 0.0)
     return res
-
-
-def _pv_residual_and_floor(w: complex, w_z: complex, w_zz: complex, z: float,
-                           params: PVParams) -> tuple[float, float]:
-    """Residual plus its double-precision noise floor.
-
-    Near the singular locus the two 1/(w-1) terms cancel against each
-    other, so input roundoff in (w, w', w'') is amplified by the term
-    magnitudes; the floor estimates that amplification so callers can
-    mask points where a 1e-8 certificate is numerically unresolvable.
-    """
-    if abs(w) < _SING_TOL or abs(w - 1.0) < _SING_TOL:
-        raise EquationSingularityError(f"w={w} on the singular locus at z={z}")
-    terms = (
-        (0.5 / w + 1.0 / (w - 1.0)) * w_z * w_z,
-        -w_z / z,
-        (w - 1.0) ** 2 / (z * z) * (params.a * w + params.b / w),
-        params.c * w / z,
-        params.d * w * (w + 1.0) / (w - 1.0),
-    )
-    rhs = sum(terms)
-    den = max(abs(w_zz), abs(rhs), 1.0)
-    term_scale = max(abs(t) for t in terms)
-    floor = 5e-14 * (term_scale + abs(w_zz)) / den
-    return abs(w_zz - rhs) / den, floor
 
 
 def _residual_ext(w, w_z, w_zz, z: float, params: PVParams,

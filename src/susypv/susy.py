@@ -1,5 +1,8 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
+The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
+is integrated by Taylor steps on the same ODE-closure jets.
+
 Low-order Wronskian derivatives follow the row multi-index rule,
     W'  = det(rows 0..m-2, m)
     W'' = det(rows 0..m-3, m-1, m) + det(rows 0..m-2, m+1),
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .jets import (
     jet_from_taylor,
@@ -50,7 +52,6 @@ __all__ = [
     "extremal_quartet",
     "radial_oscillator_quartet",
     "PerpSolution",
-    "LinearCombination",
     "ground_style_state",
 ]
 
@@ -394,134 +395,55 @@ def ground_style_state(ell: float, decaying: bool, lower_branch: bool) -> Closed
     return ClosedFormSolution(ell, energy, fn, label=tag)
 
 
-class LinearCombination(SchrodingerSolution):
-    """Pointwise linear combination of solutions sharing ell and energy."""
-
-    def __init__(self, parts: list[SchrodingerSolution], coeffs: list[complex]):
-        SchrodingerSolution.__init__(self, parts[0].ell, parts[0].energy, parts[0].potential)
-        self.parts = parts
-        self.coeffs = [complex(c) for c in coeffs]
-
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        v = 0.0 + 0.0j
-        dv = 0.0 + 0.0j
-        for part, c in zip(self.parts, self.coeffs):
-            pv, pdv = part.value_and_derivative(x)
-            v += c * pv
-            dv += c * pdv
-        return v, dv
-
-
 class PerpSolution(SchrodingerSolution):
-    """Second solution at the same energy, Wronskian-normalized to 1.
+    """Second solution at the base's energy, Wronskian-normalized to 1.
 
-    Built by reduction of order, phi = psi * int dt/psi^2 from an anchor.
-    psi may have nodes; the integral representation is re-anchored on each
-    inter-node segment and the connection constants are fixed by a Taylor
-    (jet) continuation of the ODE across each node.
+    Initial data at x = 1: perp = c psi, perp' = 1/psi + c psi', so that
+    W(psi, perp) = 1 with an admixture c of psi. High-order Taylor steps on
+    the closure jets (Jorba & Zou, Exp. Math. 14 (2005)) span at most
+    min(0.25, x/4); the order is the least N whose remainder on the x^-l
+    branch, C(l+N, N) 4^-N, is below 1e-17. Checkpoints on a fixed lattice
+    are stepped once, so a value is one step from the nearest checkpoint
+    whatever the order of requests, and nodes of psi need no care.
     """
 
-    _TAYLOR_ORDER = 30
-
-    def __init__(self, base: SchrodingerSolution, anchor: float = 1.0,
-                 scan_hi: float = 12.0):
+    def __init__(self, base: SchrodingerSolution, admixture: complex = 0.0):
         SchrodingerSolution.__init__(self, base.ell, base.energy, base.potential)
-        self.base = base
-        nodes = self._find_nodes(1e-2, scan_hi)
-        self._nodes = nodes
-        self._segments = self._build_segments(anchor, nodes, scan_hi)
+        p = max(self.ell, 0.0)
+        self._order = next(n for n in range(1, 1000)
+                           if math.lgamma(p + n + 1.0) - math.lgamma(p + 1.0) - math.lgamma(n + 1.0)
+                           - n * math.log(4.0) < math.log(1e-17))
+        psi, dpsi = base.value_and_derivative(1.0)
+        start = (admixture * psi, 1.0 / psi + admixture * dpsi)
+        points = {1.0: start}
+        for path in ([1.0 + 0.25 * j for j in range(1, 45)], [0.75**j for j in range(1, 17)]):
+            x0, state = 1.0, start
+            for x1 in path:
+                points[x1] = state = self._advance(x0, state, x1)
+                x0 = x1
+        self._xs = np.array(sorted(points))
+        self._states = [points[x] for x in self._xs]
 
-    def _find_nodes(self, lo: float, hi: float) -> list[float]:
-        xs = np.geomspace(lo, hi, 600)
-        vals = np.array([self.base.value_and_derivative(float(x))[0].real for x in xs])
-        nodes = []
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0:
-                nodes.append(float(xs[i]))
-            elif vals[i] * vals[i + 1] < 0:
-                a, b = float(xs[i]), float(xs[i + 1])
-                fa = vals[i]
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    fm = self.base.value_and_derivative(mid)[0].real
-                    if fa * fm <= 0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                nodes.append(0.5 * (a + b))
-        return nodes
-
-    def _integrand(self, t: float) -> float:
-        v = self.base.value_and_derivative(t)[0]
-        return float((1.0 / (v * v)).real)
-
-    def _build_segments(self, anchor: float, nodes: list[float], hi: float):
-        # segment list: (lo, hi, anchor, offset C); phi = psi*(C + int_a^x psi^-2)
-        bounds = [0.0] + nodes + [float("inf")]
-        segments = []
-        # place the first anchor inside the segment containing `anchor`
-        for i in range(len(bounds) - 1):
-            lo, up = bounds[i], bounds[i + 1]
-            if lo < anchor < up:
-                first = i
-                break
-        else:
-            raise ValueError("anchor sits on a node")
-        segments = [None] * (len(bounds) - 1)
-        segments[first] = (bounds[first], bounds[first + 1], anchor, 0.0 + 0.0j)
-        # continue to the right of the first segment
-        for i in range(first + 1, len(bounds) - 1):
-            node = bounds[i]
-            prev = segments[i - 1]
-            delta = min(0.4, 0.5 * (node - prev[0]),
-                        0.5 * ((bounds[i + 1] if np.isfinite(bounds[i + 1]) else hi) - node))
-            xl, xr = node - delta, node + delta
-            phi_l, dphi_l = self._eval_in_segment(prev, xl)
-            phi_r, dphi_r = self._taylor_step(xl, phi_l, dphi_l, xr)
-            psi_r = self.base.value_and_derivative(xr)[0]
-            segments[i] = (node, bounds[i + 1], xr, phi_r / psi_r)
-        # and to the left
-        for i in range(first - 1, -1, -1):
-            node = bounds[i + 1]
-            nxt = segments[i + 1]
-            delta = min(0.4, 0.5 * (node - bounds[i]) if bounds[i] > 0 else 0.4,
-                        0.25 * (nxt[1] - node) if np.isfinite(nxt[1]) else 0.4)
-            xr, xl = node + delta, node - delta
-            phi_r, dphi_r = self._eval_in_segment(nxt, xr)
-            phi_l, dphi_l = self._taylor_step(xr, phi_r, dphi_r, xl)
-            psi_l = self.base.value_and_derivative(xl)[0]
-            segments[i] = (bounds[i], node, xl, phi_l / psi_l)
-        return segments
-
-    def _eval_in_segment(self, segment, x: float) -> tuple[complex, complex]:
-        _, _, a, c_off = segment
-        integral, _ = quad(self._integrand, a, x, limit=200, epsabs=1e-13, epsrel=1e-12)
-        psi, dpsi = self.base.value_and_derivative(x)
-        factor = c_off + integral
-        return psi * factor, dpsi * factor + 1.0 / psi
-
-    def _taylor_step(self, x0: float, phi: complex, dphi: complex, x1: float):
-        """Continue (phi, phi') across a node using the ODE jet at x0."""
-        carrier = ClosedFormSolution(self.ell, self.energy, lambda t: (phi, dphi))
-        carrier.potential = self.potential
-        jet = carrier.jet_values(x0, self._TAYLOR_ORDER)
-        h = x1 - x0
-        val = jet[self._TAYLOR_ORDER]
-        for n in range(self._TAYLOR_ORDER - 1, -1, -1):
-            val = jet[n] + val * h / (n + 1)
-        der = jet[self._TAYLOR_ORDER]
-        for n in range(self._TAYLOR_ORDER - 1, 0, -1):
-            der = jet[n] + der * h / n
-        return val, der
+    def _advance(self, x0: float, state: tuple, x1: float) -> tuple[complex, complex]:
+        """Carry (u, u') from x0 to x1 by Taylor steps of at most min(0.25, x0/4)."""
+        n = self._order
+        u, du = state
+        while x0 != x1:
+            reach = min(0.25, 0.25 * x0) * (1.0 + 1e-12)
+            nxt = x1 if abs(x1 - x0) <= reach else x0 + math.copysign(reach, x1 - x0)
+            jet, h = self.closure_jet(x0, u, du, n), nxt - x0
+            u = du = jet[n]
+            for m in range(n - 1, 0, -1):
+                u = jet[m] + u * h / (m + 1)
+                du = jet[m] + du * h / m
+            u, x0 = jet[0] + u * h, nxt
+        return complex(u), complex(du)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         if x <= 0:
             raise DomainError(f"evaluated at x={x} <= 0")
-        for seg in self._segments:
-            lo, up, _, _ = seg
-            if lo < x < up or (x == up and not np.isfinite(up)):
-                return self._eval_in_segment(seg, x)
-        raise SingularEvaluationError(f"x={x} sits on a node of the base solution")
+        i = int(np.argmin(np.abs(self._xs - x)))
+        return self._advance(float(self._xs[i]), self._states[i], float(x))
 
 
 def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> ExtremalQuartet:
@@ -534,8 +456,7 @@ def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> Extr
     s1 = ground_style_state(ell, decaying=True, lower_branch=False)
     s2 = ground_style_state(ell, decaying=True, lower_branch=True)
     s3 = physical_eigenfunction(1, 1, ell)
-    perp = PerpSolution(s3, scan_hi=max(12.0, (2.0 * ell + 3.0) ** 0.5 + 4.0))
-    s4 = LinearCombination([perp, s3], [1.0, perp_admixture]) if perp_admixture != 0 else perp
+    s4 = PerpSolution(s3, perp_admixture)
     energies = (e0(ell) + 0.0j, -e0(ell) + 1.0 + 0.0j, e0(ell) + 1.0 + 0.0j, e0(ell) + 1.0 + 0.0j)
     return ExtremalQuartet((s1, s2, s3, s4), energies, "1234", RadialPotential(ell), ell,
                            {"kind": "radial-oscillator", "perp_admixture": complex(perp_admixture)})

@@ -1,15 +1,20 @@
-"""Independent high-precision oracles and finite-difference helpers.
+"""Independent high-precision oracles, test-only routes and finite differences.
 
-These deliberately avoid the library's own code paths: the confluent
-series is summed directly in 50-digit arithmetic, and derivatives of the
-closed-form seed branches are assembled by the product rule from
-contiguous relations, so the residual checks falsify the ODE-closure
-jets rather than restate them.
+The mpmath oracles deliberately avoid the library's own code paths: the
+confluent series is summed directly in 50-digit arithmetic, and
+derivatives of the closed-form seed branches are assembled by the product
+rule from contiguous relations, so the residual checks falsify the
+ODE-closure jets rather than restate them. The Leibniz jet calculus
+(``jet_mul``, ``jet_div``, ``jet_log_deriv``) and ``g_route_b`` are
+second routes that the tests hold the library's series arithmetic and g
+against.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -105,3 +110,51 @@ def seed_branch_jet2(ell, eps, x):
               + pref * (ddlog * m0 + dlog * x * m1 + m1 + x * x * m2))
         out.append((u, du, d2))
     return out
+
+
+def jet_mul(f, g, order=None):
+    """Jet of f*g: (fg)^(n) = sum_k C(n,k) f^(k) g^(n-k)."""
+    if order is None:
+        order = min(len(f), len(g)) - 1
+    out = np.empty(order + 1, dtype=complex)
+    for n in range(order + 1):
+        out[n] = sum(math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1))
+    return out
+
+
+def jet_div(f, g, order=None):
+    """Jet of f/g (g[0] must be nonzero)."""
+    if order is None:
+        order = min(len(f), len(g)) - 1
+    out = np.empty(order + 1, dtype=complex)
+    for n in range(order + 1):
+        acc = f[n] - sum(math.comb(n, k) * out[k] * g[n - k] for k in range(n))
+        out[n] = acc / g[0]
+    return out
+
+
+def jet_log_deriv(f, order=None):
+    """Jet of (ln f)' = f'/f."""
+    if order is None:
+        order = len(f) - 2
+    return jet_div(f[1:], f, order)
+
+
+def g_route_b(spec, chain, x):
+    """Alternative g: -x + 2(E0-eps1+k-1) F G / W(F,G).
+
+    F = W(u_1..u_{k-1}), G = W(u_1..u_k, x^{l+1} e^{-x^2/4}); agrees with
+    the library's g_from_quartet because only logarithmic derivatives enter.
+    """
+    from susypv.oscillator import e0
+    from susypv.painleve import PoleError
+    from susypv.susy import WronskianStack, ground_style_state
+
+    phi = ground_style_state(spec.ell, decaying=True, lower_branch=False)
+    fj = WronskianStack(chain[:-1]).jet(x, 1)
+    gj = WronskianStack(list(chain) + [phi]).jet(x, 1)
+    wfg = fj[0] * gj[1] - gj[0] * fj[1]
+    if abs(wfg) == 0.0:
+        raise PoleError(f"W(F,G) vanishes at x={x}")
+    coeff = 2.0 * (e0(spec.ell) - spec.eps1 + spec.k - 1.0)
+    return -x + coeff * fj[0] * gj[0] / wfg

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,18 @@ class TestTableCommand:
         assert "t1 1423: params=exact w=matched" in out
         assert code == 1  # published 2413/3412 cells do not reproduce
 
+    def test_t0_at_l3_reports_without_traceback(self, capsys):
+        # x = 3 is a node of psi_1l at l = 3; the perp state is stepped
+        # through it, so the report completes and the rows certify
+        code = run(["table", "--which", "t0", "--l", "3"])
+        captured = capsys.readouterr()
+        assert code == 1  # the printed 1423/2413 cells do not reproduce
+        assert "Traceback" not in captured.err
+        for row in ("1324", "2314"):
+            line = next(l for l in captured.out.splitlines() if l.startswith(f"t0 {row}:"))
+            assert "w=residual-certified" in line
+            assert float(line.split("residual=")[1].split()[0]) <= 1e-8
+
 
 class TestVerifyCommand:
     def test_filtered_check(self, capsys):
@@ -137,3 +153,14 @@ class TestGridPotential:
         assert len(lines) == 41
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(v == v for v in vals)  # no NaN in the smooth regime
+
+
+class TestColdImport:
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-c", "import susypv.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert out.strip() == "False"

@@ -4,15 +4,14 @@ import numpy as np
 
 from susypv.jets import (
     binom,
-    jet_div,
     jet_from_taylor,
-    jet_log_deriv,
-    jet_mul,
     series_diff,
     series_div,
     series_mul,
     taylor_from_jet,
 )
+
+from oracles import jet_div, jet_log_deriv, jet_mul
 
 
 def exp_jet(x, n):

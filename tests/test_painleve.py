@@ -13,7 +13,6 @@ from susypv.painleve import (
     classify_degenerate,
     default_z_grid,
     g_from_quartet,
-    g_route_b,
     normalize_ordering,
     params_from_energies,
     permute_quartet,
@@ -32,7 +31,7 @@ from susypv.susy import (
     radial_oscillator_quartet,
 )
 
-from oracles import fd4_first, fd4_second
+from oracles import fd4_first, fd4_second, g_route_b
 
 
 class TestGFromQuartet:
@@ -179,6 +178,15 @@ class TestPVResidual:
             wz = (2 * ell + 1.0) / (2 * ell + 1.0 - z) ** 2
             wzz = 2.0 * (2 * ell + 1.0) / (2 * ell + 1.0 - z) ** 3
             assert pv_residual(w, wz, wzz, float(z), params) <= 1e-12
+
+    def test_matches_certificate_residual(self):
+        # one PV right-hand side: the public residual of a certified
+        # sample is the residual the certificate recorded
+        sol = solve(SeedSpec.from_nu(1.0, 1.0, 1.0, k=1, mode="complex-over-real"))
+        z = 2.3
+        s = sol.w_eval(z)
+        assert s.flag == "ok"
+        assert abs(pv_residual(s.w, s.w_z, s.w_zz, z, sol.params) - s.residual) <= 1e-14
 
 
 class TestClassify:

@@ -13,9 +13,7 @@ from susypv.oscillator import (
     seed_chain,
 )
 from susypv.susy import (
-    LinearCombination,
     PartnerPotential,
-    PerpSolution,
     SingularEvaluationError,
     WronskianStack,
     extremal_quartet,
@@ -220,14 +218,14 @@ class TestExtremalQuartet:
 
 class TestRadialOscillatorQuartet:
     def test_perp_wronskian_is_one(self):
-        ell = 1.0
-        q = radial_oscillator_quartet(ell)
-        psi, perp = q.states[2], q.states[3]
-        node = math.sqrt(2 * ell + 3)
-        for x in (0.5, 1.2, 2.0, node + 0.11, 4.0, 6.5):
-            pv, pd = psi.value_and_derivative(x)
-            qv, qd = perp.value_and_derivative(x)
-            assert abs(pv * qd - qv * pd - 1.0) <= 1e-9
+        for ell in (1.0, 1.5, 3.0):
+            q = radial_oscillator_quartet(ell)
+            psi, perp = q.states[2], q.states[3]
+            node = math.sqrt(2 * ell + 3)
+            for x in (0.05, 0.5, 1.2, 2.0, node, node + 0.11, 4.0, 6.5, 8.0):
+                pv, pd = psi.value_and_derivative(x)
+                qv, qd = perp.value_and_derivative(x)
+                assert abs(pv * qd - qv * pd - 1.0) <= 1e-9, (ell, x)
 
     def test_admixture_leaves_wronskian(self):
         q = radial_oscillator_quartet(1.0, perp_admixture=2.5)
@@ -238,26 +236,21 @@ class TestRadialOscillatorQuartet:
             assert abs(pv * qd - qv * pd - 1.0) <= 1e-9
 
     def test_perp_is_a_solution(self):
-        q = radial_oscillator_quartet(2.0)
-        perp = q.states[3]
-        for x in (0.8, 2.5, 4.2):
-            assert perp.schrodinger_residual(x) <= 1e-10
+        # besides the closure residual, u'' by finite differences of u'
+        # must satisfy the Schrodinger equation with the stepped u
+        for ell in (2.0, 1.5, 3.0):
+            perp = radial_oscillator_quartet(ell).states[3]
+            node = math.sqrt(2 * ell + 3)
+            for x in (0.05, 0.8, node, 2.5, 4.2, 8.0):
+                assert perp.schrodinger_residual(x) <= 1e-10
+                u, du = perp.value_and_derivative(x)
+                d2u = fd4_first(lambda t: perp.value_and_derivative(t)[1], x,
+                                1e-3 * min(x, 1.0))
+                res = -0.5 * d2u + (perp.potential(x) - perp.energy) * u
+                assert abs(res) <= 1e-7 * max(abs(u), abs(du), abs(d2u)), (ell, x)
 
     def test_energies(self):
         ell = 2.0
         q = radial_oscillator_quartet(ell)
         ez = e0(ell)
         assert q.energies == (ez + 0j, 1 - ez + 0j, ez + 1 + 0j, ez + 1 + 0j)
-
-
-class TestLinearCombination:
-    def test_pointwise(self):
-        a = physical_eigenfunction(1, 1, 1.0)
-        b = PerpSolution(a)
-        c = LinearCombination([b, a], [1.0, 0.5])
-        x = 1.9
-        av, ad = a.value_and_derivative(x)
-        bv, bd = b.value_and_derivative(x)
-        cv, cd = c.value_and_derivative(x)
-        assert abs(cv - (bv + 0.5 * av)) < 1e-13
-        assert abs(cd - (bd + 0.5 * ad)) < 1e-13
