@@ -234,11 +234,11 @@ def cmd_grid_potential(args) -> int:
         spec = _spec_from_args(args)
         if args.xmin <= 0 or args.points < 2:
             raise ConfigError("need x-min > 0 and points >= 2")
+        pot = PartnerPotential(seed_chain(spec))
     except (ConfigError, SeedSpecError, GammaPoleError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     xs = np.geomspace(args.xmin, args.xmax, args.points)
-    pot = PartnerPotential(seed_chain(spec))
     lines = ["x,v_re,v_im"]
     for x in xs:
         try:

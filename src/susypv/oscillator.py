@@ -56,16 +56,16 @@ class DomainError(ValueError):
     """Evaluation outside x > 0."""
 
 
-class BranchDegeneracyError(ValueError):
+class SeedSpecError(ValueError):
+    """Seed specification violates its mode's constraints."""
+
+
+class BranchDegeneracyError(SeedSpecError):
     """Half-odd l with both hypergeometric branches mixed."""
 
 
-class ChainAnnihilationError(ValueError):
+class ChainAnnihilationError(SeedSpecError):
     """A seed-chain member is identically zero."""
-
-
-class SeedSpecError(ValueError):
-    """Seed specification violates its mode's constraints."""
 
 
 def e0(ell: float) -> float:
@@ -234,8 +234,8 @@ class SchrodingerSolution:
     def is_zero(self) -> bool:
         """Identically-zero detection (ladder annihilation) on probe points."""
         if self._zero is None:
-            mags = [abs(self.value_and_derivative(x)[0]) + abs(self.value_and_derivative(x)[1])
-                    for x in _PROBE_XS]
+            mags = [abs(u) + abs(du)
+                    for u, du in map(self.value_and_derivative, _PROBE_XS)]
             self._zero = max(mags) < 1e-200 or all(m < 1e-14 * (1.0 + max(mags)) for m in mags)
         return self._zero
 

@@ -1,17 +1,14 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
+Every Wronskian, with its derivatives to any order, is the Taylor series
+of the determinant, computed by series LU in extended precision: series
+coefficients track the function's own analytic scale, so cancellations
+stay benign where the row multi-index (Leibniz) expansion of W^(n) would
+lose most of its digits. That expansion is kept in the tests, as the
+reference this route is checked against.
+
 The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
 is integrated by Taylor steps on the same ODE-closure jets.
-
-Low-order Wronskian derivatives follow the row multi-index rule,
-    W'  = det(rows 0..m-2, m)
-    W'' = det(rows 0..m-3, m-1, m) + det(rows 0..m-2, m+1),
-with LU-evaluated determinants (that is the wronskian() contract and the
-fallback/oracle route). Full derivative jets, which operator chains need
-to high order, come instead from the Taylor series of the determinant:
-series coefficients track the function's own analytic scale, so the
-cancellations stay benign where the multi-index sum would lose most of
-its digits.
 """
 
 from __future__ import annotations
@@ -55,57 +52,9 @@ __all__ = [
     "ground_style_state",
 ]
 
-_TERM_CACHE: dict[tuple[int, int], list[dict[tuple[int, ...], float]]] = {}
-
 
 class SingularEvaluationError(ArithmeticError):
     """Wronskian underflow at a node (potential singularity of V_k)."""
-
-
-def _det_extended(mat: np.ndarray, rows: tuple[int, ...]) -> complex:
-    """Determinant of the selected rows, by LU with partial pivoting.
-
-    Runs in clongdouble: the stacked columns share their dominant
-    exponential at large x, and 80-bit elimination keeps the cancellation
-    from eating into the double-precision budget of the inputs.
-    """
-    m = len(rows)
-    if m == 1:
-        return complex(mat[rows[0], 0])
-    a = mat[list(rows), :].copy()
-    det = np.clongdouble(1.0)
-    for j in range(m):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if a[p, j] == 0:
-            return 0.0 + 0.0j
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-            det = -det
-        det = det * a[j, j]
-        for i in range(j + 1, m):
-            a[i, j:] = a[i, j:] - (a[i, j] / a[j, j]) * a[j, j:]
-    return complex(det)
-
-
-def _term_maps(m: int, order: int) -> list[dict[tuple[int, ...], float]]:
-    """Row multi-index expansions of W^(0..order) for an m-stack."""
-    key = (m, order)
-    maps = _TERM_CACHE.get(key)
-    if maps is not None:
-        return maps
-    maps = [{tuple(range(m)): 1.0}]
-    for _ in range(order):
-        nxt: dict[tuple[int, ...], float] = {}
-        for rows, coeff in maps[-1].items():
-            for i in range(m):
-                bumped = rows[i] + 1
-                if i + 1 < m and bumped == rows[i + 1]:
-                    continue  # duplicate rows: determinant vanishes
-                new = rows[:i] + (bumped,) + rows[i + 1:]
-                nxt[new] = nxt.get(new, 0.0) + coeff
-        maps.append(nxt)
-    _TERM_CACHE[key] = maps
-    return maps
 
 
 class WronskianStack:
@@ -115,19 +64,10 @@ class WronskianStack:
     gracefully.
     """
 
-    def __init__(self, solutions: list[SchrodingerSolution], require_distinct: bool = False):
+    def __init__(self, solutions: list[SchrodingerSolution]):
         self.solutions = list(solutions)
-        if self.solutions:
-            ells = {s.ell for s in self.solutions}
-            if len(ells) != 1:
-                raise ValueError("stack members must share ell")
-            if require_distinct:
-                energies = [complex(s.energy) for s in self.solutions]
-                for i in range(len(energies)):
-                    for j in range(i + 1, len(energies)):
-                        if abs(energies[i] - energies[j]) < 1e-12:
-                            raise ValueError("stack energies must be pairwise distinct")
-        self._det_cache: dict[tuple[float, tuple[int, ...]], complex] = {}
+        if len({s.ell for s in self.solutions}) > 1:
+            raise ValueError("stack members must share ell")
         self._jet_cache: dict[float, np.ndarray] = {}
 
     @property
@@ -142,47 +82,32 @@ class WronskianStack:
         follow the function's own analytic scale, which keeps high-order
         derivatives far better conditioned than the raw Leibniz expansion.
         """
-        m = self.size
-        if m == 0:
+        if self.size == 0:
             out = np.zeros(order + 1, dtype=complex)
             out[0] = 1.0
             return out
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return np.asarray(cached[: order + 1], dtype=complex)
-        max_row = m - 1 + order
-        tser = self._taylor_det(x, order, max_row)
-        if tser is None:
-            out = self._jet_multiindex(x, order)
-        else:
-            out = jet_from_taylor(tser).astype(complex)
+        out = jet_from_taylor(self._taylor_det(x, order)).astype(complex)
         self._jet_cache[x] = out
         return out
 
-    def _jet_multiindex(self, x: float, order: int) -> np.ndarray:
-        """Leibniz expansion over row multi-indices (fallback/oracle route)."""
-        m = self.size
-        max_row = m - 1 + order
-        cols = [s.jet_values(x, max_row) for s in self.solutions]
-        mat = np.column_stack(cols).astype(np.clongdouble)
-        out = np.empty(order + 1, dtype=complex)
-        for n, terms in enumerate(_term_maps(m, order)):
-            acc = np.clongdouble(0.0)
-            for rows, coeff in terms.items():
-                key = (x, rows)
-                d = self._det_cache.get(key)
-                if d is None:
-                    d = _det_extended(mat, rows)
-                    self._det_cache[key] = d
-                acc = acc + coeff * np.clongdouble(d)
-            out[n] = complex(acc)
-        return out
+    def _taylor_det(self, x: float, order: int) -> np.ndarray:
+        """Taylor series of W at x, through `order`, by series LU.
 
-    def _taylor_det(self, x: float, order: int, max_row: int) -> np.ndarray:
+        Rows pivot on the magnitude of their leading coefficient. Where
+        every leading coefficient of a column vanishes exactly (the
+        functions share a node at x), the row of lowest valuation v
+        pivots instead: each quotient divides t^v out of both series, so
+        it stays a power series; its last v coefficients are unknown and
+        left 0, which only touches the determinant beyond `order`, since
+        the pivot carries t^v.
+        """
         m = self.size
         tcols = []
         for s in self.solutions:
-            t = taylor_from_jet(s.jet_values(x, max_row)).astype(np.clongdouble)
+            t = taylor_from_jet(s.jet_values(x, m - 1 + order)).astype(np.clongdouble)
             tcols.append(t)
         # a[r][c] = Taylor series of u_c^(r), truncated at `order`
         a = [[None] * m for _ in range(m)]
@@ -197,21 +122,23 @@ class WronskianStack:
         sign = 1.0
         for j in range(m):
             p = max(range(j, m), key=lambda i: abs(a[i][j][0]))
+            v = 0
+            if a[p][j][0] == 0:
+                p = min(range(j, m), key=lambda i: _valuation(a[i][j]))
+                v = _valuation(a[p][j])
+                if v > order:
+                    return np.zeros(order + 1, dtype=np.clongdouble)
             if p != j:
                 a[j], a[p] = a[p], a[j]
                 sign = -sign
             piv = a[j][j]
-            if piv[0] == 0:
-                if not any(a[i][j].any() for i in range(j, m)):
-                    return np.zeros(order + 1, dtype=np.clongdouble)
-                # leading coefficients vanish exactly (a node of the pivot
-                # functions at x): fall back to the Leibniz expansion
-                return None
             det = series_mul(det, piv, order)
             for i in range(j + 1, m):
                 if abs(a[i][j][0]) == 0.0 and not a[i][j].any():
                     continue
-                factor = series_div(a[i][j], piv, order)
+                factor = series_div(a[i][j][v:], piv[v:], order - v)
+                if v:
+                    factor = np.concatenate([factor, np.zeros(v, dtype=factor.dtype)])
                 for c in range(j + 1, m):
                     a[i][c] = a[i][c] - series_mul(factor, a[j][c], order)
         return sign * det
@@ -229,17 +156,17 @@ class WronskianStack:
         return scale
 
 
-def wronskian(stack: WronskianStack, x: float, deriv_order: int = 0) -> complex:
-    """W(u_1,...,u_m) or its first/second derivative at x.
+def _valuation(series: np.ndarray) -> int:
+    """Index of the first nonzero coefficient (len(series) if there is none)."""
+    nonzero = np.flatnonzero(series)
+    return int(nonzero[0]) if nonzero.size else len(series)
 
-    This is the row multi-index contract (W' = det(rows 0..m-2, m), etc.);
-    the stack's series jets agree with it and extend to any order.
-    """
+
+def wronskian(stack: WronskianStack, x: float, deriv_order: int = 0) -> complex:
+    """W(u_1,...,u_m) or its first/second derivative at x, from the stack's jet."""
     if deriv_order not in (0, 1, 2):
         raise ValueError("deriv_order must be 0, 1 or 2")
-    if stack.size == 0:
-        return 1.0 + 0.0j if deriv_order == 0 else 0.0 + 0.0j
-    return complex(stack._jet_multiindex(x, deriv_order)[deriv_order])
+    return complex(stack.jet(x, deriv_order)[deriv_order])
 
 
 class PartnerPotential:

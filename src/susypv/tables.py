@@ -151,11 +151,11 @@ def table_w_cells(which: str, ell: float) -> dict[str, dict]:
             "1324": {"kind": "residual-only",
                      "note": "incomplete-gamma cell; admixture-dependent"},
             "1423": {"kind": "closed", "paper": lambda z: 1.0 + z / (2 * L - 1),
-                     "derived": None},
+                     "derived": lambda z: 1.0 + (2 * L + 1 - z) / 2.0},
             "2314": {"kind": "residual-only",
                      "note": "incomplete-gamma cell; admixture-dependent"},
             "2413": {"kind": "closed", "paper": lambda z: 1.0 + (1 - 2 * L - z) / 2.0,
-                     "derived": None},
+                     "derived": lambda z: 1.0 - z / (2 * L + 3)},
             "3412": {"kind": "degenerate", "note": "w == inf"},
         }
     if which == "t1":

@@ -5,9 +5,10 @@ confluent series is summed directly in 50-digit arithmetic, and
 derivatives of the closed-form seed branches are assembled by the product
 rule from contiguous relations, so the residual checks falsify the
 ODE-closure jets rather than restate them. The Leibniz jet calculus
-(``jet_mul``, ``jet_div``, ``jet_log_deriv``) and ``g_route_b`` are
-second routes that the tests hold the library's series arithmetic and g
-against.
+(``jet_mul``, ``jet_div``, ``jet_log_deriv``), the row multi-index
+Wronskian (``term_maps``, ``leibniz_wronskian_jet``) and ``g_route_b`` are
+second routes that the tests hold the library's series arithmetic,
+series-LU Wronskian and g against.
 """
 
 import math
@@ -138,6 +139,36 @@ def jet_log_deriv(f, order=None):
     if order is None:
         order = len(f) - 2
     return jet_div(f[1:], f, order)
+
+
+def term_maps(m, order):
+    """Row multi-index expansions of W^(0..order) for an m-stack.
+
+    W^(n) = sum over maps[n] of coeff * det(rows of the derivative matrix
+    [u_c^(r)]); differentiating a determinant bumps one row index at a
+    time, and a bump onto the next row's index gives a vanishing term.
+    """
+    maps = [{tuple(range(m)): 1}]
+    for _ in range(order):
+        nxt = {}
+        for rows, coeff in maps[-1].items():
+            for i in range(m):
+                bumped = rows[i] + 1
+                if i + 1 < m and bumped == rows[i + 1]:
+                    continue
+                new = rows[:i] + (bumped,) + rows[i + 1:]
+                nxt[new] = nxt.get(new, 0) + coeff
+        maps.append(nxt)
+    return maps
+
+
+def leibniz_wronskian_jet(cols, order):
+    """W^(0..order) from the derivative jets of the columns (each through
+    m - 1 + order), one LU determinant per row set of term_maps."""
+    mat = np.column_stack(cols).astype(complex)
+    return np.array([sum(coeff * np.linalg.det(mat[list(rows), :])
+                         for rows, coeff in terms.items())
+                     for terms in term_maps(len(cols), order)])
 
 
 def g_route_b(spec, chain, x):

@@ -2,7 +2,7 @@
 
 Each criterion runs at its stated tolerance and prints a PASS/FAIL line.
 Clauses that compare against the paper's printed tables keep the printed
-values verbatim (``susypv.tables`` and ``_PRINTED_COMPLEX`` below). Seven
+values verbatim (``susypv.tables`` and ``_PRINTED_COMPLEX`` below). Nine
 printed entries are not consistent PV data. ``ERRATA`` lists each with
 its corrected entry and the evidence, and its clause asserts both facts:
 the printed entry fails a check that does not use the library (a
@@ -97,6 +97,21 @@ class Erratum:
 # Keyed by the clause (test node name) that asserts the erratum. The
 # printed values stay verbatim in susypv.tables and _PRINTED_COMPLEX.
 ERRATA = {
+    "test_criterion_2_closed_form_w_rows[t0-1423]": Erratum(
+        printed="w = 1 + z/(2l-1)",
+        corrected="w = 1 + (2l+1-z)/2, the 'derived' cell",
+        evidence="under the row's own (8a, 8b, 4c) = (4, -(2l+3)^2, 2l-1) the "
+                 "printed cell leaves a 50-digit PV residual of 0.49-1.0 at "
+                 "l = 1, 3/2, 2, 3; the corrected cell follows from "
+                 "W(psi_2, psi_3) = e^{-x^2/2}((2l+1)(l+3/2) - (2l+3)x^2/2) and "
+                 "leaves <= 1e-49"),
+    "test_criterion_2_closed_form_w_rows[t0-2413]": Erratum(
+        printed="w = 1 + (1-2l-z)/2",
+        corrected="w = 1 - z/(2l+3), the 'derived' cell",
+        evidence="under the row's own (8a, 8b, 4c) = ((2l+3)^2, -4, -2l-3) the "
+                 "printed cell leaves a 50-digit PV residual of 1.0 at "
+                 "l = 1, 3/2, 2, 3; the corrected cell follows from "
+                 "W(psi_1, psi_3) = -x^{2l+3} e^{-x^2/2} and leaves <= 1e-49"),
     "test_criterion_2_closed_form_w_rows[t1-2413]": Erratum(
         printed="w = 1 + z P3(z)/Q4(z), table_w_cells('t1', l)['2413']['paper']",
         corrected="w = 2/(z-2l-1), the 'derived' cell",
@@ -150,7 +165,8 @@ ERRATA = {
 
 # -- criterion 2: table reproduction -----------------------------------------
 
-_W_ROWS = [("t1", "1423"), ("t1", "2413"), ("t1", "3412"),
+_W_ROWS = [("t0", "1423"), ("t0", "2413"),
+           ("t1", "1423"), ("t1", "2413"), ("t1", "3412"),
            ("t2", "1423"), ("t2", "2413")]
 
 _ORACLE_Z = ("0.77", "1.93", "3.31", "7.13", "13.07")

@@ -73,6 +73,23 @@ class TestSolveCommand:
         assert len(out.read_text().strip().splitlines()) == 12
 
 
+class TestSeedConstructionErrors:
+    # the half-odd-l branch mixture and the annihilated chain are found
+    # only while the seed chain is built, after the spec parsed cleanly
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "4",
+         "--order", "2413"],
+        ["grid-potential", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "1"],
+        ["solve", "--l", "1", "--eps", "1.25", "--nu", "inf", "--k", "2"],
+    ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain"])
+    def test_config_error_exit(self, argv, tmp_path, capsys):
+        code = run(argv + ["--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+
 class TestTableCommand:
     def test_params_rows_reported(self, capsys):
         code = run(["table", "--which", "params"])

@@ -13,9 +13,8 @@ import pytest
 
 from susypv.oscillator import SeedSpec, seed_chain
 from susypv.susy import WronskianStack
-from susypv.susy import _term_maps  # the combinatorial maps are exact
 
-from oracles import mp_hyp1f1
+from oracles import mp_hyp1f1, term_maps  # the combinatorial maps are exact
 
 mp.mp.dps = 50
 
@@ -90,7 +89,7 @@ def mp_wronskian_jet(jets, order):
     """W^(0..order) by the exact multi-index expansion in mpmath."""
     m = len(jets)
     out = []
-    for n, terms in enumerate(_term_maps(m, order)):
+    for n, terms in enumerate(term_maps(m, order)):
         acc = mp.mpc(0)
         for rows, coeff in terms.items():
             mat = mp.matrix(m, m)

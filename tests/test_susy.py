@@ -5,6 +5,7 @@ import pytest
 
 from susypv.oscillator import (
     NU_INF,
+    ClosedFormSolution,
     SeedSpec,
     default_x_grid,
     e0,
@@ -24,7 +25,7 @@ from susypv.susy import (
     wronskian,
 )
 
-from oracles import fd4_first, fd4_second
+from oracles import fd4_first, fd4_second, leibniz_wronskian_jet
 
 
 def vk_residual(state, potential, energy, x):
@@ -74,14 +75,33 @@ class TestWronskian:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_leibniz_route_matches_series_route(self, m):
-        spec = SeedSpec.from_nu(1.0, -0.3, 0.9, k=max(m, 1))
         chain = seed_chain(SeedSpec.from_nu(1.0, -0.3, 0.9, k=4))[:m]
         st = WronskianStack(chain)
         for x in (0.8, 2.1):
             series = st.jet(x, 2)
+            leib = leibniz_wronskian_jet([u.jet_values(x, m + 1) for u in chain], 2)
             for d in (0, 1, 2):
-                leib = wronskian(st, x, d)
-                assert abs(series[d] - leib) <= 1e-9 * max(1.0, abs(leib))
+                assert wronskian(st, x, d) == series[d]
+                assert abs(series[d] - leib[d]) <= 1e-9 * max(1.0, abs(leib[d]))
+
+    def test_exact_common_node_matches_leibniz(self):
+        # psi_1l(3) = 0 exactly at l = 3, and phi is the solution at
+        # E0 - 0.4 with phi(3) = 0, phi'(3) = 1 (only its jet at x = 3
+        # enters): each stack meets a column whose leading coefficients all
+        # vanish, so the series LU must pivot on valuation (for
+        # [psi, phi, chi] and [chi, psi, phi] in a middle column)
+        ell, x, order = 3.0, 3.0, 6
+        psi = physical_eigenfunction(1, 1, ell)
+        phi = ClosedFormSolution(ell, e0(ell) - 0.4, lambda t: (t - 3.0, 1.0))
+        chi = ground_style_state(ell, decaying=True, lower_branch=True)
+        assert psi.jet_values(x, 0)[0] == 0 and phi.jet_values(x, 0)[0] == 0
+        for cols in ([psi], [psi, phi], [psi, phi, chi], [chi, psi, phi]):
+            got = WronskianStack(cols).jet(x, order)
+            ref = leibniz_wronskian_jet([u.jet_values(x, len(cols) - 1 + order)
+                                         for u in cols], order)
+            scale = max(abs(ref))
+            assert scale > 0
+            assert max(abs(got - ref)) <= 1e-12 * scale, (len(cols), got, ref)
 
     def test_empty_stack_convention(self):
         st = WronskianStack([])
