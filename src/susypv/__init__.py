@@ -9,7 +9,6 @@ certified by direct numerical evaluation of the PV residual.
 
 from .oscillator import (
     NU_INF,
-    DerivativeJet,
     RadialPotential,
     SchrodingerSolution,
     SeedSolution,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hierarchies, operators, tables
 from .oscillator import NU_INF, SeedSpec, SeedSpecError, seed_chain
-from .painleve import DegenerateOutputError, solve
+from .painleve import DegenerateOutputError, normalize_ordering, solve
 from .susy import PartnerPotential, SingularEvaluationError
 from .specialfunctions import GammaPoleError
 
@@ -65,6 +65,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _spec_from_args(args) -> SeedSpec:
+    normalize_ordering(args.order)  # ValueError on a label that is not a permutation of 1234
     eps1 = _parse_complex_pair(args.eps)
     if args.lk is not None:
         lam, kap = (float(t) for t in args.lk.split(","))
@@ -163,10 +164,14 @@ def cmd_table(args) -> int:
         return EXIT_FAIL if bad else EXIT_OK
     try:
         ell = float(Fraction(args.l))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         print(f"config error: bad --l {args.l!r}", file=sys.stderr)
         return EXIT_CONFIG
-    rep = tables.reproduce_table(args.which, ell, n_points=args.points)
+    try:
+        rep = tables.reproduce_table(args.which, ell, n_points=args.points)
+    except SeedSpecError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     status = EXIT_OK
     for r in rep.rows:
         bits = [f"params={'exact' if r.params_exact else 'MISMATCH'}", f"w={r.w_status}"]
@@ -189,7 +194,11 @@ def cmd_verify(args) -> int:
     corrupt = 0.01 if args.corrupt else 0.0
     specs = None
     if args.k is not None:
-        specs = [SeedSpec.from_nu(1.0, -0.4, 0.8, k=args.k)]
+        try:
+            specs = [SeedSpec.from_nu(1.0, -0.4, 0.8, k=args.k)]
+        except SeedSpecError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     reports = operators.run_all_checks(specs=specs, corrupt=corrupt, selected=selected)
     summary = {"checks": [], "all_passed": True}
     for r in reports:

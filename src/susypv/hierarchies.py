@@ -60,10 +60,6 @@ class HierarchyReport:
     def matched_forms(self) -> list[FormMatch]:
         return [f for f in self.form_results if f.matched]
 
-    @property
-    def unmatched_forms(self) -> list[FormMatch]:
-        return [f for f in self.form_results if not f.matched]
-
 
 def _is_int(x: float) -> int | None:
     n = round(x)

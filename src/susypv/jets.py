@@ -1,10 +1,12 @@
 """Derivative jets and truncated Taylor series.
 
 A jet ``f`` holds ``f[n] = f^(n)(x)`` at a fixed point, its Taylor series
-``c[n] = f^(n)(x) / n!``. ``binom`` feeds the Leibniz sums on jets (ODE
-closure, first-order operators); Wronskians and superpotentials compose
-series with the ``series_*`` helpers. Differentiation stays exact, so
-failures in identity checks point at formulas, not discretization.
+``c[n] = f^(n)(x) / n!``. Solutions and potentials hand out jets, because
+the ODE closure runs on them (``binom`` feeds its Leibniz sum); everything
+built from solutions (Wronskians, ratio states, superpotentials, operator
+images) is a series composed with the ``series_*`` helpers, and the two
+conversions mark that boundary. Differentiation stays exact, so failures
+in identity checks point at formulas, not discretization.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Numerical verification of the operator algebra behind the construction.
 
-Differential operators are applied through jets (exact differentiation),
-never finite differences, so the identity checks run at near machine
-precision and a failure points at a formula, not at discretization. Each
-atom consumes `order` entries off the incoming jet and needs its
-coefficient functions as jets of the remaining length; first-order SUSY
-atoms take their superpotentials from Wronskian log-derivatives.
+Differential operators are applied to Taylor series at the evaluation
+point (exact differentiation), never finite differences, so the identity
+checks run at near machine precision and a failure points at a formula,
+not at discretization. Each atom consumes `order` coefficients off the
+incoming series and multiplies by its coefficient functions as series of
+the remaining length; first-order SUSY atoms take their superpotentials
+from Wronskian log-derivatives. Derivative values are converted only on
+entry (a solution's jet) and in the Hamiltonian atom (its potential).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import binom, jet_from_taylor, series_diff, series_div, taylor_from_jet
+from .jets import series_diff, series_div, series_mul, taylor_from_jet
 from .oscillator import (
     RadialPotential,
     SchrodingerSolution,
@@ -33,7 +35,6 @@ __all__ = [
     "AtomFirstOrder",
     "AtomH",
     "OperatorChain",
-    "apply_chain",
     "SusyLadder",
     "CheckReport",
     "default_test_seeds",
@@ -55,11 +56,14 @@ class _Atom:
     order = 1
     label = "?"
 
-    def coeff_jets(self, x: float, n: int) -> dict:
+    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
         raise NotImplementedError
 
-    def apply(self, jet: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        raise NotImplementedError
+
+def _first_order(series: np.ndarray, w: np.ndarray, sign: int, n_out: int) -> np.ndarray:
+    """(1/sqrt2)(-/+ d/dx + w) f on Taylor series; sign +1 takes -d/dx."""
+    d = -1.0 if sign > 0 else 1.0
+    return (d * series_diff(series)[: n_out + 1] + series_mul(series, w, n_out)) / _SQRT2
 
 
 class AtomA(_Atom):
@@ -71,27 +75,15 @@ class AtomA(_Atom):
         self.label = f"a[{eta:g}]{'+' if sign > 0 else '-'}"
 
     def _s_jet(self, x: float, n: int) -> np.ndarray:
-        out = np.zeros(n + 1, dtype=complex)
-        out[0] = -self.eta / x + 0.5 * x
+        """Taylor series of -eta/x + x/2 at x: -eta (-1)^j / x^(j+1), plus x/2."""
+        out = -self.eta * (-1.0 / x) ** np.arange(n + 1) / x + 0j
+        out[0] += 0.5 * x
         if n >= 1:
-            out[1] = self.eta / (x * x) + 0.5
-        fac = 1.0
-        for j in range(2, n + 1):
-            fac *= j
-            out[j] = -self.eta * ((-1) ** j) * fac / x ** (j + 1)
+            out[1] += 0.5
         return out
 
-    def apply(self, jet: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        s = self._s_jet(x, n_out)
-        out = np.empty(n_out + 1, dtype=complex)
-        d = -1.0 if self.sign > 0 else 1.0
-        for m in range(n_out + 1):
-            c = binom(m)
-            acc = d * jet[m + 1]
-            for j in range(m + 1):
-                acc += c[j] * s[j] * jet[m - j]
-            out[m] = acc / _SQRT2
-        return out
+    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
+        return _first_order(series, self._s_jet(x, n_out), self.sign, n_out)
 
 
 class AtomB(_Atom):
@@ -105,31 +97,24 @@ class AtomB(_Atom):
         self.label = f"b{'+' if sign > 0 else '-'}"
 
     def _p_jet(self, x: float, n: int) -> np.ndarray:
+        """Taylor series of x^2/4 - l(l+1)/x^2 -/+ 1/2 at x: -l(l+1)(j+1)(-1)^j/x^(j+2) + ..."""
         c = self.ell * (self.ell + 1.0)
-        s = -1.0 if self.sign > 0 else 1.0
-        out = np.zeros(n + 1, dtype=complex)
-        out[0] = 0.25 * x * x - c / (x * x) + 0.5 * s
+        j = np.arange(n + 1)
+        out = -c * (j + 1) * (-1.0 / x) ** j / (x * x) + 0j
+        out[0] += 0.25 * x * x + (-0.5 if self.sign > 0 else 0.5)
         if n >= 1:
-            out[1] = 0.5 * x + 2.0 * c / x**3
+            out[1] += 0.5 * x
         if n >= 2:
-            out[2] = 0.5 - 6.0 * c / x**4
-        fac = 6.0
-        for j in range(3, n + 1):
-            fac *= j + 1
-            out[j] = -c * ((-1) ** j) * fac / x ** (j + 2)
+            out[2] += 0.25
         return out
 
-    def apply(self, jet: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        p = self._p_jet(x, n_out)
+    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
         s = -1.0 if self.sign > 0 else 1.0
-        out = np.empty(n_out + 1, dtype=complex)
-        for m in range(n_out + 1):
-            c = binom(m)
-            acc = jet[m + 2] + s * (x * jet[m + 1] + m * jet[m])
-            for j in range(m + 1):
-                acc += c[j] * p[j] * jet[m - j]
-            out[m] = 0.5 * acc
-        return out
+        d1 = series_diff(series)
+        x_d1 = x * d1[: n_out + 1]
+        x_d1[1:] += d1[:n_out]  # (x0 + t) f'
+        p = self._p_jet(x, n_out)
+        return 0.5 * (series_diff(d1)[: n_out + 1] + s * x_d1 + series_mul(series, p, n_out))
 
 
 class AtomFirstOrder(_Atom):
@@ -148,27 +133,17 @@ class AtomFirstOrder(_Atom):
         self.label = f"A{j}{'+' if sign > 0 else '-'}"
 
     def _w_jet(self, x: float, n: int) -> np.ndarray:
-        whi = taylor_from_jet(self.hi.jet(x, n + 1))
+        whi = self.hi.jet(x, n + 1)
         out = series_div(series_diff(whi), whi, n)
         if self.lo.size:
-            wlo = taylor_from_jet(self.lo.jet(x, n + 1))
+            wlo = self.lo.jet(x, n + 1)
             out = out - series_div(series_diff(wlo), wlo, n)
-        out = jet_from_taylor(out)
         if self.corrupt:
             out[0] += self.corrupt
         return out
 
-    def apply(self, jet: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        w = self._w_jet(x, n_out)
-        d = -1.0 if self.sign > 0 else 1.0
-        out = np.empty(n_out + 1, dtype=complex)
-        for m in range(n_out + 1):
-            c = binom(m)
-            acc = d * jet[m + 1]
-            for j in range(m + 1):
-                acc += c[j] * w[j] * jet[m - j]
-            out[m] = acc / _SQRT2
-        return out
+    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
+        return _first_order(series, self._w_jet(x, n_out), self.sign, n_out)
 
 
 class AtomH(_Atom):
@@ -181,16 +156,10 @@ class AtomH(_Atom):
         self.shift = complex(shift)
         self.label = label if shift == 0 else f"({label}-{shift:g})"
 
-    def apply(self, jet: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        v = self.potential.deriv_jet(x, n_out)
-        out = np.empty(n_out + 1, dtype=complex)
-        for m in range(n_out + 1):
-            c = binom(m)
-            acc = -0.5 * jet[m + 2] - self.shift * jet[m]
-            for j in range(m + 1):
-                acc += c[j] * v[j] * jet[m - j]
-            out[m] = acc
-        return out
+    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
+        v = taylor_from_jet(self.potential.deriv_jet(x, n_out))
+        return (-0.5 * series_diff(series_diff(series))[: n_out + 1]
+                + series_mul(series, v, n_out) - self.shift * series[: n_out + 1])
 
 
 @dataclass
@@ -204,37 +173,31 @@ class OperatorChain:
         return sum(a.order for a in self.atoms)
 
     def apply_jet(self, provider, x: float, n_out: int = 0) -> np.ndarray:
+        """Taylor series of the chain's image of `provider` at x, through n_out."""
         need = self.total_order + n_out
-        jet = _provider_jet(provider, x, need)
+        series = _provider_jet(provider, x, need)
         for atom in reversed(self.atoms):
             need -= atom.order
-            jet = atom.apply(jet, x, need)
-        return jet
+            series = atom.apply(series, x, need)
+        return series
 
     def __call__(self, provider, x: float) -> complex:
         return complex(self.apply_jet(provider, x, 0)[0])
 
 
-def _provider_jet(provider, x: float, order: int) -> np.ndarray:
-    """Jet of a test function; ratio states differentiate their Wronskian
+def _provider_jet(provider: SchrodingerSolution, x: float, order: int) -> np.ndarray:
+    """Taylor series of a test function; ratio states expand their Wronskian
     ratio directly so no intertwining fact is assumed by the checks."""
     if isinstance(provider, WronskianRatioState):
         return provider.ratio_jet(x, order)
-    if isinstance(provider, SchrodingerSolution):
-        return provider.jet_values(x, order)
-    return np.asarray(provider(x, order), dtype=complex)
-
-
-def apply_chain(atoms: list | OperatorChain, provider, x: float) -> complex:
-    chain = atoms if isinstance(atoms, OperatorChain) else OperatorChain(list(atoms))
-    return chain(provider, x)
+    return taylor_from_jet(provider.jet_values(x, order))
 
 
 class AtomImage(SchrodingerSolution):
     """State produced by one atom, re-closed under its own equation.
 
-    (value, derivative) come from the parent's jet through the atom's
-    exact Leibniz rule; higher derivatives close under the stated
+    (value, derivative) come from the parent's series through the atom's
+    exact product rule; higher derivatives close under the stated
     (potential, energy). Valid for ladder/intertwining images because the
     intertwining relations are certified separately at machine precision;
     keeping every intermediate at low jet order is what lets 4k+4-order
@@ -291,10 +254,6 @@ class SusyLadder:
     def big_b_minus(self) -> list:
         return [self.atom_a_minus(j) for j in range(1, self.k + 1)]
 
-    def natural_ladder(self, up: bool) -> OperatorChain:
-        mid = self.b_plus() if up else self.b_minus()
-        return OperatorChain(self.big_b_plus() + [mid] + self.big_b_minus())
-
     def ladder_image(self, state, energy: complex, up: bool):
         """L^+/- = B_k^+ b^+/- B_k^- as a state pipeline; returns (image, energy')."""
         cur = state
@@ -345,8 +304,8 @@ def default_test_seeds(ell: float, count: int = 3) -> list[SeedSolution]:
 
 
 def _rel_scale(provider, x: float, applied: complex) -> float:
-    jet = _provider_jet(provider, x, 2)
-    return max(abs(jet[0]), abs(jet[2]), abs(applied), 1e-300)
+    series = _provider_jet(provider, x, 2)
+    return max(abs(series[0]), abs(2.0 * series[2]), abs(applied), 1e-300)
 
 
 def check_intertwining(spec: SeedSpec, xs=_SAMPLE_XS, tol: float = 1e-7,

@@ -32,7 +32,6 @@ __all__ = [
     "e0",
     "RadialPotential",
     "SeedSpec",
-    "DerivativeJet",
     "SchrodingerSolution",
     "SeedSolution",
     "ClosedFormSolution",
@@ -160,16 +159,6 @@ class SeedSpec:
         return SeedSpec(float(ell), complex(eps1), mix, k, mode, ordering)
 
 
-@dataclass
-class DerivativeJet:
-    """Values (u, u', ..., u^(N)) at one point, closed under the ODE."""
-
-    x: float
-    values: np.ndarray
-    energy: complex
-    ell: float
-
-
 class SchrodingerSolution:
     """A solution of -u''/2 + V0 u = eps u exposing jets of any order.
 
@@ -190,9 +179,6 @@ class SchrodingerSolution:
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         raise NotImplementedError
-
-    def jet(self, x: float, order: int) -> DerivativeJet:
-        return DerivativeJet(x, self.jet_values(x, order), self.energy, self.ell)
 
     def jet_values(self, x: float, order: int) -> np.ndarray:
         if x <= 0:

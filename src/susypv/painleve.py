@@ -316,9 +316,6 @@ class PVSolution:
     classification: str
     meta: dict = field(default_factory=dict)
 
-    def g_eval(self, x: float) -> tuple[complex, complex, complex]:
-        return g_from_quartet(self.quartet, x)
-
     def w_eval(self, z: float) -> GridSample:
         """w(z) and its z-derivatives, with pole masking and residual.
 

@@ -1,11 +1,13 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
-Every Wronskian, with its derivatives to any order, is the Taylor series
-of the determinant, computed by series LU in extended precision: series
-coefficients track the function's own analytic scale, so cancellations
-stay benign where the row multi-index (Leibniz) expansion of W^(n) would
-lose most of its digits. That expansion is kept in the tests, as the
-reference this route is checked against.
+Solutions hand out derivative values; everything built from them here is
+a Taylor series at the point. A Wronskian is the series of the
+determinant, by series LU in extended precision: series coefficients
+track the function's own analytic scale, so cancellations stay benign
+where the row multi-index (Leibniz) expansion of W^(n) would lose most of
+its digits (the tests keep that expansion as the reference). Derivatives
+come back out only in ``wronskian`` and ``PartnerPotential.deriv_jet``,
+because a potential feeds the ODE closure.
 
 The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
 is integrated by Taylor steps on the same ODE-closure jets.
@@ -75,13 +77,7 @@ class WronskianStack:
         return len(self.solutions)
 
     def jet(self, x: float, order: int) -> np.ndarray:
-        """[W, W', ..., W^(order)] at x.
-
-        Computed as the Taylor series of the determinant (series LU with
-        partial pivoting, extended precision): coefficient magnitudes then
-        follow the function's own analytic scale, which keeps high-order
-        derivatives far better conditioned than the raw Leibniz expansion.
-        """
+        """Taylor coefficients [W, W', W''/2, ..., W^(order)/order!] at x."""
         if self.size == 0:
             out = np.zeros(order + 1, dtype=complex)
             out[0] = 1.0
@@ -89,7 +85,7 @@ class WronskianStack:
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return np.asarray(cached[: order + 1], dtype=complex)
-        out = jet_from_taylor(self._taylor_det(x, order)).astype(complex)
+        out = self._taylor_det(x, order).astype(complex)
         self._jet_cache[x] = out
         return out
 
@@ -163,10 +159,10 @@ def _valuation(series: np.ndarray) -> int:
 
 
 def wronskian(stack: WronskianStack, x: float, deriv_order: int = 0) -> complex:
-    """W(u_1,...,u_m) or its first/second derivative at x, from the stack's jet."""
+    """W(u_1,...,u_m) or its first/second derivative at x, from the stack's series."""
     if deriv_order not in (0, 1, 2):
         raise ValueError("deriv_order must be 0, 1 or 2")
-    return complex(stack.jet(x, deriv_order)[deriv_order])
+    return complex(stack.jet(x, deriv_order)[deriv_order]) * math.factorial(deriv_order)
 
 
 class PartnerPotential:
@@ -187,13 +183,12 @@ class PartnerPotential:
     def deriv_jet(self, x: float, order: int) -> np.ndarray:
         if self.k == 0:
             return self.base.deriv_jet(x, order)
-        wjet = self.stack.jet(x, order + 2)
-        if abs(wjet[0]) < 1e-13 * self.stack.row_scale(x):
+        tw = self.stack.jet(x, order + 2)
+        if abs(tw[0]) < 1e-13 * self.stack.row_scale(x):
             raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
-        tw = taylor_from_jet(wjet)
         logd = series_div(series_diff(tw), tw, order + 1)  # (ln W)' as a series
-        lw2 = jet_from_taylor(series_diff(logd))           # (ln W)'' as a jet
-        return self.base.deriv_jet(x, order) - lw2[: order + 1]
+        lw2 = jet_from_taylor(series_diff(logd))           # (ln W)'' as derivatives
+        return self.base.deriv_jet(x, order) - lw2
 
     def __call__(self, x: float) -> complex:
         return complex(self.deriv_jet(x, 0)[0])
@@ -209,8 +204,8 @@ class WronskianRatioState(SchrodingerSolution):
 
     value/derivative come from the Wronskian algebra alone; higher jet
     entries close under the partner-potential ODE at the state's energy.
-    ratio_jet() bypasses the closure and differentiates the ratio itself,
-    which is what the residual oracles use.
+    ratio_jet() bypasses the closure and returns the Taylor series of the
+    ratio itself, which is what the residual oracles use.
     """
 
     def __init__(self, numerator: WronskianStack, denominator: WronskianStack,
@@ -229,8 +224,7 @@ class WronskianRatioState(SchrodingerSolution):
         g = self.den.jet(x, order)
         if abs(g[0]) < 1e-13 * self.den.row_scale(x):
             raise SingularEvaluationError(f"denominator Wronskian vanishes near x={x}")
-        ratio = series_div(taylor_from_jet(f), taylor_from_jet(g), order)
-        return jet_from_taylor(ratio)
+        return series_div(f, g, order)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         r = self.ratio_jet(x, 1)

@@ -228,9 +228,6 @@ class TableReport:
     ell: float
     rows: list[RowReport] = field(default_factory=list)
 
-    def all_ok(self) -> bool:
-        return all(r.ok() for r in self.rows)
-
 
 def _compare_w(sol: PVSolution, form, zs) -> float | None:
     errs = []

@@ -113,6 +113,11 @@ def seed_branch_jet2(ell, eps, x):
     return out
 
 
+def derivs(series):
+    """Derivative values f^(n) = n! c_n from Taylor coefficients c_n."""
+    return np.asarray(series) * np.array([math.factorial(n) for n in range(len(series))])
+
+
 def jet_mul(f, g, order=None):
     """Jet of f*g: (fg)^(n) = sum_k C(n,k) f^(k) g^(n-k)."""
     if order is None:

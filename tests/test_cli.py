@@ -75,15 +75,26 @@ class TestSolveCommand:
 
 class TestSeedConstructionErrors:
     # the half-odd-l branch mixture and the annihilated chain are found
-    # only while the seed chain is built, after the spec parsed cleanly
+    # only while the seed chain is built, after the spec parsed cleanly;
+    # the ordering label, verify's k and table's l reach a spec or a
+    # Fraction only after argparse accepted them
     @pytest.mark.parametrize("argv", [
         ["solve", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "4",
          "--order", "2413"],
         ["grid-potential", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "1"],
         ["solve", "--l", "1", "--eps", "1.25", "--nu", "inf", "--k", "2"],
-    ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain"])
+        ["solve", "--order", "1111"],
+        ["verify", "--k", "0"],
+        ["verify", "--k", "-2"],
+        ["table", "--which", "t1", "--l", "-3"],
+        ["table", "--which", "t2", "--l", "1/0"],
+    ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
+            "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
+            "table-l-below-half", "table-l-zero-denominator"])
     def test_config_error_exit(self, argv, tmp_path, capsys):
-        code = run(argv + ["--out", str(tmp_path / "out.csv")])
+        if argv[0] != "table":  # table takes no --out
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err

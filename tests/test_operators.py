@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from susypv.oscillator import SeedSpec, e0, make_seed, physical_eigenfunction
+from susypv.oscillator import (
+    SeedSpec,
+    apply_b_minus,
+    apply_b_plus,
+    e0,
+    make_seed,
+    physical_eigenfunction,
+)
 from susypv.operators import (
     AtomA,
     AtomB,
@@ -41,6 +48,19 @@ class TestAtoms:
         for x in (0.8, 1.6):
             scale = max(abs(v) for v in ground.jet_values(x, 2))
             assert abs(chain(ground, x)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("ell", [0.0, 1.0, 3.0])
+    def test_b_atom_matches_laddered_solution(self, ell):
+        # the (value, derivative) entry that AtomImage consumes
+        u = default_test_seeds(ell, count=1)[0]
+        for sign, ladder in ((-1, apply_b_minus), (+1, apply_b_plus)):
+            chain = OperatorChain([AtomB(ell, sign)])
+            image = ladder(u)
+            for x in (0.7, 1.3, 2.4, 4.0):
+                got = chain.apply_jet(u, x, 1)[:2]
+                ref = image.value_and_derivative(x)
+                scale = max(abs(v) for v in u.jet_values(x, 3))
+                assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-13 * scale
 
     def test_first_order_atom_annihilates_own_seed(self):
         ladder = SusyLadder(SPEC1)
