@@ -167,7 +167,9 @@ class SchrodingerSolution:
         u^(n+2) = 2 sum_j C(n,j) V0^(j) u^(n-j) - 2 eps u^(n),
     which is exact because the potential derivatives are analytic.
     Instances are immutable after construction; the per-x jet cache only
-    grows (safe under the GIL for concurrent reads).
+    grows (safe under the GIL for concurrent reads): it keeps (u, u') from
+    the first request, and a longer jet extends the cached one through
+    the closure instead of evaluating the solution again.
     """
 
     def __init__(self, ell: float, energy: complex, potential: RadialPotential | None = None):
@@ -187,10 +189,10 @@ class SchrodingerSolution:
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return cached[: order + 1]
-        u0, u1 = self.value_and_derivative(x)
-        vals = self.closure_jet(x, u0, u1, order)
+        u0, u1 = self.value_and_derivative(x) if cached is None else cached[:2]
+        vals = self.closure_jet(x, u0, u1, max(order, 1))
         self._jet_cache[x] = vals
-        return vals
+        return vals[: order + 1]
 
     def closure_jet(self, x: float, u0: complex, u1: complex, order: int) -> np.ndarray:
         """Jet at x of the solution with u(x) = u0, u'(x) = u1 (uncached)."""

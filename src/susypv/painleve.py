@@ -224,9 +224,10 @@ def _g_with_errors(quartet: ExtremalQuartet, x: float):
     """
     s3, s4 = quartet.pair_34()
     e3, e4 = complex(quartet.energies[2]), complex(quartet.energies[3])
+    # V_k first: its order-2 chain series then serves both slot denominators
+    vd = complex(quartet.potential(x))
     f0d, f1d = s3.value_and_derivative(x)
     g0d, g1d = s4.value_and_derivative(x)
-    vd = complex(quartet.potential(x))
     cl = np.clongdouble
     f0, f1, g0, g1, v = cl(f0d), cl(f1d), cl(g0d), cl(g1d), cl(vd)
     eps_in = 1e-15  # relative accuracy of the double-precision inputs

@@ -33,6 +33,7 @@ from .oscillator import (
     RadialPotential,
     SchrodingerSolution,
     SeedSpec,
+    SeedSpecError,
     apply_b_plus,
     e0,
     physical_eigenfunction,
@@ -71,6 +72,7 @@ class WronskianStack:
         if len({s.ell for s in self.solutions}) > 1:
             raise ValueError("stack members must share ell")
         self._jet_cache: dict[float, np.ndarray] = {}
+        self._scale_cache: dict[float, float] = {}
 
     @property
     def size(self) -> int:
@@ -144,11 +146,13 @@ class WronskianStack:
         m = self.size
         if m == 0:
             return 1.0
-        cols = [s.jet_values(x, m - 1) for s in self.solutions]
-        mat = np.column_stack(cols)
-        scale = 1.0
-        for r in range(m):
-            scale *= float(np.linalg.norm(mat[r, :]))
+        scale = self._scale_cache.get(x)
+        if scale is None:
+            mat = np.column_stack([s.jet_values(x, m - 1) for s in self.solutions])
+            scale = 1.0
+            for r in range(m):
+                scale *= float(np.linalg.norm(mat[r, :]))
+            self._scale_cache[x] = scale
         return scale
 
 
@@ -277,7 +281,7 @@ def extremal_quartet(spec: SeedSpec) -> ExtremalQuartet:
     chain = seed_chain(spec)
     ell = spec.ell
     vk = PartnerPotential(chain)
-    full = WronskianStack(chain)
+    full = vk.stack  # V_k and every denominator share one factorization per x
     raised = apply_b_plus(chain[0])
     psi1 = WronskianRatioState(WronskianStack(chain + [raised]), full,
                                spec.eps1 + 1.0, vk, "Bk+ b+ u1")
@@ -374,6 +378,8 @@ def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> Extr
     (E0, -E0+1, E1, E1); the perp state is Wronskian-normalized against
     psi_1l, W(psi_1l, perp) = 1, plus an explicit admixture of psi_1l.
     """
+    if ell < -0.5:
+        raise SeedSpecError("require ell >= -1/2")
     s1 = ground_style_state(ell, decaying=True, lower_branch=False)
     s2 = ground_style_state(ell, decaying=True, lower_branch=True)
     s3 = physical_eigenfunction(1, 1, ell)

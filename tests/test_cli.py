@@ -87,10 +87,11 @@ class TestSeedConstructionErrors:
         ["verify", "--k", "0"],
         ["verify", "--k", "-2"],
         ["table", "--which", "t1", "--l", "-3"],
+        ["table", "--which", "t0", "--l", "-3"],
         ["table", "--which", "t2", "--l", "1/0"],
     ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
             "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
-            "table-l-below-half", "table-l-zero-denominator"])
+            "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator"])
     def test_config_error_exit(self, argv, tmp_path, capsys):
         if argv[0] != "table":  # table takes no --out
             argv = argv + ["--out", str(tmp_path / "out.csv")]

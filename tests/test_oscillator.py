@@ -174,6 +174,19 @@ class TestLadder:
                 scale = max(abs(j[0]), abs(j[2]), abs(got))
                 assert abs(got - lam * j[0]) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("member", ["seed", "b-"])
+    def test_longer_jet_extends_cached_one_bit_for_bit(self, member):
+        # a longer request extends the cached (u, u') through the closure;
+        # the closure entries do not depend on the order asked for
+        def build():
+            u = make_seed(SeedSpec.from_nu(2.0, 0.45, 3.0))
+            return u if member == "seed" else apply_b_minus(u)
+
+        warm, fresh = build(), build()
+        for x in (0.3, 1.7, 4.2):
+            warm.jet_values(x, 2)
+            assert np.array_equal(warm.jet_values(x, 8), fresh.jet_values(x, 8))
+
 
 class TestSeedChain:
     def test_k1(self):

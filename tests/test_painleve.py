@@ -4,7 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from susypv.oscillator import NU_INF, SeedSpec, e0, nu_lower_bound, seed_chain
+from susypv.oscillator import (
+    NU_INF,
+    SeedSolution,
+    SeedSpec,
+    _LadderedSolution,
+    e0,
+    nu_lower_bound,
+    seed_chain,
+)
 from susypv.painleve import (
     CANONICAL_ORDERINGS,
     DegenerateOutputError,
@@ -26,6 +34,7 @@ from susypv.painleve import (
 from susypv.susy import (
     ExtremalQuartet,
     RadialPotential,
+    WronskianStack,
     extremal_quartet,
     ground_style_state,
     radial_oscillator_quartet,
@@ -290,6 +299,34 @@ class TestConcurrency:
             parallel = list(pool.map(lambda z: sol2.w_eval(z).w, zs))
         assert all(abs(a - b) <= 1e-12 * max(1.0, abs(a))
                    for a, b in zip(serial, parallel))
+
+
+class TestCallBudget:
+    # per grid point: each seed and ladder member is evaluated once, and
+    # the chain is factored once for V_k and both slot denominators, plus
+    # once per slot numerator (psi3's is empty at k = 1)
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_certificate_call_counts(self, k, monkeypatch):
+        sol = solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+        calls = {}
+
+        def count(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[cls] = calls.get(cls, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        count(SeedSolution, "value_and_derivative")
+        count(_LadderedSolution, "value_and_derivative")
+        count(WronskianStack, "_taylor_det")
+        sol.residual_certificate()
+        n = len(default_z_grid())
+        assert calls.get(SeedSolution, 0) == n
+        assert calls.get(_LadderedSolution, 0) == n * (k - 1)
+        assert calls.get(WronskianStack, 0) == (2 if k == 1 else 3) * n
 
 
 class TestSolve:

@@ -227,6 +227,12 @@ class TestExtremalQuartet:
             for x in (0.8, 1.4, 2.3):
                 assert vk_residual(state, q.potential, energy, x) <= 1e-8
 
+    def test_potential_and_states_share_one_chain_stack(self):
+        # V_k and every ratio denominator read one factorization per x
+        for k in (1, 3):
+            q = extremal_quartet(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+            assert all(state.den is q.potential.stack for state in q.states)
+
     def test_psi3_is_inverse_seed_for_k1(self):
         spec = SeedSpec.from_nu(1.0, 0.3, 0.7, k=1)
         q = extremal_quartet(spec)
