@@ -51,7 +51,6 @@ from .susy import (
 from .hierarchies import HierarchyTag, crosscheck, detect
 from .specialfunctions import (
     bessel_i,
-    classical_polys,
     gamma,
     hermite_h,
     kummer_1f1,

@@ -27,6 +27,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
+# config-file spellings of a flag that is on or off
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -51,40 +54,87 @@ def _parse_complex_pair(text: str) -> complex:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
+def _config_argv(args) -> list[str]:
+    """The config file's values as options of args' command.
+
+    They are parsed before the command line, so a flag given there wins,
+    and argparse casts and checks them like the command line's own.
+    Keys that name no option of the command are ignored.
+    """
+    tokens = []
+    for key, val in _load_config_file(args.config).items():
+        if key in ("command", "func", "config") or not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            tokens.append(f"{flag}={val}")
+        elif val.lower() not in _BOOLEANS:
+            raise ConfigError(f"{key} = {val!r}: expected true/false, yes/no or 1/0")
+        elif _BOOLEANS[val.lower()]:
+            tokens.append(flag)
+    return tokens
+
+
 def _spec_from_args(args) -> SeedSpec:
-    normalize_ordering(args.order)  # ValueError on a label that is not a permutation of 1234
-    eps1 = _parse_complex_pair(args.eps)
-    if args.lk is not None:
-        lam, kap = (float(t) for t in args.lk.split(","))
-        return SeedSpec.from_lambda_kappa(args.l, eps1, lam, kap, k=args.k,
-                                          ordering=args.order)
-    nu_text = str(args.nu).strip().lower()
-    nu = NU_INF if nu_text in ("inf", "infinity") else _parse_complex_pair(str(args.nu))
-    mode = args.mode if getattr(args, "mode", None) else None
-    return SeedSpec.from_nu(args.l, eps1, nu, k=args.k, mode=mode, ordering=args.order)
+    try:
+        normalize_ordering(args.order)  # ValueError on a label that is not a permutation of 1234
+        eps1 = _parse_complex_pair(args.eps)
+        if args.lk is not None:
+            lam, kap = (float(t) for t in args.lk.split(","))
+            return SeedSpec.from_lambda_kappa(args.l, eps1, lam, kap, k=args.k,
+                                              ordering=args.order)
+        nu_text = str(args.nu).strip().lower()
+        nu = NU_INF if nu_text in ("inf", "infinity") else _parse_complex_pair(str(args.nu))
+        return SeedSpec.from_nu(args.l, eps1, nu, k=args.k, mode=args.mode, ordering=args.order)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a gamma at infinite l
+        raise ConfigError(str(exc)) from exc
+
+
+def _positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and > 0")
+    return value
+
+
+def _points(n: int) -> int:
+    if n < 2:
+        raise ConfigError("points must be >= 2")
+    return n
 
 
 def _grid_from_args(args) -> np.ndarray:
-    if args.zmin <= 0:
-        raise ConfigError("z-min must be > 0")
-    if args.points < 2:
-        raise ConfigError("points must be >= 2")
-    if args.spacing == "geometric":
-        return np.geomspace(args.zmin, args.zmax, args.points)
-    return np.linspace(args.zmin, args.zmax, args.points)
+    lo, hi = _positive("zmin", args.zmin), _positive("zmax", args.zmax)
+    spaced = np.geomspace if args.spacing == "geometric" else np.linspace
+    return spaced(lo, hi, _points(args.points))
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write to a file, or to stdout for '-'; a path that cannot be written is a config error."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_solution(path: str, fmt: str, sol, samples, max_res: float, tag) -> None:
@@ -95,60 +145,46 @@ def _write_solution(path: str, fmt: str, sol, samples, max_res: float, tag) -> N
         "d": _fmtc(complex(sol.params.d)),
         "ordering": sol.ordering,
         "classification": sol.classification,
-        "hierarchy": tag.family if tag is not None else "",
-        "max_residual": _fmt(max_res) if math.isfinite(max_res) else "inf",
+        "hierarchy": tag.family,
+        "max_residual": _fmt(max_res),
     }
     if fmt == "csv":
         lines = ["# " + json.dumps(meta, sort_keys=True)]
         lines.append("z,w_re,w_im,residual,flag")
         for s in samples:
             res = _fmt(s.residual) if s.residual is not None else ""
-            wre = _fmt(s.w.real) if not math.isnan(s.w.real) else "nan"
-            wim = _fmt(s.w.imag) if not math.isnan(s.w.imag) else "nan"
-            lines.append(f"{_fmt(s.z)},{wre},{wim},{res},{s.flag}")
+            lines.append(f"{_fmt(s.z)},{_fmt(s.w.real)},{_fmt(s.w.imag)},{res},{s.flag}")
         text = "\n".join(lines) + "\n"
     else:
         rows = [{
             "z": _fmt(s.z),
-            "w_re": _fmt(s.w.real) if not math.isnan(s.w.real) else "nan",
-            "w_im": _fmt(s.w.imag) if not math.isnan(s.w.imag) else "nan",
+            "w_re": _fmt(s.w.real),
+            "w_im": _fmt(s.w.imag),
             "residual": _fmt(s.residual) if s.residual is not None else None,
             "flag": s.flag,
         } for s in samples]
         text = json.dumps({"meta": meta, "grid": rows}, indent=1, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(path, text)
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        zs = _grid_from_args(args)
-    except (ConfigError, SeedSpecError, GammaPoleError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = _spec_from_args(args)
+    zs = _grid_from_args(args)
+    tol = _positive("tol", args.tol)
     try:
         sol = solve(spec, allow_degenerate=args.allow_degenerate)
     except DegenerateOutputError as exc:
         print(f"degenerate output: {exc.classification}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except SeedSpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    tag = hierarchies.detect(spec)
-    if sol.classification != "generic":
-        _write_solution(args.out, args.format, sol,
-                        [sol.w_eval(float(z)) for z in zs], math.inf, tag)
-        print(f"degenerate output written: {sol.classification}")
-        return EXIT_OK if args.allow_degenerate else EXIT_DEGENERATE
+    # a degenerate solution (allowed) certifies nothing: all samples flagged, max inf
     max_res, samples = sol.residual_certificate(zs)
-    _write_solution(args.out, args.format, sol, samples, max_res, tag)
+    _write_solution(args.out, args.format, sol, samples, max_res, hierarchies.detect(spec))
+    if sol.classification != "generic":
+        print(f"degenerate output written: {sol.classification}")
+        return EXIT_OK
     print(f"max masked residual: {max_res:.3e} over {len(samples)} points "
           f"({sum(1 for s in samples if s.flag != 'ok')} masked)")
-    return EXIT_OK if max_res <= args.tol else EXIT_FAIL
+    return EXIT_OK if max_res <= tol else EXIT_FAIL
 
 
 def cmd_table(args) -> int:
@@ -164,14 +200,12 @@ def cmd_table(args) -> int:
         return EXIT_FAIL if bad else EXIT_OK
     try:
         ell = float(Fraction(args.l))
-    except (ValueError, ZeroDivisionError):
-        print(f"config error: bad --l {args.l!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"bad --l {args.l!r}") from None
     try:
-        rep = tables.reproduce_table(args.which, ell, n_points=args.points)
-    except SeedSpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        rep = tables.reproduce_table(args.which, ell, n_points=_points(args.points))
+    except OverflowError as exc:
+        raise ConfigError(f"--l {args.l} is out of range: {exc}") from exc
     status = EXIT_OK
     for r in rep.rows:
         bits = [f"params={'exact' if r.params_exact else 'MISMATCH'}", f"w={r.w_status}"]
@@ -190,16 +224,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    selected = args.check
-    corrupt = 0.01 if args.corrupt else 0.0
-    specs = None
-    if args.k is not None:
-        try:
-            specs = [SeedSpec.from_nu(1.0, -0.4, 0.8, k=args.k)]
-        except SeedSpecError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    reports = operators.run_all_checks(specs=specs, corrupt=corrupt, selected=selected)
+    specs = None if args.k is None else [SeedSpec.from_nu(1.0, -0.4, 0.8, k=args.k)]
+    reports = operators.run_all_checks(specs=specs, selected=args.check)
+    if not reports:
+        raise ConfigError(f"no check matches --check {args.check!r}")
     summary = {"checks": [], "all_passed": True}
     for r in reports:
         print(r.line())
@@ -208,9 +236,7 @@ def cmd_verify(args) -> int:
                                   "tolerance": _fmt(float(r.tolerance))})
         summary["all_passed"] = bool(summary["all_passed"] and r.passed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return EXIT_OK if summary["all_passed"] else EXIT_FAIL
 
 
@@ -219,12 +245,7 @@ def cmd_hierarchy(args) -> int:
         # hierarchy regimes are about formal solutions; don't reject
         # sub-bound nu (the machinery masks the induced poles)
         args.mode = "complex-over-real"
-    try:
-        spec = _spec_from_args(args)
-        rep = hierarchies.crosscheck(spec)
-    except (ConfigError, SeedSpecError, GammaPoleError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rep = hierarchies.crosscheck(_spec_from_args(args))
     print(f"family: {rep.tag.family}")
     for key, val in sorted(rep.tag.condition.items()):
         print(f"  condition {key} = {val}")
@@ -239,15 +260,9 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_grid_potential(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        if args.xmin <= 0 or args.points < 2:
-            raise ConfigError("need x-min > 0 and points >= 2")
-        pot = PartnerPotential(seed_chain(spec))
-    except (ConfigError, SeedSpecError, GammaPoleError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    xs = np.geomspace(args.xmin, args.xmax, args.points)
+    pot = PartnerPotential(seed_chain(_spec_from_args(args)))
+    xs = np.geomspace(_positive("xmin", args.xmin), _positive("xmax", args.xmax),
+                      _points(args.points))
     lines = ["x,v_re,v_im"]
     for x in xs:
         try:
@@ -255,12 +270,7 @@ def cmd_grid_potential(args) -> int:
             lines.append(f"{_fmt(float(x))},{_fmt(v.real)},{_fmt(v.imag)}")
         except SingularEvaluationError:
             lines.append(f"{_fmt(float(x))},nan,nan")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -305,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", type=str, default=None,
                    help="substring filter (intertwining, commutator, ...)")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", type=str, default=None, help="JSON summary path")
     p.set_defaults(func=cmd_verify)
 
@@ -325,29 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "config", None):
+            args = ap.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    if getattr(args, "config", None):
-        try:
-            file_vals = _load_config_file(args.config)
-        except (OSError, ConfigError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        argv_used = argv if argv is not None else sys.argv[1:]
-        used_flags = {tok.split("=")[0].lstrip("-").replace("-", "_")
-                      for tok in argv_used if tok.startswith("--")}
-        for key, val in file_vals.items():
-            if key not in used_flags and hasattr(args, key):
-                cur = getattr(args, key)
-                caster = type(cur) if cur is not None and not isinstance(cur, bool) else str
-                try:
-                    setattr(args, key, caster(val))
-                except (TypeError, ValueError):
-                    setattr(args, key, val)
-    try:
-        return args.func(args)
+    except (ConfigError, SeedSpecError, GammaPoleError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK
 

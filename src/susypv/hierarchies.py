@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_ZS = np.linspace(0.5, 10.0, 25)  # z samples of the crosscheck
+_MATCH_TOL = 1e-9  # relative w error at which a printed form counts as matched
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,7 @@ def convention_sqrt(form) -> callable:
     return lambda z: 1.0 + z**0.25 * (form(math.sqrt(z)) - 1.0)
 
 
-def crosscheck(spec: SeedSpec, zs: np.ndarray | None = None,
-               match_tol: float = 1e-9) -> HierarchyReport:
+def crosscheck(spec: SeedSpec) -> HierarchyReport:
     """Certify a hierarchy spec and resolve the argument convention.
 
     (i) the machinery output passes the PV residual (the certificate);
@@ -203,8 +204,6 @@ def crosscheck(spec: SeedSpec, zs: np.ndarray | None = None,
     best (convention, ordering) is recorded, matched or not.
     """
     tag = detect(spec)
-    if zs is None:
-        zs = np.linspace(0.5, 10.0, 25)
     quartet = extremal_quartet(spec)
     machinery = {}
     best_res = math.inf
@@ -213,11 +212,10 @@ def crosscheck(spec: SeedSpec, zs: np.ndarray | None = None,
         sol = solution_from_quartet(quartet, lab)
         if sol.classification != "generic":
             continue
-        samples = [sol.w_eval(float(z)) for z in zs]
+        res, samples = sol.residual_certificate(_ZS)
         machinery[lab] = [s.w if s.flag == "ok" else None for s in samples]
-        oks = [s.residual for s in samples if s.flag == "ok"]
-        if oks and max(oks) < best_res:
-            best_res, best_lab = max(oks), lab
+        if res < best_res:
+            best_res, best_lab = res, lab
     report = HierarchyReport(tag, best_res, best_lab)
     forms = _closed_forms(tag)
     if forms is None:
@@ -226,7 +224,7 @@ def crosscheck(spec: SeedSpec, zs: np.ndarray | None = None,
         candidates = []
         for conv_name, fn in (("printed", form), ("sqrt", convention_sqrt(form))):
             closed = []
-            for z in zs:
+            for z in _ZS:
                 try:
                     closed.append(complex(fn(float(z))))
                 except (ZeroDivisionError, OverflowError, ValueError):
@@ -235,11 +233,11 @@ def crosscheck(spec: SeedSpec, zs: np.ndarray | None = None,
                 errs = [abs(cv - mv) / max(1.0, abs(mv))
                         for cv, mv in zip(closed, vals)
                         if cv is not None and mv is not None]
-                if len(errs) >= len(zs) // 2:
+                if len(errs) >= len(_ZS) // 2:
                     candidates.append((max(errs), conv_name, lab))
         if not candidates:
             report.form_results.append(FormMatch(idx, None, None, math.inf, False))
             continue
         err, conv_name, lab = min(candidates)
-        report.form_results.append(FormMatch(idx, conv_name, lab, err, err <= match_tol))
+        report.form_results.append(FormMatch(idx, conv_name, lab, err, err <= _MATCH_TOL))
     return report

@@ -9,6 +9,7 @@ analytic, so the closure is exact).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -125,6 +126,8 @@ class SeedSpec:
     def __post_init__(self):
         if self.k < 1:
             raise SeedSpecError("SUSY order k must be >= 1")
+        if not all(cmath.isfinite(v) for v in (self.ell, self.eps1, *self.mixture)):
+            raise SeedSpecError("ell, eps1 and the mixture must be finite")
         if self.ell < -0.5:
             raise SeedSpecError("require ell >= -1/2")
         if self.mode not in ("real-physical", "complex-over-real", "fully-complex"):
@@ -274,10 +277,9 @@ class SeedSolution(SchrodingerSolution):
 class ClosedFormSolution(SchrodingerSolution):
     """Solution wrapping explicit (value, derivative) callables."""
 
-    def __init__(self, ell: float, energy: complex, fn, label: str = ""):
+    def __init__(self, ell: float, energy: complex, fn):
         super().__init__(ell, energy)
         self._fn = fn
-        self.label = label
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         if x <= 0:
@@ -430,4 +432,4 @@ def physical_eigenfunction(family: int, n: int, ell: float) -> ClosedFormSolutio
         dlag = -laguerre_l(n - 1, alpha + 1.0, y) * ysign * x if n >= 1 else 0.0
         return pref * lag, pref * (dlog * lag + dlag)
 
-    return ClosedFormSolution(ell, energy, fn, label=f"psi_{family}{n}")
+    return ClosedFormSolution(ell, energy, fn)

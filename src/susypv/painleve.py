@@ -14,7 +14,7 @@ are available analytically; the PV residual then certifies every output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +53,7 @@ CANONICAL_ORDERINGS = ("1234", "1324", "1423", "2314", "2413", "3412")
 
 _POLE_TOL = 1e-10
 _SING_TOL = 1e-10
+_CLASSIFY_SAMPLES = 12  # points of the geometric window classify_degenerate probes
 
 
 class EquationSingularityError(ArithmeticError):
@@ -119,9 +120,8 @@ def permute_quartet(quartet: ExtremalQuartet, label: str) -> ExtremalQuartet:
     """Reorder the quartet so slot i holds original state label[i]."""
     label = normalize_ordering(label)
     idx = [int(ch) - 1 for ch in label]
-    return ExtremalQuartet(tuple(quartet.states[i] for i in idx),
-                           tuple(quartet.energies[i] for i in idx),
-                           label, quartet.potential, quartet.ell, quartet.meta)
+    return ExtremalQuartet(tuple(quartet.states[i] for i in idx), label, quartet.potential,
+                           quartet.ell)
 
 
 def params_from_energies(e1: complex, e2: complex, e3: complex, e4: complex) -> PVParams:
@@ -315,7 +315,6 @@ class PVSolution:
     quartet: ExtremalQuartet
     ordering: str
     classification: str
-    meta: dict = field(default_factory=dict)
 
     def w_eval(self, z: float) -> GridSample:
         """w(z) and its z-derivatives, with pole masking and residual.
@@ -378,7 +377,7 @@ class PVSolution:
         return (max(oks) if oks else math.inf), samples
 
 
-def classify_degenerate(quartet: ExtremalQuartet, n_samples: int = 12) -> str:
+def classify_degenerate(quartet: ExtremalQuartet) -> str:
     """generic | w==1 | w==inf | w==0-shift | w==const.
 
     A zero state in slot 3/4 means W == 0, i.e. g = infinity and w == 1.
@@ -390,7 +389,7 @@ def classify_degenerate(quartet: ExtremalQuartet, n_samples: int = 12) -> str:
     s3, s4 = quartet.pair_34()
     if _state_is_zero(s3) or _state_is_zero(s4):
         return "w==1"
-    zs = np.geomspace(0.4, 16.0, n_samples)
+    zs = np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES)
     ws = []
     n_poles = 0
     for z in zs:
@@ -429,12 +428,9 @@ def _state_is_zero(state) -> bool:
     return state.is_zero()
 
 
-def solution_from_quartet(quartet: ExtremalQuartet, ordering: str = "1234",
-                          meta: dict | None = None) -> PVSolution:
+def solution_from_quartet(quartet: ExtremalQuartet, ordering: str = "1234") -> PVSolution:
     q = permute_quartet(quartet, ordering)
-    params = pv_params(q)
-    cls = classify_degenerate(q)
-    return PVSolution(params, q, q.ordering_label, cls, meta or {})
+    return PVSolution(pv_params(q), q, q.ordering_label, classify_degenerate(q))
 
 
 def solve(spec: SeedSpec, allow_degenerate: bool = False) -> PVSolution:
@@ -443,10 +439,8 @@ def solve(spec: SeedSpec, allow_degenerate: bool = False) -> PVSolution:
     The canonical-ordering parameters are cross-checked against the closed
     forms; degenerate outputs raise unless allow_degenerate.
     """
-    quartet = extremal_quartet(spec)
-    sol = solution_from_quartet(quartet, spec.ordering,
-                                meta={"spec": spec, "kind": "k-susy"})
-    if spec.ordering == "1234" or normalize_ordering(spec.ordering) == "1234":
+    sol = solution_from_quartet(extremal_quartet(spec), spec.ordering)
+    if sol.ordering == "1234":
         ref = pv_params_closed_form(spec.ell, spec.eps1, spec.k)
         for name in "abcd":
             got, want = getattr(sol.params, name), getattr(ref, name)

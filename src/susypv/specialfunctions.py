@@ -23,7 +23,6 @@ __all__ = [
     "rgamma",
     "hermite_h",
     "laguerre_l",
-    "classical_polys",
     "bessel_i",
 ]
 
@@ -207,15 +206,6 @@ def laguerre_l(n: int, alpha: float, x: complex) -> complex:
     for k in range(1, n):
         l_cur, l_prev = ((2 * k + 1 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1), l_cur
     return l_cur
-
-
-def classical_polys(kind: str, n: int, alpha: float, x: complex) -> complex:
-    """Dispatch to the Hermite or Laguerre recurrence ('hermite' ignores alpha)."""
-    if kind == "hermite":
-        return hermite_h(n, x)
-    if kind == "laguerre":
-        return laguerre_l(n, alpha, x)
-    raise ValueError(f"unknown polynomial kind {kind!r}")
 
 
 def bessel_i(mu: float, x: complex) -> complex:

@@ -16,7 +16,7 @@ is integrated by Taylor steps on the same ODE-closure jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,12 @@ from .jets import (
     taylor_from_jet,
 )
 from .oscillator import (
-    ClosedFormSolution,
     DomainError,
     RadialPotential,
     SchrodingerSolution,
     SeedSpec,
     SeedSpecError,
     apply_b_plus,
-    e0,
     physical_eigenfunction,
     seed_chain,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "extremal_quartet",
     "radial_oscillator_quartet",
     "PerpSolution",
-    "ground_style_state",
 ]
 
 
@@ -80,10 +77,6 @@ class WronskianStack:
 
     def jet(self, x: float, order: int) -> np.ndarray:
         """Taylor coefficients [W, W', W''/2, ..., W^(order)/order!] at x."""
-        if self.size == 0:
-            out = np.zeros(order + 1, dtype=complex)
-            out[0] = 1.0
-            return out
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return np.asarray(cached[: order + 1], dtype=complex)
@@ -213,15 +206,13 @@ class WronskianRatioState(SchrodingerSolution):
     """
 
     def __init__(self, numerator: WronskianStack, denominator: WronskianStack,
-                 energy: complex, potential: PartnerPotential | RadialPotential,
-                 label: str = ""):
+                 energy: complex, potential: PartnerPotential | RadialPotential):
         SchrodingerSolution.__init__(self, denominator.solutions[0].ell
                                      if denominator.size else numerator.solutions[0].ell,
                                      energy)
         self.potential = potential
         self.num = numerator
         self.den = denominator
-        self.label = label
 
     def ratio_jet(self, x: float, order: int) -> np.ndarray:
         f = self.num.jet(x, order)
@@ -249,23 +240,27 @@ def transformed_state(chain: list[SchrodingerSolution],
         raise ValueError("target must share ell with the chain")
     return WronskianRatioState(WronskianStack(list(chain) + [target]),
                                WronskianStack(chain),
-                               target.energy, potential, label="Bk+ image")
+                               target.energy, potential)
 
 
 @dataclass
 class ExtremalQuartet:
-    """Four (state, energy) pairs in a chosen ordering, plus their potential.
+    """Four states in a chosen ordering, plus their potential.
 
     states expose value_and_derivative(x); all four are formal
-    eigenfunctions of the Hamiltonian with potential `potential`.
+    eigenfunctions of the Hamiltonian with potential `potential`, and
+    energies holds their energies in slot order.
     """
 
     states: tuple
-    energies: tuple
     ordering_label: str
     potential: object
     ell: float
-    meta: dict
+    energies: tuple = field(init=False)
+
+    def __post_init__(self):
+        # read once here, since _g_with_errors reads it at every point
+        self.energies = tuple(s.energy for s in self.states)
 
     def pair_34(self):
         return self.states[2], self.states[3]
@@ -283,41 +278,13 @@ def extremal_quartet(spec: SeedSpec) -> ExtremalQuartet:
     vk = PartnerPotential(chain)
     full = vk.stack  # V_k and every denominator share one factorization per x
     raised = apply_b_plus(chain[0])
-    psi1 = WronskianRatioState(WronskianStack(chain + [raised]), full,
-                               spec.eps1 + 1.0, vk, "Bk+ b+ u1")
-    phi2 = ground_style_state(ell, decaying=True, lower_branch=True)
-    psi2 = WronskianRatioState(WronskianStack(chain + [phi2]), full,
-                               -e0(ell) + 1.0, vk, "Bk+ x^-l gauss")
-    psi3 = WronskianRatioState(WronskianStack(chain[:-1]), full,
-                               spec.eps1 - (spec.k - 1), vk, "new ground")
-    phi4 = ground_style_state(ell, decaying=True, lower_branch=False)
-    psi4 = WronskianRatioState(WronskianStack(chain + [phi4]), full,
-                               e0(ell) + 0.0j, vk, "Bk+ x^l+1 gauss")
-    energies = (spec.eps1 + 1.0, -e0(ell) + 1.0 + 0.0j,
-                spec.eps1 - (spec.k - 1), e0(ell) + 0.0j)
-    return ExtremalQuartet((psi1, psi2, psi3, psi4), energies, "1234", vk, ell,
-                           {"spec": spec, "chain": chain, "kind": "k-susy"})
-
-
-def ground_style_state(ell: float, decaying: bool, lower_branch: bool) -> ClosedFormSolution:
-    """x^{l+1} or x^{-l} times exp(-/+ x^2/4), with its exact energy.
-
-    The four combinations are the formal states annihilated by the
-    first-order factorization operators.
-    """
-    p = -ell if lower_branch else ell + 1.0
-    s = -1.0 if decaying else 1.0
-    if decaying:
-        energy = -e0(ell) + 1.0 if lower_branch else e0(ell)
-    else:
-        energy = e0(ell) - 1.0 if lower_branch else -e0(ell)
-
-    def fn(x: float, p=p, s=s):
-        v = x**p * math.exp(s * 0.25 * x * x)
-        return v, (p / x + s * 0.5 * x) * v
-
-    tag = f"x^{p:g} exp({'+' if s > 0 else '-'}x^2/4)"
-    return ClosedFormSolution(ell, energy, fn, label=tag)
+    psi1 = WronskianRatioState(WronskianStack(chain + [raised]), full, spec.eps1 + 1.0, vk)
+    phi2 = physical_eigenfunction(2, 0, ell)  # x^-l e^{-x^2/4}
+    psi2 = WronskianRatioState(WronskianStack(chain + [phi2]), full, phi2.energy, vk)
+    psi3 = WronskianRatioState(WronskianStack(chain[:-1]), full, spec.eps1 - (spec.k - 1), vk)
+    phi4 = physical_eigenfunction(1, 0, ell)  # x^{l+1} e^{-x^2/4}
+    psi4 = WronskianRatioState(WronskianStack(chain + [phi4]), full, phi4.energy, vk)
+    return ExtremalQuartet((psi1, psi2, psi3, psi4), "1234", vk, ell)
 
 
 class PerpSolution(SchrodingerSolution):
@@ -380,10 +347,7 @@ def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> Extr
     """
     if ell < -0.5:
         raise SeedSpecError("require ell >= -1/2")
-    s1 = ground_style_state(ell, decaying=True, lower_branch=False)
-    s2 = ground_style_state(ell, decaying=True, lower_branch=True)
     s3 = physical_eigenfunction(1, 1, ell)
-    s4 = PerpSolution(s3, perp_admixture)
-    energies = (e0(ell) + 0.0j, -e0(ell) + 1.0 + 0.0j, e0(ell) + 1.0 + 0.0j, e0(ell) + 1.0 + 0.0j)
-    return ExtremalQuartet((s1, s2, s3, s4), energies, "1234", RadialPotential(ell), ell,
-                           {"kind": "radial-oscillator", "perp_admixture": complex(perp_admixture)})
+    states = (physical_eigenfunction(1, 0, ell), physical_eigenfunction(2, 0, ell), s3,
+              PerpSolution(s3, perp_admixture))
+    return ExtremalQuartet(states, "1234", RadialPotential(ell), ell)

@@ -11,6 +11,7 @@ and never matched symbolically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import numpy as np
 from .oscillator import NU_INF, SeedSpec, e0
 from .painleve import (
     CANONICAL_ORDERINGS,
-    PVSolution,
+    GridSample,
     pv_params_exact,
     solution_from_quartet,
 )
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 F = Fraction
+_W_TOL = 1e-9  # relative w error at which a printed cell counts as matched
+# rational (l, eps1, k) samples of the six-permutation parameter check
+_PARAMS_SAMPLES = tuple(itertools.product((F(0), F(1), F(2), F(5, 2), F(5)),
+                                          (F(-1, 2), F(0), F(3, 4), F(7, 4)), (1, 2, 3, 4)))
 
 
 # -- exact parameter formulas -------------------------------------------------
@@ -229,22 +234,21 @@ class TableReport:
     rows: list[RowReport] = field(default_factory=list)
 
 
-def _compare_w(sol: PVSolution, form, zs) -> float | None:
+def _compare_w(samples: list[GridSample], form) -> float | None:
+    """Worst relative gap between the certified samples and a closed form."""
     errs = []
-    for z in zs:
-        s = sol.w_eval(float(z))
+    for s in samples:
         if s.flag != "ok":
             continue
         try:
-            ref = form(float(z))
+            ref = form(s.z)
         except ZeroDivisionError:
             continue
         errs.append(abs(s.w - ref) / max(1.0, abs(ref)))
     return max(errs) if errs else None
 
 
-def reproduce_table(which: str, ell: float, n_points: int = 50,
-                    w_tol: float = 1e-9) -> TableReport:
+def reproduce_table(which: str, ell: float, n_points: int = 50) -> TableReport:
     """Recompute one table from the machinery and grade every row."""
     quartet, exact_energies = table_quartet(which, ell)
     params_published = table_param_entries(which, F(ell))
@@ -263,25 +267,23 @@ def reproduce_table(which: str, ell: float, n_points: int = 50,
             row.w_status = "degenerate" if cell["kind"] != "closed" else "mismatch"
             report.rows.append(row)
             continue
-        mr, _ = sol.residual_certificate(zs)
+        mr, samples = sol.residual_certificate(zs)
         row.machinery_residual = mr
         if cell["kind"] == "residual-only":
             row.w_status = "residual-certified" if mr <= 1e-8 else "mismatch"
         elif cell["kind"] == "degenerate":
             row.w_status = "mismatch"  # table says degenerate, machinery generic
         else:
-            row.w_error_paper = _compare_w(sol, cell["paper"], zs)
+            row.w_error_paper = _compare_w(samples, cell["paper"])
             if cell.get("derived") is not None:
-                row.w_error_derived = _compare_w(sol, cell["derived"], zs)
+                row.w_error_derived = _compare_w(samples, cell["derived"])
             err = row.w_error_paper
-            row.w_status = "matched" if (err is not None and err <= w_tol) else "mismatch"
+            row.w_status = "matched" if (err is not None and err <= _W_TOL) else "mismatch"
         report.rows.append(row)
     return report
 
 
-def params_table_report(ells=(F(0), F(1), F(2), F(5, 2), F(5)),
-                        epss=(F(-1, 2), F(0), F(3, 4), F(7, 4)),
-                        ks=(1, 2, 3, 4)) -> list[tuple]:
+def params_table_report() -> list[tuple]:
     """Exact check of the six-permutation table over rational samples.
 
     Returns [(label, ok, n_samples)]; ok means the published 32a/32b/4c
@@ -289,15 +291,7 @@ def params_table_report(ells=(F(0), F(1), F(2), F(5, 2), F(5)),
     """
     out = []
     for label in CANONICAL_ORDERINGS:
-        ok = True
-        count = 0
-        for ell in ells:
-            for eps in epss:
-                for k in ks:
-                    pub = PERMUTATION_PARAMS(label, ell, eps, k)
-                    got = ksusy_exact_params(label, ell, eps, k)
-                    count += 1
-                    if tuple(pub) != tuple(got):
-                        ok = False
-        out.append((label, ok, count))
+        ok = all(tuple(PERMUTATION_PARAMS(label, *p)) == tuple(ksusy_exact_params(label, *p))
+                 for p in _PARAMS_SAMPLES)
+        out.append((label, ok, len(_PARAMS_SAMPLES)))
     return out

@@ -1,4 +1,24 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def shift_superpotential(monkeypatch):
+    """Add 0.01 to the superpotential of every first-order SUSY atom.
+
+    The intertwining check must then fail, which shows that it can.
+    """
+    from susypv.operators import AtomFirstOrder
+
+    w_jet = AtomFirstOrder._w_jet
+
+    def shifted(self, x, n):
+        out = w_jet(self, x, n)
+        out[0] += 0.01
+        return out
+
+    monkeypatch.setattr(AtomFirstOrder, "_w_jet", shifted)

@@ -182,11 +182,11 @@ def g_route_b(spec, chain, x):
     F = W(u_1..u_{k-1}), G = W(u_1..u_k, x^{l+1} e^{-x^2/4}); agrees with
     the library's g_from_quartet because only logarithmic derivatives enter.
     """
-    from susypv.oscillator import e0
+    from susypv.oscillator import e0, physical_eigenfunction
     from susypv.painleve import PoleError
-    from susypv.susy import WronskianStack, ground_style_state
+    from susypv.susy import WronskianStack
 
-    phi = ground_style_state(spec.ell, decaying=True, lower_branch=False)
+    phi = physical_eigenfunction(1, 0, spec.ell)
     fj = WronskianStack(chain[:-1]).jet(x, 1)
     gj = WronskianStack(list(chain) + [phi]).jet(x, 1)
     wfg = fj[0] * gj[1] - gj[0] * fj[1]

@@ -72,12 +72,32 @@ class TestSolveCommand:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 12
 
+    DEGENERATE_CFG = ("l = 1\neps = 1.25\nnu = inf\nk = 1\n"
+                      "mode = complex-over-real\nallow-degenerate = {}\n")
+
+    @pytest.mark.parametrize("value,expected", [("false", 3), ("No", 3), ("0", 3), ("yes", 0)])
+    def test_config_file_boolean(self, value, expected, tmp_path):
+        # "false" is a non-empty string; it must not switch the flag on
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.DEGENERATE_CFG.format(value))
+        assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == expected
+
+    @pytest.mark.parametrize("line", ["points = abc", "k = 2.5", "allow-degenerate = maybe",
+                                      "spacing = cubic"])
+    def test_config_file_bad_value(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = run(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSeedConstructionErrors:
     # the half-odd-l branch mixture and the annihilated chain are found
     # only while the seed chain is built, after the spec parsed cleanly;
-    # the ordering label, verify's k and table's l reach a spec or a
-    # Fraction only after argparse accepted them
+    # the other values pass argparse but name nothing the library can
+    # run (a bad ordering, k, l, grid bound, tol, filter or --out path)
     @pytest.mark.parametrize("argv", [
         ["solve", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "4",
          "--order", "2413"],
@@ -89,11 +109,34 @@ class TestSeedConstructionErrors:
         ["table", "--which", "t1", "--l", "-3"],
         ["table", "--which", "t0", "--l", "-3"],
         ["table", "--which", "t2", "--l", "1/0"],
+        ["solve", "--zmax", "-5"],
+        ["solve", "--zmin", "nan"],
+        ["solve", "--zmax", "inf"],
+        ["solve", "--spacing", "linear", "--zmax", "-1"],
+        ["grid-potential", "--xmax", "-1"],
+        ["grid-potential", "--xmin", "nan"],
+        ["solve", "--l", "inf"],
+        ["solve", "--nu", "nan"],
+        ["table", "--which", "t1", "--l", "1e400"],
+        ["table", "--which", "t1", "--points", "0"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "-1"],
+        ["solve", "--l", "1.5", "--eps", "-3", "--nu", "0", "--mode", "real-physical"],
+        ["verify", "--check", "nosuch"],
+        ["solve", "--points", "5", "--out", "no-such-dir/out"],
+        ["grid-potential", "--points", "5", "--out", "no-such-dir/out"],
+        ["verify", "--check", "shift", "--out", "no-such-dir/out"],
     ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
             "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
-            "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator"])
+            "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator",
+            "solve-zmax-negative", "solve-zmin-nan", "solve-zmax-inf",
+            "solve-linear-zmax-negative", "grid-potential-xmax-negative",
+            "grid-potential-xmin-nan", "solve-l-inf", "solve-nu-nan", "table-l-overflow",
+            "table-points-zero", "solve-tol-nan", "solve-tol-negative",
+            "solve-nu-bound-gamma-pole", "verify-no-matching-check", "solve-unwritable-out",
+            "grid-potential-unwritable-out", "verify-unwritable-out"])
     def test_config_error_exit(self, argv, tmp_path, capsys):
-        if argv[0] != "table":  # table takes no --out
+        if argv[0] != "table" and "--out" not in argv:  # table takes no --out
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         code = run(argv)
         err = capsys.readouterr().err
@@ -134,9 +177,8 @@ class TestVerifyCommand:
         assert run(["verify", "--check", "intertwining", "--k", "3"]) == 0
         assert "PASS intertwining k=3" in capsys.readouterr().out
 
-    def test_corrupt_self_test(self):
-        assert run(["verify", "--check", "intertwining", "--k", "1",
-                    "--corrupt"]) == 1
+    def test_corrupt_self_test(self, shift_superpotential):
+        assert run(["verify", "--check", "intertwining", "--k", "1"]) == 1
 
     def test_json_summary(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from susypv.operators import (
     reduced_quartic,
     run_all_checks,
 )
+from susypv.susy import WronskianStack
 
 SPEC1 = SeedSpec.from_nu(1.0, -0.4, 0.8, k=1)
 SPEC2 = SeedSpec.from_nu(1.0, -0.4, 0.8, k=2)
@@ -52,7 +54,7 @@ class TestAtoms:
     @pytest.mark.parametrize("ell", [0.0, 1.0, 3.0])
     def test_b_atom_matches_laddered_solution(self, ell):
         # the (value, derivative) entry that AtomImage consumes
-        u = default_test_seeds(ell, count=1)[0]
+        u = default_test_seeds(ell)[0]
         for sign, ladder in ((-1, apply_b_minus), (+1, apply_b_plus)):
             chain = OperatorChain([AtomB(ell, sign)])
             image = ladder(u)
@@ -94,8 +96,8 @@ class TestIntertwining:
         r = check_intertwining(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
         assert r.passed, r.line()
 
-    def test_corrupted_superpotential_fails(self):
-        r = check_intertwining(SPEC1, corrupt=0.01)
+    def test_corrupted_superpotential_fails(self, shift_superpotential):
+        r = check_intertwining(SPEC1)
         assert not r.passed
         assert r.max_error > 1e-4
 
@@ -149,6 +151,23 @@ class TestNumberOperator:
         for k in (1, 2, 3):
             r = check_new_level_annihilation(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
             assert r.passed, r.line()
+
+
+class TestLadderStacks:
+    def test_each_chain_prefix_factored_once_per_x(self, monkeypatch):
+        # the atoms and ratio states share the stack of each V_j
+        seen = collections.Counter()
+        taylor_det = WronskianStack._taylor_det
+
+        def counted(self, x, order):
+            seen[(tuple(map(id, self.solutions)), x)] += 1
+            return taylor_det(self, x, order)
+
+        monkeypatch.setattr(WronskianStack, "_taylor_det", counted)
+        for check in (check_intertwining, check_new_level_annihilation):
+            seen.clear()
+            assert check(SPEC3).passed
+            assert max(seen.values()) == 1, check.__name__
 
 
 class TestSuite:

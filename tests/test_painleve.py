@@ -11,6 +11,7 @@ from susypv.oscillator import (
     _LadderedSolution,
     e0,
     nu_lower_bound,
+    physical_eigenfunction,
     seed_chain,
 )
 from susypv.painleve import (
@@ -36,7 +37,6 @@ from susypv.susy import (
     RadialPotential,
     WronskianStack,
     extremal_quartet,
-    ground_style_state,
     radial_oscillator_quartet,
 )
 
@@ -47,10 +47,9 @@ class TestGFromQuartet:
     def test_oscillator_growing_pair(self):
         # slots 3/4 = (x^{l+1} e^{x^2/4}, x^{-l} e^{x^2/4}): h = x, g = -2x
         ell = 1.0
-        f = ground_style_state(ell, decaying=False, lower_branch=False)
-        g = ground_style_state(ell, decaying=False, lower_branch=True)
-        q = ExtremalQuartet((f, g, f, g), (f.energy, g.energy, f.energy, g.energy),
-                            "1234", RadialPotential(ell), ell, {})
+        f = physical_eigenfunction(4, 0, ell)
+        g = physical_eigenfunction(3, 0, ell)
+        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell), ell)
         for x in (0.9, 2.2):
             g0, g1, g2 = g_from_quartet(q, x)
             assert abs(g0 - (-2.0 * x)) <= 1e-10 * abs(2 * x)
@@ -222,10 +221,9 @@ class TestClassify:
 class TestWEval:
     def test_half_for_growing_pair(self):
         ell = 1.0
-        f = ground_style_state(ell, decaying=False, lower_branch=False)
-        g = ground_style_state(ell, decaying=False, lower_branch=True)
-        q = ExtremalQuartet((f, g, f, g), (f.energy, g.energy, f.energy, g.energy),
-                            "1234", RadialPotential(ell), ell, {})
+        f = physical_eigenfunction(4, 0, ell)
+        g = physical_eigenfunction(3, 0, ell)
+        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell), ell)
         sol = solution_from_quartet(q, "1234")
         # w = 1 + x/(-2x) = 1/2 for all z; constant, hence degenerate
         assert sol.classification == "w==const"
@@ -304,7 +302,8 @@ class TestConcurrency:
 class TestCallBudget:
     # per grid point: each seed and ladder member is evaluated once, and
     # the chain is factored once for V_k and both slot denominators, plus
-    # once per slot numerator (psi3's is empty at k = 1)
+    # once per slot numerator (psi3's is the empty stack at k = 1, a 0 x 0
+    # series LU that returns 1)
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_certificate_call_counts(self, k, monkeypatch):
         sol = solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
@@ -326,7 +325,7 @@ class TestCallBudget:
         n = len(default_z_grid())
         assert calls.get(SeedSolution, 0) == n
         assert calls.get(_LadderedSolution, 0) == n * (k - 1)
-        assert calls.get(WronskianStack, 0) == (2 if k == 1 else 3) * n
+        assert calls.get(WronskianStack, 0) == 3 * n
 
 
 class TestSolve:

@@ -18,7 +18,6 @@ from susypv.susy import (
     SingularEvaluationError,
     WronskianStack,
     extremal_quartet,
-    ground_style_state,
     partner_potential,
     radial_oscillator_quartet,
     transformed_state,
@@ -55,8 +54,8 @@ class TestWronskian:
     def test_hand_determinant_of_growing_pair(self):
         # W(x^{l+1} e^{x^2/4}, x^{-l} e^{x^2/4}) = -(2l+1) e^{x^2/2}
         ell = 1.5
-        f = ground_style_state(ell, decaying=False, lower_branch=False)
-        g = ground_style_state(ell, decaying=False, lower_branch=True)
+        f = physical_eigenfunction(4, 0, ell)
+        g = physical_eigenfunction(3, 0, ell)
         st = WronskianStack([f, g])
         for x in (0.7, 1.5, 3.0):
             ref = -(2 * ell + 1) * math.exp(x * x / 2)
@@ -93,7 +92,7 @@ class TestWronskian:
         ell, x, order = 3.0, 3.0, 6
         psi = physical_eigenfunction(1, 1, ell)
         phi = ClosedFormSolution(ell, e0(ell) - 0.4, lambda t: (t - 3.0, 1.0))
-        chi = ground_style_state(ell, decaying=True, lower_branch=True)
+        chi = physical_eigenfunction(2, 0, ell)
         assert psi.jet_values(x, 0)[0] == 0 and phi.jet_values(x, 0)[0] == 0
         for cols in ([psi], [psi, phi], [psi, phi, chi], [chi, psi, phi]):
             got = derivs(WronskianStack(cols).jet(x, order))
@@ -121,7 +120,7 @@ class TestPartnerPotential:
     def test_k1_ground_seed_hand_expansion(self):
         # u = x^{l+1}e^{-x^2/4}: (ln u)'' = -(l+1)/x^2 - 1/2
         ell = 1.0
-        vp = PartnerPotential([ground_style_state(ell, True, False)])
+        vp = PartnerPotential([physical_eigenfunction(1, 0, ell)])
         for x in (0.6, 1.7, 3.2):
             ref = x * x / 8 + ell * (ell + 1) / (2 * x * x) + (ell + 1) / (x * x) + 0.5
             assert abs(vp(x) - ref) <= 1e-10 * abs(ref)
@@ -173,8 +172,8 @@ class TestTransformedState:
 
     def test_k1_hand_wronskian_ratio(self):
         ell = 1.0
-        u1 = ground_style_state(ell, True, False)
-        tgt = ground_style_state(ell, True, True)
+        u1 = physical_eigenfunction(1, 0, ell)
+        tgt = physical_eigenfunction(2, 0, ell)
         ts = transformed_state([u1], tgt)
         for x in (0.8, 1.3, 2.5):
             ref = -(2 * ell + 1) * math.exp(-x * x / 2) / (x ** (ell + 1)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from susypv.painleve import PVSolution
 from susypv.tables import (
     PERMUTATION_PARAMS,
     ksusy_exact_params,
@@ -11,6 +12,22 @@ from susypv.tables import (
     table_param_entries,
     table_quartet,
 )
+
+
+class TestCallBudget:
+    def test_w_evaluated_once_per_row_and_point(self, monkeypatch):
+        # t1 at l = 1 has two generic rows (1423, 2413); the printed and
+        # derived cells are compared on the certificate's own samples
+        calls = []
+        w_eval = PVSolution.w_eval
+
+        def counted(self, z):
+            calls.append(z)
+            return w_eval(self, z)
+
+        monkeypatch.setattr(PVSolution, "w_eval", counted)
+        reproduce_table("t1", 1.0, n_points=25)
+        assert len(calls) == 50
 
 
 class TestExactParams:
