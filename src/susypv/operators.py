@@ -212,11 +212,10 @@ class SusyLadder:
     """
 
     def __init__(self, spec: SeedSpec):
+        self.spec = spec
         self.chain = seed_chain(spec)
-        self.k = spec.k
-        self.ell = spec.ell
         self.potentials = [PartnerPotential(self.chain[:j], ell=spec.ell)
-                           for j in range(self.k + 1)]
+                           for j in range(spec.k + 1)]
 
     def atom_a_plus(self, j: int) -> AtomFirstOrder:
         return AtomFirstOrder(self.potentials[j].stack, self.potentials[j - 1].stack, +1)
@@ -231,11 +230,11 @@ class SusyLadder:
         """L^+/- = B_k^+ b^+/- B_k^- as a state pipeline; returns (image, energy')."""
         cur = state
         e = complex(energy)
-        for j in range(self.k, 0, -1):
+        for j in range(self.spec.k, 0, -1):
             cur = AtomImage(cur, self.atom_a_minus(j), self.potentials[j - 1], e)
         e = e + (1.0 if up else -1.0)
-        cur = AtomImage(cur, AtomB(self.ell, +1 if up else -1), self.potentials[0], e)
-        for j in range(1, self.k + 1):
+        cur = AtomImage(cur, AtomB(self.spec.ell, +1 if up else -1), self.potentials[0], e)
+        for j in range(1, self.spec.k + 1):
             cur = AtomImage(cur, self.atom_a_plus(j), self.potentials[j], e)
         return cur, e
 
@@ -245,16 +244,16 @@ class SusyLadder:
         return self.ladder_image(down, e_down, up=True)[0]
 
     def transformed_eigenstate(self, n: int) -> WronskianRatioState:
-        target = physical_eigenfunction(1, n, self.ell)
-        vk = self.potentials[self.k]
+        target = physical_eigenfunction(1, n, self.spec.ell)
+        vk = self.potentials[self.spec.k]
         return WronskianRatioState(WronskianStack(self.chain + [target]), vk.stack,
                                    target.energy, vk)
 
     def new_level_state(self, j: int) -> WronskianRatioState:
         """W(chain without u_j) / W(chain); without u_k the numerator is V_{k-1}'s prefix."""
-        num = (self.potentials[j - 1].stack if j == self.k else
+        num = (self.potentials[j - 1].stack if j == self.spec.k else
                WronskianStack([u for i, u in enumerate(self.chain) if i != j - 1]))
-        vk = self.potentials[self.k]
+        vk = self.potentials[self.spec.k]
         return WronskianRatioState(num, vk.stack, self.chain[j - 1].energy, vk)
 
 
@@ -311,16 +310,15 @@ def _identity(lhs: OperatorChain, rhs: OperatorChain):
     return defect
 
 
-def check_intertwining(spec: SeedSpec) -> CheckReport:
+def check_intertwining(ladder: SusyLadder) -> CheckReport:
     """H_j A_j^+ = A_j^+ H_{j-1} at every step of the ladder."""
-    ladder = SusyLadder(spec)
-    seeds = default_test_seeds(spec.ell)
+    seeds = default_test_seeds(ladder.spec.ell)
     worst = 0.0
-    for j in range(1, spec.k + 1):
+    for j in range(1, ladder.spec.k + 1):
         left = OperatorChain([ladder.hamiltonian(j), ladder.atom_a_plus(j)])
         right = OperatorChain([ladder.atom_a_plus(j), ladder.hamiltonian(j - 1)])
         worst = max(worst, _worst(seeds, _identity(left, right)))
-    return CheckReport(f"intertwining k={spec.k}", worst, _TOLS["intertwining"])
+    return CheckReport(f"intertwining k={ladder.spec.k}", worst, _TOLS["intertwining"])
 
 
 def check_commutator(ell: float) -> CheckReport:
@@ -340,9 +338,9 @@ def check_commutator(ell: float) -> CheckReport:
     return CheckReport(f"commutator [H,b+/-] l={ell:g}", worst, _TOLS["commutator"])
 
 
-def check_factorization(spec: SeedSpec) -> CheckReport:
+def check_factorization(ladder: SusyLadder) -> CheckReport:
     """B_k^- B_k^+ f = prod_i (H_0 - eps_i) f pointwise."""
-    ladder = SusyLadder(spec)
+    spec = ladder.spec
     lhs = OperatorChain([ladder.atom_a_minus(j) for j in range(1, spec.k + 1)]
                         + [ladder.atom_a_plus(j) for j in range(spec.k, 0, -1)])
     rhs = OperatorChain([ladder.hamiltonian(0, shift=spec.eps1 - i) for i in range(spec.k)])
@@ -390,14 +388,14 @@ def reduced_quartic(spec: SeedSpec, n: int) -> complex:
     return n * (n + 2.0 * ez - 1.0) * (n + ez - spec.eps1 - 1.0) * (n + ez - eps_k)
 
 
-def check_number_operator(spec: SeedSpec, n: int) -> CheckReport:
+def check_number_operator(ladder: SusyLadder, n: int) -> CheckReport:
     """L_k^+ L_k^- on psi_n^(k), against the spectral polynomial.
 
     Also divides the measured eigenvalue by P_{k-1}(E_n)^2; the quotient
     must equal the reduced fourth-order quartic, which is the observable
     content of the ladder-reduction theorem.
     """
-    ladder = SusyLadder(spec)
+    spec = ladder.spec
     state = ladder.transformed_eigenstate(n)
     en = e0(spec.ell) + n
     result = ladder.number_image(state, en)
@@ -426,22 +424,21 @@ def check_number_operator(spec: SeedSpec, n: int) -> CheckReport:
     return CheckReport(f"number operator L+L- k={spec.k} n={n}", worst, _TOLS["number"], details)
 
 
-def check_new_level_annihilation(spec: SeedSpec) -> CheckReport:
+def check_new_level_annihilation(ladder: SusyLadder) -> CheckReport:
     """L_k^+ L_k^- annihilates the new-level states psi_eps_j^(k)."""
-    ladder = SusyLadder(spec)
     worst = 0.0
-    for j in range(1, spec.k + 1):
+    for j in range(1, ladder.spec.k + 1):
         state = ladder.new_level_state(j)
         result = ladder.number_image(state, complex(ladder.chain[j - 1].energy))
         for x in _SAMPLE_XS:
             applied = complex(result.value_and_derivative(x)[0])
             worst = max(worst, abs(applied) / _rel_scale(state, x, applied))
-    return CheckReport(f"new-level annihilation k={spec.k}", worst, _TOLS["annihilation"])
+    return CheckReport(f"new-level annihilation k={ladder.spec.k}", worst, _TOLS["annihilation"])
 
 
 def run_all_checks(specs: list[SeedSpec] | None = None,
                    selected: str | None = None) -> list[CheckReport]:
-    """The default identity suite (used by the CLI verify command)."""
+    """The default identity suite (used by the CLI verify command); one ladder per spec."""
     if specs is None:
         specs = [
             SeedSpec.from_nu(0.0, -0.55, 1.0, k=1),
@@ -454,15 +451,16 @@ def run_all_checks(specs: list[SeedSpec] | None = None,
         return selected is None or selected in name
 
     for spec in specs:
+        ladder = SusyLadder(spec)
         if want("intertwining"):
-            reports.append(check_intertwining(spec))
+            reports.append(check_intertwining(ladder))
         if want("factorization"):
-            reports.append(check_factorization(spec))
+            reports.append(check_factorization(ladder))
         if want("number"):
             for n in (0, 1, 2):
-                reports.append(check_number_operator(spec, n))
+                reports.append(check_number_operator(ladder, n))
         if want("annihilation"):
-            reports.append(check_new_level_annihilation(spec))
+            reports.append(check_new_level_annihilation(ladder))
     for ell in (0.0, 1.0, 3.0):
         if want("commutator"):
             reports.append(check_commutator(ell))

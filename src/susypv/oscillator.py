@@ -9,8 +9,8 @@ analytic, so the closure is exact).
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from .specialfunctions import (
     kummer_1f1,
     kummer_1f1_dx,
     laguerre_l,
+    parameter_pole,
 )
 
 __all__ = [
@@ -44,10 +45,10 @@ __all__ = [
     "apply_b_plus",
     "seed_chain",
     "physical_eigenfunction",
-    "default_x_grid",
 ]
 
 NU_INF = math.inf
+K_MAX, ELL_MAX, EPS1_MAX = 8, 50.0, 100.0  # bounds of the SeedSpec domain
 
 _PROBE_XS = (0.6, 1.1, 1.9, 3.0, 4.4)
 
@@ -68,14 +69,49 @@ class ChainAnnihilationError(SeedSpecError):
     """A seed-chain member is identically zero."""
 
 
+def check_positive(x: float, name: str = "x") -> None:
+    """Evaluations live on x > 0 (on z > 0 for w)."""
+    if x <= 0:
+        raise DomainError(f"evaluated at {name}={x} <= 0")
+
+
+def check_ranges(ell: float, eps1: complex = 0.0) -> None:
+    """-1/2 <= l <= ELL_MAX and |eps1| <= EPS1_MAX; NaN and inf fail both."""
+    if not -0.5 <= ell <= ELL_MAX:
+        raise SeedSpecError(f"require -1/2 <= ell <= {ELL_MAX:g}, got {ell}")
+    e = complex(eps1)  # |e|^2 by hand: abs() raises OverflowError near the double range
+    if not e.real * e.real + e.imag * e.imag <= EPS1_MAX * EPS1_MAX:
+        raise SeedSpecError(f"require |eps1| <= {EPS1_MAX:g}, got {eps1}")
+
+
+def check_ordering(label: str) -> None:
+    if len(label) != 4 or set(label) != set("1234"):
+        raise SeedSpecError(f"invalid ordering label {label!r}")
+
+
+def _branch_parameters(ell: float, energy: complex) -> tuple:
+    """(a1, b1, a2, b2) of the two 1F1 branches of a seed (see SeedSolution)."""
+    return ((1.0 - 2.0 * ell - 4.0 * energy) / 4.0, (1.0 - 2.0 * ell) / 2.0,
+            (3.0 + 2.0 * ell - 4.0 * energy) / 4.0, (3.0 + 2.0 * ell) / 2.0)
+
+
+def check_seed(ell: float, energy: complex, mixture: tuple[complex, complex]) -> None:
+    """The SeedSpec rules on (l, eps1, mixture)."""
+    check_ranges(ell, energy)
+    mu1, mu2 = (complex(m) for m in mixture)
+    if not math.isfinite(sum(m.real * m.real + m.imag * m.imag for m in (mu1, mu2))):
+        raise SeedSpecError("the mixture's squared norm |mu1|^2 + |mu2|^2 must be finite")
+    if abs((ell - 0.5) - round(ell - 0.5)) < 1e-12 and mu1 != 0:  # half-odd l
+        if mu2 != 0:
+            raise BranchDegeneracyError(f"ell={ell} is half-odd: the 1F1 branches are degenerate")
+        a1, b1, _, _ = _branch_parameters(ell, complex(energy))
+        if parameter_pole(a1, b1):
+            raise SeedSpecError(f"ell={ell} is half-odd: 1F1({a1}, {b1}) of branch 1 has a pole")
+
+
 def e0(ell: float) -> float:
     """Ground-level energy E0 = l/2 + 3/4."""
     return 0.5 * ell + 0.75
-
-
-def default_x_grid(n: int = 400, lo: float = 1e-2, hi: float = 8.0) -> np.ndarray:
-    """Geometric scan grid resolving both the centrifugal region and the tail."""
-    return np.geomspace(lo, hi, n)
 
 
 class RadialPotential:
@@ -86,8 +122,7 @@ class RadialPotential:
         self._c = self.ell * (self.ell + 1.0)
 
     def deriv_jet(self, x: float, order: int) -> np.ndarray:
-        if x <= 0:
-            raise DomainError(f"potential evaluated at x={x} <= 0")
+        check_positive(x)
         out = np.zeros(order + 1, dtype=complex)
         c = self._c
         out[0] = x * x / 8.0 + 0.5 * c / (x * x)
@@ -112,8 +147,15 @@ class SeedSpec:
 
     mixture holds the coefficients (mu1, mu2) of the two 1F1 branches; use
     from_nu / from_lambda_kappa to build it from the paper-style knobs.
-    mode gates validation only: 'real-physical' enforces eps1 < E0, a real
-    mixture and the non-singularity bound on nu.
+
+    Construction checks the supported domain; outside it, SeedSpecError (or
+    GammaPoleError at a gamma pole of nu's mapping or bound). k is an
+    integer in [1, 8], -1/2 <= l <= 50, |eps1| <= 100 and |mu1|^2 + |mu2|^2
+    is a finite double. At half-odd l the branches are never mixed, and
+    branch 1 (mu1 != 0) needs 1F1(a1, b1) defined. mode is real-physical
+    (real eps1 < E0, real mixture, nu >= nu_lower_bound), complex-over-real
+    or fully-complex; ordering is a permutation of 1234. Only evaluation
+    finds an annihilated chain or a degenerate w.
     """
 
     ell: float
@@ -124,25 +166,31 @@ class SeedSpec:
     ordering: str = "1234"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise SeedSpecError("SUSY order k must be >= 1")
-        if not all(cmath.isfinite(v) for v in (self.ell, self.eps1, *self.mixture)):
-            raise SeedSpecError("ell, eps1 and the mixture must be finite")
-        if self.ell < -0.5:
-            raise SeedSpecError("require ell >= -1/2")
+        if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= K_MAX):
+            raise SeedSpecError(f"SUSY order k must be an integer in [1, {K_MAX}], got {self.k!r}")
+        check_seed(self.ell, self.eps1, self.mixture)
         if self.mode not in ("real-physical", "complex-over-real", "fully-complex"):
             raise SeedSpecError(f"unknown mode {self.mode!r}")
         if self.mode == "real-physical":
-            if abs(complex(self.eps1).imag) > 1e-13:
-                raise SeedSpecError("real-physical mode requires real eps1")
-            if complex(self.eps1).real >= e0(self.ell) + 1e-13:
-                raise SeedSpecError("real-physical mode requires eps1 < E0")
-            if any(abs(complex(m).imag) > 1e-13 for m in self.mixture):
-                raise SeedSpecError("real-physical mode requires a real mixture")
+            eps = complex(self.eps1)
+            if (abs(eps.imag) > 1e-13 or eps.real >= e0(self.ell) + 1e-13
+                    or any(abs(complex(m).imag) > 1e-13 for m in self.mixture)):
+                raise SeedSpecError("real-physical needs a real eps1 < E0 and a real mixture")
+            try:
+                nu = mixture_to_nu(self.mixture, self.ell, self.eps1)
+            except GammaPoleError:
+                nu = NU_INF  # the bound is not expressible through nu at this eps1
+            if nu != NU_INF:  # a gamma pole of the bound itself raises GammaPoleError
+                bound = nu_lower_bound(self.ell, eps.real)
+                if complex(nu).real < bound - 1e-10:
+                    raise SeedSpecError(
+                        f"nu={complex(nu).real:.6g} below the non-singularity bound {bound:.6g}")
+        check_ordering(self.ordering)
 
     @staticmethod
     def from_nu(ell: float, eps1: complex, nu: complex, k: int = 1,
                 mode: str | None = None, ordering: str = "1234") -> "SeedSpec":
+        check_ranges(ell, eps1)  # outside them the gamma ratio of the nu mapping can overflow
         mixture = nu_to_mixture(nu, ell, eps1)
         if mode is None:
             if abs(complex(eps1).imag) > 1e-13:
@@ -186,9 +234,7 @@ class SchrodingerSolution:
         raise NotImplementedError
 
     def jet_values(self, x: float, order: int) -> np.ndarray:
-        if x <= 0:
-            raise DomainError(f"solution evaluated at x={x} <= 0")
-        x = float(x)
+        x = float(x)  # x <= 0 raises DomainError where the jet is first evaluated
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return cached[: order + 1]
@@ -214,14 +260,6 @@ class SchrodingerSolution:
     def __call__(self, x: float) -> complex:
         return complex(self.jet_values(x, 0)[0])
 
-    def schrodinger_residual(self, x: float) -> float:
-        """|(-u''/2 + V0 u - eps u)| / max(|u|, |u''|) with u'' from the jet."""
-        vals = self.jet_values(x, 2)
-        v = self.potential(x)
-        res = -0.5 * vals[2] + (v - self.energy) * vals[0]
-        scale = max(abs(vals[0]), abs(vals[2]), 1e-300)
-        return abs(res) / scale
-
     def is_zero(self) -> bool:
         """Identically-zero detection (ladder annihilation) on probe points."""
         if self._zero is None:
@@ -239,19 +277,13 @@ class SeedSolution(SchrodingerSolution):
     """
 
     def __init__(self, ell: float, energy: complex, mixture: tuple[complex, complex]):
+        check_seed(ell, energy, mixture)
         super().__init__(ell, energy)
         self.mixture = (complex(mixture[0]), complex(mixture[1]))
-        if _is_half_odd(ell) and abs(self.mixture[0]) > 0 and abs(self.mixture[1]) > 0:
-            raise BranchDegeneracyError(
-                f"ell={ell} is half-odd: the two 1F1 branches are degenerate")
-        self._a1 = (1.0 - 2.0 * ell - 4.0 * self.energy) / 4.0
-        self._b1 = (1.0 - 2.0 * ell) / 2.0
-        self._a2 = (3.0 + 2.0 * ell - 4.0 * self.energy) / 4.0
-        self._b2 = (3.0 + 2.0 * ell) / 2.0
+        self._a1, self._b1, self._a2, self._b2 = _branch_parameters(ell, self.energy)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        if x <= 0:
-            raise DomainError(f"seed evaluated at x={x} <= 0")
+        check_positive(x)
         mu1, mu2 = self.mixture
         y = 0.5 * x * x
         pref = x ** (-self.ell) * math.exp(-0.25 * x * x)
@@ -282,8 +314,7 @@ class ClosedFormSolution(SchrodingerSolution):
         self._fn = fn
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        if x <= 0:
-            raise DomainError(f"solution evaluated at x={x} <= 0")
+        check_positive(x)
         return self._fn(x)
 
 
@@ -319,10 +350,6 @@ class _LadderedSolution(SchrodingerSolution):
         return self._zero
 
 
-def _is_half_odd(ell: float, tol: float = 1e-12) -> bool:
-    return abs((ell - 0.5) - round(ell - 0.5)) < tol
-
-
 def nu_to_mixture(nu: complex, ell: float, eps: complex) -> tuple[complex, complex]:
     """Map the nu knob to branch coefficients (1, nu*G((3+2l-4e)/4)/G((3+2l)/2)).
 
@@ -330,10 +357,7 @@ def nu_to_mixture(nu: complex, ell: float, eps: complex) -> tuple[complex, compl
     """
     if nu == NU_INF:
         return (0.0 + 0.0j, 1.0 + 0.0j)
-    try:
-        coeff = gamma((3.0 + 2.0 * ell - 4.0 * complex(eps)) / 4.0) / gamma((3.0 + 2.0 * ell) / 2.0)
-    except GammaPoleError as exc:
-        raise GammaPoleError(f"nu mapping hits a gamma pole: {exc}") from exc
+    coeff = gamma((3.0 + 2.0 * ell - 4.0 * complex(eps)) / 4.0) / gamma((3.0 + 2.0 * ell) / 2.0)
     return (1.0 + 0.0j, complex(nu) * coeff)
 
 
@@ -360,19 +384,8 @@ def nu_lower_bound(ell: float, eps: float) -> float:
 
 
 def make_seed(spec: SeedSpec) -> SeedSolution:
-    """Build the general seed solution u1 for a spec (validates its mode)."""
-    sol = SeedSolution(spec.ell, spec.eps1, spec.mixture)
-    if spec.mode == "real-physical":
-        try:
-            nu = mixture_to_nu(spec.mixture, spec.ell, spec.eps1)
-        except GammaPoleError:
-            nu = None  # bound not expressible through nu at this eps
-        if nu is not None and nu != NU_INF:
-            bound = nu_lower_bound(spec.ell, complex(spec.eps1).real)
-            if complex(nu).real < bound - 1e-10:
-                raise SeedSpecError(
-                    f"nu={complex(nu).real:.6g} below the non-singularity bound {bound:.6g}")
-    return sol
+    """Build the general seed solution u1 for a spec."""
+    return SeedSolution(spec.ell, spec.eps1, spec.mixture)
 
 
 def apply_b_minus(sol: SchrodingerSolution) -> SchrodingerSolution:

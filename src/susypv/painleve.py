@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oscillator import SeedSpec, e0
+from .oscillator import SeedSpec, check_ordering, check_positive, e0
 from .susy import (
     ExtremalQuartet,
     SingularEvaluationError,
@@ -107,13 +107,10 @@ def normalize_ordering(label: str) -> str:
     The solution and parameters are symmetric under swapping slots 1<->2
     and slots 3<->4, so each class is keyed by its sorted slot pairs.
     """
-    if len(label) != 4 or set(label) != set("1234"):
-        raise ValueError(f"invalid ordering label {label!r}")
+    check_ordering(label)
     head = "".join(sorted(label[:2]))
     tail = "".join(sorted(label[2:]))
-    out = head + tail
-    assert out in CANONICAL_ORDERINGS
-    return out
+    return head + tail
 
 
 def permute_quartet(quartet: ExtremalQuartet, label: str) -> ExtremalQuartet:
@@ -323,8 +320,7 @@ class PVSolution:
         (conditioning floor above a quarter of the 1e-8 tolerance) are
         masked as poles rather than reported with meaningless residuals.
         """
-        if z <= 0:
-            raise ValueError("z must be positive")
+        check_positive(z, "z")
         if self.classification != "generic":
             return GridSample(z, math.nan + 0j, None, "degenerate")
         x = math.sqrt(z)

@@ -16,6 +16,7 @@ __all__ = [
     "ParameterPoleError",
     "NoConvergenceError",
     "GammaPoleError",
+    "parameter_pole",
     "kummer_1f1",
     "kummer_1f1_dx",
     "log_gamma",
@@ -84,6 +85,15 @@ def _kahan_sum_terms(first_term: complex, ratio, n_terms: int | None = None) -> 
     )
 
 
+def parameter_pole(a: complex, b: complex) -> bool:
+    """1F1(a, b; x) is undefined: b a non-positive integer, a not a smaller one."""
+    nb = _as_nonpositive_int(complex(b))
+    if nb is None:
+        return False
+    na = _as_nonpositive_int(complex(a))
+    return na is None or na >= nb
+
+
 def kummer_1f1(a: complex, b: complex, x: complex) -> complex:
     """Confluent hypergeometric function 1F1(a, b; x) for complex arguments.
 
@@ -91,17 +101,14 @@ def kummer_1f1(a: complex, b: complex, x: complex) -> complex:
     1F1(a,b;x) = e^x 1F1(b-a, b; -x) moves the evaluation to the
     cancellation-free side before the Taylor series is summed.
 
-    Raises ParameterPoleError when b is a non-positive integer, unless a is
-    a non-positive integer of smaller magnitude (the series then terminates
-    before the pole is reached).
+    Raises ParameterPoleError where ``parameter_pole(a, b)``.
     """
     a = complex(a)
     b = complex(b)
     x = complex(x)
-    nb = _as_nonpositive_int(b)
-    na = _as_nonpositive_int(a)
-    if nb is not None and (na is None or na >= nb):
+    if parameter_pole(a, b):
         raise ParameterPoleError(f"1F1 lower parameter b={b} is a non-positive integer")
+    na = _as_nonpositive_int(a)
     if na is not None:
         # Terminating series; no reflection needed.
         return _kahan_sum_terms(
@@ -115,9 +122,11 @@ def kummer_1f1(a: complex, b: complex, x: complex) -> complex:
 
 
 def kummer_1f1_dx(a: complex, b: complex, x: complex) -> complex:
-    """d/dx 1F1(a,b;x) via the contiguous relation (a/b) 1F1(a+1,b+1;x)."""
+    """d/dx 1F1(a,b;x) via the contiguous relation (a/b) 1F1(a+1,b+1;x); 0 at a = 0."""
     a = complex(a)
     b = complex(b)
+    if _as_nonpositive_int(a) == 0:  # 1F1 = 1; at b = -1 the relation would hit a pole
+        return 0j
     return (a / b) * kummer_1f1(a + 1.0, b + 1.0, x)
 
 

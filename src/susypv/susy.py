@@ -28,12 +28,12 @@ from .jets import (
     taylor_from_jet,
 )
 from .oscillator import (
-    DomainError,
     RadialPotential,
     SchrodingerSolution,
     SeedSpec,
-    SeedSpecError,
     apply_b_plus,
+    check_positive,
+    check_ranges,
     physical_eigenfunction,
     seed_chain,
 )
@@ -332,8 +332,7 @@ class PerpSolution(SchrodingerSolution):
         return complex(u), complex(du)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        if x <= 0:
-            raise DomainError(f"evaluated at x={x} <= 0")
+        check_positive(x)
         i = int(np.argmin(np.abs(self._xs - x)))
         return self._advance(float(self._xs[i]), self._states[i], float(x))
 
@@ -345,8 +344,7 @@ def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> Extr
     (E0, -E0+1, E1, E1); the perp state is Wronskian-normalized against
     psi_1l, W(psi_1l, perp) = 1, plus an explicit admixture of psi_1l.
     """
-    if ell < -0.5:
-        raise SeedSpecError("require ell >= -1/2")
+    check_ranges(ell)
     s3 = physical_eigenfunction(1, 1, ell)
     states = (physical_eigenfunction(1, 0, ell), physical_eigenfunction(2, 0, ell), s3,
               PerpSolution(s3, perp_admixture))

@@ -131,18 +131,12 @@ def table_quartet(which: str, ell: float):
         q = radial_oscillator_quartet(float(ell))
         energies = [ez, 1 - ez, ez + 1, ez + 1] if ez is not None else None
         return q, energies
-    if which == "t1":
-        spec = SeedSpec.from_nu(float(ell), e0(float(ell)), NU_INF, k=1,
+    if which in ("t1", "t2"):  # the k-SUSY seed at eps1 = E0 + k - 1, nu = inf
+        k = int(which[1])
+        spec = SeedSpec.from_nu(float(ell), e0(float(ell)) + (k - 1), NU_INF, k=k,
                                 mode="complex-over-real")
-        q = extremal_quartet(spec)
-        energies = [ez + 1, 1 - ez, ez, ez] if ez is not None else None
-        return q, energies
-    if which == "t2":
-        spec = SeedSpec.from_nu(float(ell), e0(float(ell)) + 1.0, NU_INF, k=2,
-                                mode="complex-over-real")
-        q = extremal_quartet(spec)
-        energies = [ez + 2, 1 - ez, ez, ez] if ez is not None else None
-        return q, energies
+        energies = [ez + k, 1 - ez, ez, ez] if ez is not None else None
+        return extremal_quartet(spec), energies
     raise ValueError(f"unknown table {which!r}")
 
 

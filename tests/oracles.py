@@ -67,9 +67,26 @@ def mp_pv_residual(w, z, a, b, c, d=Fraction(-1, 8)):
         return abs(w2 - rhs) / max(abs(w2), abs(rhs), 1)
 
 
+def default_x_grid(n=400, lo=1e-2, hi=8.0):
+    """Geometric scan grid resolving both the centrifugal region and the tail."""
+    return np.geomspace(lo, hi, n)
+
+
 def fd4_first(f, x, h):
     """Fourth-order central first derivative."""
     return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+def fd_schrodinger_residual(sol, x):
+    """|-u''/2 + (V0 - E) u| / max(|u|, |u''|) at x, u'' by fd4_first of u'.
+
+    u'' comes from the solution's own u' at nearby points, never from its
+    ODE closure, so a (u, u') that solves no equation at E shows.
+    """
+    u = sol.value_and_derivative(x)[0]
+    d2u = fd4_first(lambda t: sol.value_and_derivative(t)[1], x, 3e-4 * min(x, 1.0))
+    res = -0.5 * d2u + (sol.potential(x) - sol.energy) * u
+    return abs(res) / max(abs(u), abs(d2u), 1e-300)
 
 
 def fd4_second(f, x, h):

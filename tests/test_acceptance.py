@@ -22,6 +22,7 @@ import pytest
 
 from susypv.hierarchies import crosscheck, detect
 from susypv.operators import (
+    SusyLadder,
     check_commutator,
     check_factorization,
     check_intertwining,
@@ -382,9 +383,9 @@ def test_criterion_3_complex_parameter_values(name, request):
 def test_criterion_4_operator_identities():
     worst = 0.0
     for k in (1, 2, 3):
-        spec = SeedSpec.from_nu(1.0, -0.4, 0.8, k=k)
-        for rep in (check_intertwining(spec), check_factorization(spec),
-                    check_new_level_annihilation(spec)):
+        ladder = SusyLadder(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
+        for rep in (check_intertwining(ladder), check_factorization(ladder),
+                    check_new_level_annihilation(ladder)):
             assert rep.passed, rep.line()
             worst = max(worst, rep.max_error)
     for ell in (0.0, 1.0, 3.0):
@@ -393,7 +394,7 @@ def test_criterion_4_operator_identities():
             assert rep.passed, rep.line()
             worst = max(worst, rep.max_error)
     for n in (0, 1, 2):
-        rep = check_number_operator(SeedSpec.from_nu(0.0, -0.55, 1.0, k=1), n)
+        rep = check_number_operator(SusyLadder(SeedSpec.from_nu(0.0, -0.55, 1.0, k=1)), n)
         assert rep.passed, rep.line()
         worst = max(worst, rep.max_error)
     _line("criterion-4-identities", True,
@@ -406,7 +407,7 @@ def test_criterion_4_reduction_quartic():
     for k in (2, 3):
         spec = SeedSpec.from_nu(1.0, -0.4, 0.8, k=k)
         for n in (1, 2, 3, 4):
-            rep = check_number_operator(spec, n)
+            rep = check_number_operator(SusyLadder(spec), n)
             assert rep.passed, rep.line()
             worst = max(worst, rep.details["quartic_error"])
     _line("criterion-4-quartic", True,

@@ -62,6 +62,14 @@ class TestSolveCommand:
         assert {"z", "w_re", "w_im", "residual", "flag"} <= set(doc["grid"][0])
         assert "a" in doc["meta"] and "ordering" in doc["meta"]
 
+    @pytest.mark.parametrize("l,eps", [("1.5", "-0.5"), ("2.5", "0")])
+    def test_half_odd_branch1_certifies(self, l, eps, tmp_path):
+        # branch 1 alone at half-odd l, where 1F1(a1, b1) terminates before
+        # its pole; at a1 = 0 (the first case) its derivative is 0
+        code = run(["solve", "--l", l, "--eps", eps, "--nu", "0", "--mode", "complex-over-real",
+                    "--points", "8", "--out", str(tmp_path / "h.csv")])
+        assert code == 0
+
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("l = 2\npoints = 25\n")
@@ -126,6 +134,19 @@ class TestSeedConstructionErrors:
         ["solve", "--points", "5", "--out", "no-such-dir/out"],
         ["grid-potential", "--points", "5", "--out", "no-such-dir/out"],
         ["verify", "--check", "shift", "--out", "no-such-dir/out"],
+        ["solve", "--l", "2", "--eps", "0.45", "--nu", "3", "--k", "9"],
+        ["solve", "--l", "2", "--eps", "0.45", "--nu", "3", "--k", "12"],
+        ["solve", "--k", "100000"],
+        ["verify", "--k", "9"],
+        ["solve", "--l", "1.5", "--eps", "0.1,1", "--nu", "0"],
+        ["solve", "--l", "0.5", "--eps", "0.2", "--nu", "0", "--mode", "complex-over-real"],
+        ["solve", "--l", "2.5", "--eps", "0.3,0.5", "--nu", "0", "--k", "2"],
+        ["hierarchy", "--l", "0.5", "--eps", "0", "--nu", "0"],
+        ["solve", "--lk", "1e308,1e308"],
+        ["solve", "--eps", "3e4"],
+        ["solve", "--eps", "0,3e4"],
+        ["solve", "--l", "1000", "--nu", "inf"],
+        ["table", "--which", "t0", "--l", "51"],
     ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
             "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
             "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator",
@@ -134,9 +155,14 @@ class TestSeedConstructionErrors:
             "grid-potential-xmin-nan", "solve-l-inf", "solve-nu-nan", "table-l-overflow",
             "table-points-zero", "solve-tol-nan", "solve-tol-negative",
             "solve-nu-bound-gamma-pole", "verify-no-matching-check", "solve-unwritable-out",
-            "grid-potential-unwritable-out", "verify-unwritable-out"])
+            "grid-potential-unwritable-out", "verify-unwritable-out", "solve-k-above-cap",
+            "solve-k-twelve", "solve-k-huge", "verify-k-above-cap",
+            "solve-half-odd-branch1-pole", "solve-half-odd-branch1-pole-b0",
+            "solve-half-odd-branch1-pole-k2", "hierarchy-half-odd-branch1-pole",
+            "solve-mixture-norm-overflow", "solve-eps-large", "solve-eps-imaginary-large",
+            "solve-l-large", "table-l-above-cap"])
     def test_config_error_exit(self, argv, tmp_path, capsys):
-        if argv[0] != "table" and "--out" not in argv:  # table takes no --out
+        if argv[0] not in ("table", "hierarchy") and "--out" not in argv:  # these take no --out
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         code = run(argv)
         err = capsys.readouterr().err

@@ -93,11 +93,11 @@ class TestAtoms:
 class TestIntertwining:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_passes(self, k):
-        r = check_intertwining(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
+        r = check_intertwining(SusyLadder(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k)))
         assert r.passed, r.line()
 
     def test_corrupted_superpotential_fails(self, shift_superpotential):
-        r = check_intertwining(SPEC1)
+        r = check_intertwining(SusyLadder(SPEC1))
         assert not r.passed
         assert r.max_error > 1e-4
 
@@ -109,7 +109,8 @@ class TestAlgebraChecks:
 
     def test_factorization(self):
         for k in (1, 2, 3):
-            assert check_factorization(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k)).passed
+            ladder = SusyLadder(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
+            assert check_factorization(ladder).passed
 
     def test_shift_identities(self):
         for ell in (0.0, 1.0, 3.0):
@@ -124,13 +125,13 @@ class TestNumberOperator:
     def test_k1_frozen_eigenvalue(self):
         # k=1, l=0, eps1=0, n=1: (3/2)(7/4)(3/4) = 63/32
         spec = SeedSpec.from_nu(0.0, 0.0, 1.0, k=1)
-        r = check_number_operator(spec, 1)
+        r = check_number_operator(SusyLadder(spec), 1)
         assert r.passed, r.line()
         assert abs(r.details["eigenvalue"] - 63.0 / 32.0) < 1e-14
 
     def test_ground_annihilated(self):
         spec = SeedSpec.from_nu(0.0, 0.0, 1.0, k=1)
-        r = check_number_operator(spec, 0)
+        r = check_number_operator(SusyLadder(spec), 0)
         assert r.passed
         assert natural_eigenvalue(spec, 0) == 0.0
 
@@ -138,7 +139,7 @@ class TestNumberOperator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reduction_quartic(self, k, n):
         spec = SeedSpec.from_nu(1.0, -0.4, 0.8, k=k)
-        r = check_number_operator(spec, n)
+        r = check_number_operator(SusyLadder(spec), n)
         assert r.passed, r.line()
         assert r.details["quartic_error"] <= 1e-6
         # the quartic itself matches the closed expression
@@ -149,7 +150,8 @@ class TestNumberOperator:
 
     def test_new_level_states_annihilated(self):
         for k in (1, 2, 3):
-            r = check_new_level_annihilation(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
+            ladder = SusyLadder(SeedSpec.from_nu(1.0, -0.4, 0.8, k=k))
+            r = check_new_level_annihilation(ladder)
             assert r.passed, r.line()
 
 
@@ -166,8 +168,27 @@ class TestLadderStacks:
         monkeypatch.setattr(WronskianStack, "_taylor_det", counted)
         for check in (check_intertwining, check_new_level_annihilation):
             seen.clear()
-            assert check(SPEC3).passed
+            assert check(SusyLadder(SPEC3)).passed
             assert max(seen.values()) == 1, check.__name__
+
+
+    def test_checks_of_a_spec_share_one_ladder(self, monkeypatch):
+        # determinants keyed by content, not identity: a ladder per check
+        # would factor the same chain prefix at the same x in each check
+        # (up to 6 times); one ladder per spec leaves at most a recompute
+        # at a higher order than the cached series
+        seen = collections.Counter()
+        taylor_det = WronskianStack._taylor_det
+
+        def counted(self, x, order):
+            members = tuple((type(s).__name__, s.ell, s.energy, getattr(s, "mixture", None))
+                            for s in self.solutions)
+            seen[(members, x)] += 1
+            return taylor_det(self, x, order)
+
+        monkeypatch.setattr(WronskianStack, "_taylor_det", counted)
+        assert all(r.passed for r in run_all_checks())
+        assert max(seen.values()) <= 2
 
 
 class TestSuite:

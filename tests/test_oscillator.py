@@ -13,7 +13,6 @@ from susypv.oscillator import (
     SeedSpecError,
     apply_b_minus,
     apply_b_plus,
-    default_x_grid,
     e0,
     make_seed,
     mixture_to_nu,
@@ -24,7 +23,7 @@ from susypv.oscillator import (
 )
 from susypv.specialfunctions import gamma
 
-from oracles import seed_branch_jet2
+from oracles import default_x_grid, fd_schrodinger_residual, seed_branch_jet2
 
 XS = (0.5, 1.0, 2.0, 5.0)
 
@@ -60,7 +59,7 @@ class TestMakeSeed:
     def test_schrodinger_residual(self):
         u = make_seed(SeedSpec(1.0, 0.3, (1.0, 0.7), 1, "real-physical"))
         for x in XS:
-            assert u.schrodinger_residual(x) <= 1e-10
+            assert fd_schrodinger_residual(u, x) <= 1e-10
 
     def test_half_odd_ell_mixed_branches_rejected(self):
         with pytest.raises(BranchDegeneracyError):
@@ -148,7 +147,7 @@ class TestLadder:
         v = apply_b_minus(u)
         assert v.energy == u.energy - 1.0
         for x in XS:
-            assert v.schrodinger_residual(x) <= 1e-9
+            assert fd_schrodinger_residual(v, x) <= 1e-9
 
     def test_raise_lower_eigenvalue(self):
         # b+ b- on psi_{n=1, l=0} multiplies by n(n + 2 E0 - 1) = 3/2
@@ -199,7 +198,7 @@ class TestSeedChain:
         assert [c.energy for c in ch] == [0.5, -0.5, -1.5]
         for c in ch:
             for x in XS:
-                assert c.schrodinger_residual(x) <= 1e-9
+                assert fd_schrodinger_residual(c, x) <= 1e-9
 
     def test_chain_annihilation(self):
         spec = SeedSpec.from_nu(1.0, e0(1.0), NU_INF, k=2, mode="complex-over-real")
@@ -219,7 +218,7 @@ class TestPhysicalEigenfunctions:
     def test_residuals_all_families(self, family):
         s = physical_eigenfunction(family, 2, 1.0)
         for x in (0.5, 1.0, 2.0, 3.0, 5.0):
-            assert s.schrodinger_residual(x) <= 1e-10
+            assert fd_schrodinger_residual(s, x) <= 1e-10
 
     def test_growing_families_energies(self):
         # the growing pair: x^{l+1}e^{+x^2/4} sits at -E0, x^{-l}e^{+x^2/4}
@@ -248,8 +247,37 @@ class TestSpecValidation:
         with pytest.raises(SeedSpecError):
             SeedSpec(1.0, 0.3, (1.0, 0.0), 0, "real-physical")
 
+    # each of these built the spec and failed only once a seed was evaluated
+    # (or never, with a false verdict); the domain now rejects them at once
+    @pytest.mark.parametrize("build", [
+        lambda: SeedSpec.from_nu(1.0, -0.4, 0.8, k=2.5),
+        lambda: SeedSpec.from_nu(2.0, 0.45, 3.0, k=9),
+        lambda: SeedSpec.from_nu(1.5, 0.1 + 1j, 0.0),
+        lambda: SeedSpec.from_nu(0.5, 0.2, 0.0, mode="complex-over-real"),
+        lambda: SeedSpec.from_nu(2.5, 0.3 + 0.5j, 0.0, k=2),
+        lambda: SeedSpec.from_nu(0.5, 0.0, 0.0, mode="complex-over-real"),
+        lambda: SeedSpec.from_lambda_kappa(1.0, 0.0, 1e308, 1e308),
+        lambda: SeedSpec.from_nu(1.0, 3e4, 1.0),
+        lambda: SeedSpec.from_nu(1.0, 3e4j, 1.0),
+        lambda: SeedSpec.from_nu(1000.0, 0.0, NU_INF),
+        lambda: SeedSpec.from_nu(1.0, -0.4, 0.8, ordering="1111"),
+        lambda: SeedSpec.from_nu(2.0, 0.5, nu_lower_bound(2.0, 0.5) - 0.1),
+    ], ids=["k-fractional", "k-above-cap", "half-odd-branch1-pole-complex-eps",
+            "half-odd-branch1-pole-b0", "half-odd-branch1-pole-k2",
+            "half-odd-branch1-pole-a0-b0", "mixture-norm-overflow", "eps-large",
+            "eps-imaginary-large", "ell-large", "ordering-not-a-permutation",
+            "nu-below-bound"])
+    def test_out_of_domain_rejected_at_construction(self, build):
+        with pytest.raises(SeedSpecError):
+            build()
+
+    def test_half_odd_branch1_inside_domain(self):
+        # b1 = -2 with a1 = -1: the 1F1 series terminates before its pole
+        spec = SeedSpec.from_nu(2.5, 0.0, 0.0, mode="complex-over-real")
+        assert fd_schrodinger_residual(make_seed(spec), 1.3) <= 1e-10
+
     def test_energy_bookkeeping_residual_at_reported_energy(self):
         spec = SeedSpec.from_nu(1.0, -0.2, 0.5)
         u = make_seed(spec)
         for x in (0.6, 1.2, 2.4):
-            assert u.schrodinger_residual(x) <= 1e-9
+            assert fd_schrodinger_residual(u, x) <= 1e-9

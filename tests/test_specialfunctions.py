@@ -16,6 +16,7 @@ from susypv.specialfunctions import (
     kummer_1f1_dx,
     laguerre_l,
     log_gamma,
+    parameter_pole,
 )
 
 from oracles import fd4_first, mp_bessel_i, mp_hyp1f1
@@ -62,6 +63,18 @@ class TestKummer:
         # polynomial case shields the pole: a = -1 with b = -2 terminates first
         val = kummer_1f1(-1.0, -2.0, 3.0)
         assert abs(val - (1.0 + 1.5)) < 1e-14
+
+    def test_parameter_pole_predicate(self):
+        assert parameter_pole(0.5, -2.0)
+        assert parameter_pole(-2.0, -2.0)
+        assert not parameter_pole(-1.0, -2.0)
+        assert not parameter_pole(0.5, 2.0)
+
+    @pytest.mark.parametrize("b", [-1.0, -3.0, 0.5, 2.5])
+    def test_derivative_at_a_zero(self, b):
+        # 1F1(0, b; y) is the constant 1 wherever it is defined, b = -1 included
+        assert kummer_1f1(0.0, b, 1.7) == 1.0
+        assert kummer_1f1_dx(0.0, b, 1.7) == 0.0
 
     def test_large_argument_no_convergence_error_path(self):
         # |x| = 35 still converges inside the cap

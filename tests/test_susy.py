@@ -7,7 +7,6 @@ from susypv.oscillator import (
     NU_INF,
     ClosedFormSolution,
     SeedSpec,
-    default_x_grid,
     e0,
     make_seed,
     physical_eigenfunction,
@@ -24,7 +23,14 @@ from susypv.susy import (
     wronskian,
 )
 
-from oracles import derivs, fd4_first, fd4_second, leibniz_wronskian_jet
+from oracles import (
+    default_x_grid,
+    derivs,
+    fd4_first,
+    fd4_second,
+    fd_schrodinger_residual,
+    leibniz_wronskian_jet,
+)
 
 
 def vk_residual(state, potential, energy, x):
@@ -261,13 +267,14 @@ class TestRadialOscillatorQuartet:
             assert abs(pv * qd - qv * pd - 1.0) <= 1e-9
 
     def test_perp_is_a_solution(self):
-        # besides the closure residual, u'' by finite differences of u'
-        # must satisfy the Schrodinger equation with the stepped u
+        # u'' by finite differences of u' must satisfy the Schrodinger
+        # equation with the stepped u: tightly at a small step, and to 1e-7
+        # of max(|u|, |u'|, |u''|) at a step of 1e-3 min(x, 1)
         for ell in (2.0, 1.5, 3.0):
             perp = radial_oscillator_quartet(ell).states[3]
             node = math.sqrt(2 * ell + 3)
             for x in (0.05, 0.8, node, 2.5, 4.2, 8.0):
-                assert perp.schrodinger_residual(x) <= 1e-10
+                assert fd_schrodinger_residual(perp, x) <= 1e-10
                 u, du = perp.value_and_derivative(x)
                 d2u = fd4_first(lambda t: perp.value_and_derivative(t)[1], x,
                                 1e-3 * min(x, 1.0))
