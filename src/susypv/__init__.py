@@ -43,7 +43,6 @@ from .susy import (
     PartnerPotential,
     WronskianStack,
     extremal_quartet,
-    partner_potential,
     radial_oscillator_quartet,
     transformed_state,
     wronskian,

@@ -111,6 +111,20 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+# Evaluation windows (x = sqrt(z)), round and inside what holds at the corners
+# of the spec domain: there the seed's 1F1 series runs out of terms between
+# x = 22 and 25, and x^-l overflows below x = 1e-6 at l = 50.
+X_WINDOW = (1e-2, 20.0)
+Z_WINDOW = (1e-4, 400.0)
+
+
+def _in_window(name: str, value: float, window: tuple[float, float]) -> float:
+    lo, hi = window
+    if not lo <= value <= hi:  # NaN fails too
+        raise ConfigError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+    return value
+
+
 def _points(n: int) -> int:
     if n < 2:
         raise ConfigError("points must be >= 2")
@@ -118,7 +132,7 @@ def _points(n: int) -> int:
 
 
 def _grid_from_args(args) -> np.ndarray:
-    lo, hi = _positive("zmin", args.zmin), _positive("zmax", args.zmax)
+    lo, hi = _in_window("zmin", args.zmin, Z_WINDOW), _in_window("zmax", args.zmax, Z_WINDOW)
     spaced = np.geomspace if args.spacing == "geometric" else np.linspace
     return spaced(lo, hi, _points(args.points))
 
@@ -253,8 +267,8 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_grid_potential(args) -> int:
     pot = PartnerPotential(seed_chain(_spec_from_args(args)))
-    xs = np.geomspace(_positive("xmin", args.xmin), _positive("xmax", args.xmax),
-                      _points(args.points))
+    xs = np.geomspace(_in_window("xmin", args.xmin, X_WINDOW),
+                      _in_window("xmax", args.xmax, X_WINDOW), _points(args.points))
     lines = ["x,v_re,v_im"]
     for x in xs:
         try:

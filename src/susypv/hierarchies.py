@@ -18,7 +18,7 @@ import numpy as np
 
 from .oscillator import NU_INF, SeedSpec, mixture_to_nu
 from .painleve import CANONICAL_ORDERINGS, solution_from_quartet
-from .specialfunctions import bessel_i, hermite_h, laguerre_l
+from .specialfunctions import GammaPoleError, bessel_i, hermite_h, laguerre_l
 from .susy import extremal_quartet
 
 __all__ = [
@@ -85,7 +85,7 @@ def detect(spec: SeedSpec) -> HierarchyTag:
     ell = spec.ell
     try:
         nu = mixture_to_nu(spec.mixture, ell, spec.eps1)
-    except Exception:
+    except GammaPoleError:  # nu does not exist at this eps1, so no family fires
         return HierarchyTag("transcendent", {})
     if nu == NU_INF:
         nu_kind = "inf"

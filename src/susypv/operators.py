@@ -6,8 +6,10 @@ checks run at near machine precision and a failure points at a formula,
 not at discretization. Each atom consumes `order` coefficients off the
 incoming series and multiplies by its coefficient functions as series of
 the remaining length; first-order SUSY atoms take their superpotentials
-from Wronskian log-derivatives. Derivative values are converted only on
-entry (a solution's jet) and in the Hamiltonian atom (its potential).
+from Wronskian log-derivatives. A test function enters as its own series
+(``taylor``; a Wronskian ratio state expands the ratio itself, so no
+intertwining fact is assumed), and derivative values are converted only
+in the Hamiltonian atom (its potential).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .oscillator import (
     physical_eigenfunction,
     seed_chain,
 )
-from .susy import PartnerPotential, WronskianRatioState, WronskianStack
+from .susy import PartnerPotential, WronskianRatioState, WronskianStack, transformed_state
 
 __all__ = [
     "AtomA",
@@ -162,7 +164,7 @@ class OperatorChain:
     def apply_jet(self, provider, x: float, n_out: int = 0) -> np.ndarray:
         """Taylor series of the chain's image of `provider` at x, through n_out."""
         need = sum(a.order for a in self.atoms) + n_out
-        series = _provider_jet(provider, x, need)
+        series = provider.taylor(x, need)
         for atom in reversed(self.atoms):
             need -= atom.order
             series = atom.apply(series, x, need)
@@ -170,14 +172,6 @@ class OperatorChain:
 
     def __call__(self, provider, x: float) -> complex:
         return complex(self.apply_jet(provider, x, 0)[0])
-
-
-def _provider_jet(provider: SchrodingerSolution, x: float, order: int) -> np.ndarray:
-    """Taylor series of a test function; ratio states expand their Wronskian
-    ratio directly so no intertwining fact is assumed by the checks."""
-    if isinstance(provider, WronskianRatioState):
-        return provider.ratio_jet(x, order)
-    return taylor_from_jet(provider.jet_values(x, order))
 
 
 class AtomImage(SchrodingerSolution):
@@ -198,7 +192,7 @@ class AtomImage(SchrodingerSolution):
         self._atom = atom
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        pj = _provider_jet(self._parent, x, self._atom.order + 1)
+        pj = self._parent.taylor(x, self._atom.order + 1)
         out = self._atom.apply(pj, x, 1)
         return complex(out[0]), complex(out[1])
 
@@ -244,17 +238,15 @@ class SusyLadder:
         return self.ladder_image(down, e_down, up=True)[0]
 
     def transformed_eigenstate(self, n: int) -> WronskianRatioState:
-        target = physical_eigenfunction(1, n, self.spec.ell)
-        vk = self.potentials[self.spec.k]
-        return WronskianRatioState(WronskianStack(self.chain + [target]), vk.stack,
-                                   target.energy, vk)
+        return transformed_state(self.potentials[self.spec.k],
+                                 physical_eigenfunction(1, n, self.spec.ell))
 
     def new_level_state(self, j: int) -> WronskianRatioState:
         """W(chain without u_j) / W(chain); without u_k the numerator is V_{k-1}'s prefix."""
         num = (self.potentials[j - 1].stack if j == self.spec.k else
                WronskianStack([u for i, u in enumerate(self.chain) if i != j - 1]))
-        vk = self.potentials[self.spec.k]
-        return WronskianRatioState(num, vk.stack, self.chain[j - 1].energy, vk)
+        return WronskianRatioState(num, self.potentials[self.spec.k].stack,
+                                   self.chain[j - 1].energy, self.spec.ell)
 
 
 @dataclass
@@ -285,7 +277,7 @@ def default_test_seeds(ell: float) -> list[SeedSolution]:
 
 
 def _rel_scale(provider, x: float, applied: complex) -> float:
-    series = _provider_jet(provider, x, 2)
+    series = provider.taylor(x, 2)
     return max(abs(series[0]), abs(2.0 * series[2]), abs(applied), 1e-300)
 
 
@@ -404,7 +396,7 @@ def check_number_operator(ladder: SusyLadder, n: int) -> CheckReport:
     measured = []
     for x in _SAMPLE_XS:
         applied = complex(result.value_and_derivative(x)[0])
-        val = complex(state.ratio_jet(x, 0)[0])
+        val = complex(state.taylor(x, 0)[0])
         scale = _rel_scale(state, x, applied)
         if abs(lam) < 1e-12:
             worst = max(worst, abs(applied) / scale)

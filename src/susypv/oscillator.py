@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import binom
+from .jets import binom, taylor_from_jet
 from .specialfunctions import (
     GammaPoleError,
     gamma,
@@ -213,8 +213,8 @@ class SeedSpec:
 class SchrodingerSolution:
     """A solution of -u''/2 + V0 u = eps u exposing jets of any order.
 
-    Subclasses provide value_and_derivative(x); everything above first
-    order comes from the ODE closure
+    Subclasses provide value_and_derivative(x); jet_values and taylor
+    hand out everything above first order, from the ODE closure
         u^(n+2) = 2 sum_j C(n,j) V0^(j) u^(n-j) - 2 eps u^(n),
     which is exact because the potential derivatives are analytic.
     Instances are immutable after construction; the per-x jet cache only
@@ -256,6 +256,10 @@ class SchrodingerSolution:
                     acc += c[j] * vjet[j] * vals[n - j]
                 vals.append(2.0 * acc - 2.0 * self.energy * vals[n])
         return np.array(vals, dtype=complex)
+
+    def taylor(self, x: float, order: int) -> np.ndarray:
+        """Taylor coefficients [u, u', u''/2, ..., u^(order)/order!] at x."""
+        return taylor_from_jet(self.jet_values(x, order))
 
     def __call__(self, x: float) -> complex:
         return complex(self.jet_values(x, 0)[0])
@@ -350,6 +354,11 @@ class _LadderedSolution(SchrodingerSolution):
         return self._zero
 
 
+def _nu_coefficient(ell: float, eps: complex) -> complex:
+    """G((3+2l-4e)/4)/G((3+2l)/2), the factor between nu and mu2/mu1."""
+    return gamma((3.0 + 2.0 * ell - 4.0 * complex(eps)) / 4.0) / gamma((3.0 + 2.0 * ell) / 2.0)
+
+
 def nu_to_mixture(nu: complex, ell: float, eps: complex) -> tuple[complex, complex]:
     """Map the nu knob to branch coefficients (1, nu*G((3+2l-4e)/4)/G((3+2l)/2)).
 
@@ -357,8 +366,7 @@ def nu_to_mixture(nu: complex, ell: float, eps: complex) -> tuple[complex, compl
     """
     if nu == NU_INF:
         return (0.0 + 0.0j, 1.0 + 0.0j)
-    coeff = gamma((3.0 + 2.0 * ell - 4.0 * complex(eps)) / 4.0) / gamma((3.0 + 2.0 * ell) / 2.0)
-    return (1.0 + 0.0j, complex(nu) * coeff)
+    return (1.0 + 0.0j, complex(nu) * _nu_coefficient(ell, eps))
 
 
 def mixture_to_nu(mixture: tuple[complex, complex], ell: float, eps: complex) -> complex:
@@ -366,8 +374,7 @@ def mixture_to_nu(mixture: tuple[complex, complex], ell: float, eps: complex) ->
     mu1, mu2 = complex(mixture[0]), complex(mixture[1])
     if mu1 == 0:
         return NU_INF
-    coeff = gamma((3.0 + 2.0 * ell - 4.0 * complex(eps)) / 4.0) / gamma((3.0 + 2.0 * ell) / 2.0)
-    return (mu2 / mu1) / coeff
+    return (mu2 / mu1) / _nu_coefficient(ell, eps)
 
 
 def nu_lower_bound(ell: float, eps: float) -> float:

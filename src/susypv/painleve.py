@@ -19,13 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oscillator import SeedSpec, check_ordering, check_positive, e0
-from .susy import (
-    ExtremalQuartet,
-    SingularEvaluationError,
-    WronskianRatioState,
-    extremal_quartet,
-)
+from .oscillator import SeedSpec, check_ordering, check_positive
+from .susy import ExtremalQuartet, SingularEvaluationError, extremal_quartet
 
 __all__ = [
     "EquationSingularityError",
@@ -40,7 +35,6 @@ __all__ = [
     "params_from_energies",
     "pv_params",
     "pv_params_closed_form",
-    "pv_params_exact",
     "g_from_quartet",
     "pv_residual",
     "classify_degenerate",
@@ -79,12 +73,6 @@ class PVParams:
     b: complex
     c: complex
     d: complex
-    alphas: tuple
-
-    @staticmethod
-    def from_alphas(a1: complex, a2: complex, a3: complex, a4: complex) -> "PVParams":
-        return PVParams(0.5 * a1 * a1, -0.5 * a3 * a3, 0.5 * (a2 - a4), -0.125,
-                        (a1, a2, a3, a4))
 
 
 @dataclass
@@ -117,12 +105,18 @@ def permute_quartet(quartet: ExtremalQuartet, label: str) -> ExtremalQuartet:
     """Reorder the quartet so slot i holds original state label[i]."""
     label = normalize_ordering(label)
     idx = [int(ch) - 1 for ch in label]
-    return ExtremalQuartet(tuple(quartet.states[i] for i in idx), label, quartet.potential,
-                           quartet.ell)
+    return ExtremalQuartet(tuple(quartet.states[i] for i in idx), label, quartet.potential)
 
 
-def params_from_energies(e1: complex, e2: complex, e3: complex, e4: complex) -> PVParams:
-    return PVParams.from_alphas(e1 - e2, e2 - e3, e3 - e4, e4 - e1 + 1.0)
+def params_from_energies(e1, e2, e3, e4) -> PVParams:
+    """The alpha route from four slot energies (see the module docstring).
+
+    Fraction(1, 2) keeps it exact on Fractions and becomes 0.5 on complex
+    floats. d is -1/8 whatever the energies.
+    """
+    a1, a2, a3, a4 = e1 - e2, e2 - e3, e3 - e4, e4 - e1 + 1
+    half = Fraction(1, 2)
+    return PVParams(half * a1 * a1, -half * a3 * a3, half * (a2 - a4), Fraction(-1, 8))
 
 
 def pv_params(quartet: ExtremalQuartet) -> PVParams:
@@ -139,62 +133,7 @@ def pv_params_closed_form(ell: float, eps1: complex, k: int) -> PVParams:
     a = (4.0 * eps1 + 2.0 * ell + 3.0) ** 2 / 32.0
     b = -((4.0 * eps1 - 4.0 * k - 2.0 * ell + 1.0) ** 2) / 32.0
     c = (2.0 * k - 2.0 * ell - 3.0) / 4.0
-    alphas = (eps1 + e0(ell), 1.0 - e0(ell) - (eps1 - k + 1.0),
-              eps1 - k + 1.0 - e0(ell), e0(ell) - eps1 - 1.0 + 1.0)
-    return PVParams(a, b, c, -0.125, alphas)
-
-
-# -- exact (rational) parameter route ---------------------------------------
-
-FracC = tuple[Fraction, Fraction]  # exact complex number (re, im)
-
-
-def _fc(re, im=0) -> FracC:
-    return (Fraction(re), Fraction(im))
-
-
-def _fc_sub(x: FracC, y: FracC) -> FracC:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _fc_add(x: FracC, y: FracC) -> FracC:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _fc_sq(x: FracC) -> FracC:
-    return (x[0] * x[0] - x[1] * x[1], 2 * x[0] * x[1])
-
-
-def _fc_scale(x: FracC, s: Fraction) -> FracC:
-    return (x[0] * s, x[1] * s)
-
-
-def pv_params_exact(ell: Fraction, eps1: FracC, k: int, label: str = "1234") -> dict:
-    """alpha-route parameters in exact rational arithmetic.
-
-    Returns {'a','b','c','d'} as (Fraction re, Fraction im) pairs for a
-    rational (ell, eps1); used for the exact table comparisons.
-    """
-    ell = Fraction(ell)
-    ezero = ell / 2 + Fraction(3, 4)
-    energies = [
-        _fc_add(eps1, _fc(1)),                      # eps1 + 1
-        _fc(-ezero + 1),                            # -E0 + 1
-        _fc_sub(eps1, _fc(k - 1)),                  # eps_k
-        _fc(ezero),                                 # E0
-    ]
-    label = normalize_ordering(label)
-    e = [energies[int(ch) - 1] for ch in label]
-    a1 = _fc_sub(e[0], e[1])
-    a2 = _fc_sub(e[1], e[2])
-    a3 = _fc_sub(e[2], e[3])
-    a4 = _fc_add(_fc_sub(e[3], e[0]), _fc(1))
-    return {
-        "a": _fc_scale(_fc_sq(a1), Fraction(1, 2)),
-        "b": _fc_scale(_fc_sq(a3), Fraction(-1, 2)),
-        "c": _fc_scale(_fc_sub(a2, a4), Fraction(1, 2)),
-        "d": _fc(Fraction(-1, 8)),
-    }
+    return PVParams(a, b, c, -0.125)
 
 
 # -- the g function and w ----------------------------------------------------
@@ -383,7 +322,7 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
     like the other degenerate outputs).
     """
     s3, s4 = quartet.pair_34()
-    if _state_is_zero(s3) or _state_is_zero(s4):
+    if s3.is_zero() or s4.is_zero():
         return "w==1"
     zs = np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES)
     ws = []
@@ -411,17 +350,6 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
             return "w==1"
         return "w==const"
     return "generic"
-
-
-def _state_is_zero(state) -> bool:
-    if isinstance(state, WronskianRatioState):
-        # scale-aware test of the numerator Wronskian against its row norms
-        for x in (0.7, 1.3, 2.4, 3.6):
-            f = state.num.jet(x, 0)
-            if abs(f[0]) > 1e-12 * max(state.num.row_scale(x), 1e-300):
-                return False
-        return True
-    return state.is_zero()
 
 
 def solution_from_quartet(quartet: ExtremalQuartet, ordering: str = "1234") -> PVSolution:

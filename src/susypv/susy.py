@@ -1,13 +1,19 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
-Solutions hand out derivative values; everything built from them here is
-a Taylor series at the point. A Wronskian is the series of the
+Solutions hand out Taylor series at a point (``taylor``); everything
+built from them here is one too. A Wronskian is the series of the
 determinant, by series LU in extended precision: series coefficients
 track the function's own analytic scale, so cancellations stay benign
 where the row multi-index (Leibniz) expansion of W^(n) would lose most of
 its digits (the tests keep that expansion as the reference). Derivatives
 come back out only in ``wronskian`` and ``PartnerPotential.deriv_jet``,
 because a potential feeds the ODE closure.
+
+States of a transformed Hamiltonian are Wronskian ratios
+(``WronskianRatioState``), built by Darboux-Crum transformations (Crum,
+Quart. J. Math. 6 (1955) 121): ``transformed_state`` is the B_k^+ image
+of a solution of the base equation, and ``extremal_quartet`` builds the
+four extremal states that give w.
 
 The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
 is integrated by Taylor steps on the same ODE-closure jets.
@@ -20,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import (
-    jet_from_taylor,
-    series_diff,
-    series_div,
-    series_mul,
-    taylor_from_jet,
-)
+from .jets import jet_from_taylor, series_diff, series_div, series_mul
 from .oscillator import (
     RadialPotential,
     SchrodingerSolution,
@@ -43,7 +43,6 @@ __all__ = [
     "WronskianStack",
     "wronskian",
     "PartnerPotential",
-    "partner_potential",
     "WronskianRatioState",
     "transformed_state",
     "ExtremalQuartet",
@@ -98,8 +97,7 @@ class WronskianStack:
         m = self.size
         tcols = []
         for s in self.solutions:
-            t = taylor_from_jet(s.jet_values(x, m - 1 + order)).astype(np.clongdouble)
-            tcols.append(t)
+            tcols.append(s.taylor(x, m - 1 + order).astype(np.clongdouble))
         # a[r][c] = Taylor series of u_c^(r), truncated at `order`
         a = [[None] * m for _ in range(m)]
         for c in range(m):
@@ -191,30 +189,22 @@ class PartnerPotential:
         return complex(self.deriv_jet(x, 0)[0])
 
 
-def partner_potential(spec: SeedSpec, x: float) -> complex:
-    """Convenience wrapper: build the chain for spec and evaluate V_k(x)."""
-    return PartnerPotential(seed_chain(spec))(x)
+class WronskianRatioState:
+    """State of a transformed Hamiltonian: the ratio num/den of two Wronskians.
 
-
-class WronskianRatioState(SchrodingerSolution):
-    """State of the transformed Hamiltonian, as a ratio of two Wronskians.
-
-    value/derivative come from the Wronskian algebra alone; higher jet
-    entries close under the partner-potential ODE at the state's energy.
-    ratio_jet() bypasses the closure and returns the Taylor series of the
-    ratio itself, which is what the residual oracles use.
+    Values come from the Taylor series of the ratio itself, so no
+    intertwining relation is assumed; the tests check that each state
+    solves the equation of den's chain at `energy`.
     """
 
-    def __init__(self, numerator: WronskianStack, denominator: WronskianStack,
-                 energy: complex, potential: PartnerPotential | RadialPotential):
-        SchrodingerSolution.__init__(self, denominator.solutions[0].ell
-                                     if denominator.size else numerator.solutions[0].ell,
-                                     energy)
-        self.potential = potential
-        self.num = numerator
-        self.den = denominator
+    def __init__(self, num: WronskianStack, den: WronskianStack, energy: complex, ell: float):
+        self.num = num
+        self.den = den
+        self.energy = complex(energy)
+        self.ell = float(ell)
 
-    def ratio_jet(self, x: float, order: int) -> np.ndarray:
+    def taylor(self, x: float, order: int) -> np.ndarray:
+        """Taylor coefficients of num/den at x, through `order`."""
         f = self.num.jet(x, order)
         g = self.den.jet(x, order)
         if abs(g[0]) < 1e-13 * self.den.row_scale(x):
@@ -222,40 +212,44 @@ class WronskianRatioState(SchrodingerSolution):
         return series_div(f, g, order)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        r = self.ratio_jet(x, 1)
+        r = self.taylor(x, 1)
         return complex(r[0]), complex(r[1])
 
+    def is_zero(self) -> bool:
+        """Identically zero: |num| below 1e-12 of its row scale at four probe points."""
+        for x in (0.7, 1.3, 2.4, 3.6):
+            f = self.num.jet(x, 0)
+            if abs(f[0]) > 1e-12 * max(self.num.row_scale(x), 1e-300):
+                return False
+        return True
 
-def transformed_state(chain: list[SchrodingerSolution],
-                      target: SchrodingerSolution,
-                      potential: PartnerPotential | None = None) -> WronskianRatioState:
+
+def transformed_state(potential: PartnerPotential,
+                      target: SchrodingerSolution) -> WronskianRatioState:
     """B_k^+ image of a target: W(u_1,...,u_k,target)/W(u_1,...,u_k).
 
-    An empty chain is the identity transformation (the image is the
-    target itself, in the base potential).
+    u_1..u_k is the chain of `potential` (V_k); the image solves V_k's
+    equation at the target's energy and shares V_k's denominator stack.
+    An empty chain is the identity transformation.
     """
-    if potential is None:
-        potential = PartnerPotential(chain, ell=getattr(target, "ell", None))
-    if chain and target.ell != chain[0].ell:
+    if target.ell != potential.ell:
         raise ValueError("target must share ell with the chain")
-    return WronskianRatioState(WronskianStack(list(chain) + [target]),
-                               WronskianStack(chain),
-                               target.energy, potential)
+    return WronskianRatioState(WronskianStack(potential.stack.solutions + [target]),
+                               potential.stack, target.energy, potential.ell)
 
 
 @dataclass
 class ExtremalQuartet:
     """Four states in a chosen ordering, plus their potential.
 
-    states expose value_and_derivative(x); all four are formal
-    eigenfunctions of the Hamiltonian with potential `potential`, and
-    energies holds their energies in slot order.
+    states expose value_and_derivative(x) and is_zero(); all four are
+    formal eigenfunctions of the Hamiltonian with potential `potential`,
+    and energies holds their energies in slot order.
     """
 
     states: tuple
     ordering_label: str
     potential: object
-    ell: float
     energies: tuple = field(init=False)
 
     def __post_init__(self):
@@ -271,20 +265,18 @@ def extremal_quartet(spec: SeedSpec) -> ExtremalQuartet:
 
     states: (B_k^+ b^+ u_1,  B_k^+ x^-l e^{-x^2/4},
              W(u_1..u_{k-1})/W(u_1..u_k),  B_k^+ x^{l+1} e^{-x^2/4})
-    energies: (eps1 + 1, -E0 + 1, eps_k, E0).
+    energies: (eps1 + 1, -E0 + 1, eps_k, E0). V_k and the four
+    denominators share one chain stack, so one factorization per x.
     """
     chain = seed_chain(spec)
-    ell = spec.ell
     vk = PartnerPotential(chain)
-    full = vk.stack  # V_k and every denominator share one factorization per x
-    raised = apply_b_plus(chain[0])
-    psi1 = WronskianRatioState(WronskianStack(chain + [raised]), full, spec.eps1 + 1.0, vk)
-    phi2 = physical_eigenfunction(2, 0, ell)  # x^-l e^{-x^2/4}
-    psi2 = WronskianRatioState(WronskianStack(chain + [phi2]), full, phi2.energy, vk)
-    psi3 = WronskianRatioState(WronskianStack(chain[:-1]), full, spec.eps1 - (spec.k - 1), vk)
-    phi4 = physical_eigenfunction(1, 0, ell)  # x^{l+1} e^{-x^2/4}
-    psi4 = WronskianRatioState(WronskianStack(chain + [phi4]), full, phi4.energy, vk)
-    return ExtremalQuartet((psi1, psi2, psi3, psi4), "1234", vk, ell)
+    psi3 = WronskianRatioState(WronskianStack(chain[:-1]), vk.stack,
+                               spec.eps1 - (spec.k - 1), spec.ell)
+    psi1, psi2, psi4 = (transformed_state(vk, target) for target in (
+        apply_b_plus(chain[0]),
+        physical_eigenfunction(2, 0, spec.ell),    # x^-l e^{-x^2/4}
+        physical_eigenfunction(1, 0, spec.ell)))   # x^{l+1} e^{-x^2/4}
+    return ExtremalQuartet((psi1, psi2, psi3, psi4), "1234", vk)
 
 
 class PerpSolution(SchrodingerSolution):
@@ -348,4 +340,4 @@ def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> Extr
     s3 = physical_eigenfunction(1, 1, ell)
     states = (physical_eigenfunction(1, 0, ell), physical_eigenfunction(2, 0, ell), s3,
               PerpSolution(s3, perp_admixture))
-    return ExtremalQuartet(states, "1234", RadialPotential(ell), ell)
+    return ExtremalQuartet(states, "1234", RadialPotential(ell))

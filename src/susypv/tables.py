@@ -18,12 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .oscillator import NU_INF, SeedSpec, e0
-from .painleve import (
-    CANONICAL_ORDERINGS,
-    GridSample,
-    pv_params_exact,
-    solution_from_quartet,
-)
+from .painleve import CANONICAL_ORDERINGS, GridSample, params_from_energies, solution_from_quartet
 from .susy import extremal_quartet, radial_oscillator_quartet
 
 __all__ = [
@@ -72,20 +67,16 @@ def PERMUTATION_PARAMS(label: str, ell: F, eps: F, k: int) -> tuple[F, F, F]:
 
 def ksusy_exact_params(label: str, ell: F, eps: F, k: int) -> tuple[F, F, F]:
     """(32a, 32b, 4c) from the alpha route, exact, for the k-SUSY quartet."""
-    p = pv_params_exact(F(ell), (F(eps), F(0)), k, label)
-    assert p["a"][1] == 0 and p["b"][1] == 0 and p["c"][1] == 0
-    return (32 * p["a"][0], 32 * p["b"][0], 4 * p["c"][0])
+    ez = F(ell) / 2 + F(3, 4)
+    eps = F(eps)
+    a8, b8, c4 = quartet_exact_params(label, [eps + 1, 1 - ez, eps - (k - 1), ez])
+    return (4 * a8, 4 * b8, c4)
 
 
 def quartet_exact_params(label: str, energies: list[F]) -> tuple[F, F, F]:
     """(8a, 8b, 4c) from explicit rational slot energies (alpha route)."""
-    idx = [int(ch) - 1 for ch in label]
-    e = [energies[i] for i in idx]
-    a1 = e[0] - e[1]
-    a3 = e[2] - e[3]
-    a2 = e[1] - e[2]
-    a4 = e[3] - e[0] + 1
-    return (8 * a1 * a1 / 2, -8 * a3 * a3 / 2, 4 * (a2 - a4) / 2)
+    p = params_from_energies(*[energies[int(ch) - 1] for ch in label])
+    return (8 * p.a, 8 * p.b, 4 * p.c)
 
 
 # -- table definitions --------------------------------------------------------

@@ -6,9 +6,10 @@ derivatives of the closed-form seed branches are assembled by the product
 rule from contiguous relations, so the residual checks falsify the
 ODE-closure jets rather than restate them. The Leibniz jet calculus
 (``jet_mul``, ``jet_div``, ``jet_log_deriv``), the row multi-index
-Wronskian (``term_maps``, ``leibniz_wronskian_jet``) and ``g_route_b`` are
-second routes that the tests hold the library's series arithmetic,
-series-LU Wronskian and g against.
+Wronskian (``term_maps``, ``leibniz_wronskian_jet``), ``g_route_b`` and
+the exact-complex alpha route ``pv_params_exact`` are second routes that
+the tests hold the library's series arithmetic, series-LU Wronskian, g and
+``params_from_energies`` against.
 """
 
 import math
@@ -211,3 +212,42 @@ def g_route_b(spec, chain, x):
         raise PoleError(f"W(F,G) vanishes at x={x}")
     coeff = 2.0 * (e0(spec.ell) - spec.eps1 + spec.k - 1.0)
     return -x + coeff * fj[0] * gj[0] / wfg
+
+
+# -- exact-complex alpha route ------------------------------------------------
+# An exact complex number is a (re, im) pair of Fractions.
+
+
+def _fc_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _fc_sq(x):
+    return (x[0] * x[0] - x[1] * x[1], 2 * x[0] * x[1])
+
+
+def _fc_scale(x, s):
+    return (x[0] * s, x[1] * s)
+
+
+def pv_params_exact(ell, eps1, k, label="1234"):
+    """{'a','b','c','d'} of the k-SUSY quartet as exact (re, im) Fraction pairs.
+
+    The slot energies (eps1 + 1, 1 - E0, eps1 - k + 1, E0), E0 = l/2 + 3/4,
+    are taken in the order of `label` (any of the 24), then
+    a = a1^2/2, b = -a3^2/2, c = (a2 - a4)/2, d = -1/8 with
+    a1 = e1 - e2, a2 = e2 - e3, a3 = e3 - e4, a4 = e4 - e1 + 1.
+    """
+    ezero = Fraction(ell) / 2 + Fraction(3, 4)
+    eps1 = (Fraction(eps1[0]), Fraction(eps1[1]))
+    energies = [(eps1[0] + 1, eps1[1]), (1 - ezero, Fraction(0)),
+                (eps1[0] - (k - 1), eps1[1]), (ezero, Fraction(0))]
+    e = [energies[int(ch) - 1] for ch in label]
+    a1, a2, a3 = _fc_sub(e[0], e[1]), _fc_sub(e[1], e[2]), _fc_sub(e[2], e[3])
+    a4 = (e[3][0] - e[0][0] + 1, e[3][1] - e[0][1])
+    return {
+        "a": _fc_scale(_fc_sq(a1), Fraction(1, 2)),
+        "b": _fc_scale(_fc_sq(a3), Fraction(-1, 2)),
+        "c": _fc_scale(_fc_sub(a2, a4), Fraction(1, 2)),
+        "d": (Fraction(-1, 8), Fraction(0)),
+    }

@@ -32,7 +32,7 @@ from susypv.operators import (
     check_shift_identities,
 )
 from susypv.oscillator import NU_INF, SeedSpec, e0, nu_lower_bound
-from susypv.painleve import CANONICAL_ORDERINGS, default_z_grid, pv_params_exact, solve
+from susypv.painleve import CANONICAL_ORDERINGS, default_z_grid, solve
 from susypv.specialfunctions import bessel_i, gamma, kummer_1f1, laguerre_l
 from susypv.tables import (
     PERMUTATION_PARAMS,
@@ -42,7 +42,7 @@ from susypv.tables import (
     table_w_cells,
 )
 
-from oracles import mp_bessel_i, mp_hyp1f1, mp_pv_residual
+from oracles import mp_bessel_i, mp_hyp1f1, mp_pv_residual, pv_params_exact
 
 
 def _e(x) -> str:

@@ -105,7 +105,8 @@ class TestSeedConstructionErrors:
     # the half-odd-l branch mixture and the annihilated chain are found
     # only while the seed chain is built, after the spec parsed cleanly;
     # the other values pass argparse but name nothing the library can
-    # run (a bad ordering, k, l, grid bound, tol, filter or --out path)
+    # run (a bad ordering, k, l, grid bound, tol, filter or --out path);
+    # a grid bound outside the evaluation window once ended in a traceback
     @pytest.mark.parametrize("argv", [
         ["solve", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "4",
          "--order", "2413"],
@@ -147,6 +148,11 @@ class TestSeedConstructionErrors:
         ["solve", "--eps", "0,3e4"],
         ["solve", "--l", "1000", "--nu", "inf"],
         ["table", "--which", "t0", "--l", "51"],
+        ["solve", "--zmax", "1000"],
+        ["solve", "--zmin", "1e-300"],
+        ["grid-potential", "--xmax", "30"],
+        ["grid-potential", "--xmax", "25", "--eps", "0,100"],
+        ["grid-potential", "--l", "50", "--xmin", "1e-7"],
     ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
             "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
             "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator",
@@ -160,7 +166,9 @@ class TestSeedConstructionErrors:
             "solve-half-odd-branch1-pole", "solve-half-odd-branch1-pole-b0",
             "solve-half-odd-branch1-pole-k2", "hierarchy-half-odd-branch1-pole",
             "solve-mixture-norm-overflow", "solve-eps-large", "solve-eps-imaginary-large",
-            "solve-l-large", "table-l-above-cap"])
+            "solve-l-large", "table-l-above-cap", "solve-zmax-above-window",
+            "solve-zmin-below-window", "grid-potential-xmax-above-window",
+            "grid-potential-xmax-above-window-complex-eps", "grid-potential-xmin-below-window"])
     def test_config_error_exit(self, argv, tmp_path, capsys):
         if argv[0] not in ("table", "hierarchy") and "--out" not in argv:  # these take no --out
             argv = argv + ["--out", str(tmp_path / "out.csv")]

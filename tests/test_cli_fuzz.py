@@ -2,7 +2,8 @@
 
 Each command runs in-process through ``main`` on flags and config-file
 lines drawn from valid values and boundary values (0, -0, +-inf, nan,
-1e308, k at and past the cap, empty strings, half-odd l with nu = 0).
+1e308, k at and past the cap, empty strings, half-odd l with nu = 0,
+evaluation windows at, inside and past their bounds).
 The exit must be 0, 1, 2 or 3 with no uncaught exception, and exit 1 only
 where the command documents it: a residual above the tolerance (solve,
 hierarchy), a failing row (table) or a FAIL line (verify).
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susypv.cli import main
+from susypv.cli import X_WINDOW, Z_WINDOW, main
 from susypv.susy import SingularEvaluationError
 
 BOUNDARY = ["0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", ""]
@@ -35,6 +36,8 @@ SPEC_VALUES = {
     "order": ["1234", "2413", "3412", "1423", "2134", "1111", "12345", ""],
     "mode": ["real-physical", "complex-over-real", "fully-complex", "bogus"],
 }
+Z_VALUES = ["1e-4", "0.1", "2", "20", "400", "9e-5", "401", "1000", "1e-300"] + BOUNDARY
+X_VALUES = ["1e-2", "0.05", "1", "8", "20", "9e-3", "21", "30", "1e-7"] + BOUNDARY
 JUNK_LINES = ["# a comment", "", "nosuch = 3", "a line without an equals sign"]
 ROW_OK = {"matched", "residual-certified", "degenerate"}
 
@@ -47,10 +50,13 @@ def workdir(tmp_path_factory):
 
 
 @st.composite
-def spec_flags(draw):
-    """{flag: (where, value)}, where is 'argv' or 'config'; omitted flags keep defaults."""
+def spec_flags(draw, window=None):
+    """{flag: (where, value)}, where is 'argv' or 'config'; omitted flags keep defaults.
+
+    window maps the command's window flags to the values they are drawn from.
+    """
     flags = {}
-    for name, values in SPEC_VALUES.items():
+    for name, values in {**SPEC_VALUES, **(window or {})}.items():
         where = draw(st.sampled_from(("omit", "omit", "argv", "config")))
         if where != "omit":
             flags[name] = (where, draw(st.sampled_from(values)))
@@ -86,6 +92,20 @@ def _run(command, flags, extra, workdir, junk=()):
         return None
 
 
+def _outside(flags, names, window):
+    """A drawn window flag is not a number inside window: the exit must be 2."""
+    lo, hi = window
+    for name in names:
+        if name in flags:
+            try:
+                value = float(flags[name][1])
+            except ValueError:
+                return True
+            if not lo <= value <= hi:
+                return True
+    return False
+
+
 def _number_after(label, text):
     m = re.search(label + r": (\S+)", text)
     assert m, text
@@ -93,21 +113,48 @@ def _number_after(label, text):
 
 
 @settings(max_examples=150, **FUZZ)
-@given(flags=spec_flags(), points=st.integers(4, 8), junk=st.lists(st.sampled_from(JUNK_LINES),
-                                                                      max_size=1))
+@given(flags=spec_flags({"zmin": Z_VALUES, "zmax": Z_VALUES}), points=st.integers(4, 8),
+       junk=st.lists(st.sampled_from(JUNK_LINES), max_size=1))
 def test_solve(flags, points, junk, workdir):
     result = _run("solve", flags, ["--points", str(points), "--out", str(workdir / "w.csv")],
                   workdir, junk)
+    if _outside(flags, ("zmin", "zmax"), Z_WINDOW):
+        assert result is not None and result[0] == 2
     if result and result[0] == 1:
         assert _number_after("max masked residual", result[1]) > 1e-8
 
 
 @settings(max_examples=60, **FUZZ)
-@given(flags=spec_flags(), points=st.integers(4, 8))
+@given(flags=spec_flags({"xmin": X_VALUES, "xmax": X_VALUES}), points=st.integers(4, 8))
 def test_grid_potential(flags, points, workdir):
     result = _run("grid-potential", flags,
                   ["--points", str(points), "--out", str(workdir / "v.csv")], workdir)
+    if _outside(flags, ("xmin", "xmax"), X_WINDOW):
+        assert result is not None and result[0] == 2
     assert result is None or result[0] != 1
+
+
+# valid specs at corners of the domain (the 1F1 terms and x^-l are extreme there)
+CORNERS = [{"l": "50", "eps": "-100", "nu": "inf"}, {"l": "0", "eps": "0,100"},
+           {"l": "-0.5", "eps": "100", "nu": "0"}, {"l": "50", "eps": "0,-100", "k": "8"},
+           {"l": "1", "eps": "100", "k": "8"}]
+WINDOWS = {"solve": (("zmin", "zmax"), Z_VALUES, Z_WINDOW),
+           "grid-potential": (("xmin", "xmax"), X_VALUES, X_WINDOW)}
+
+
+@settings(max_examples=60, **FUZZ)
+@given(command=st.sampled_from(sorted(WINDOWS)), corner=st.sampled_from(CORNERS),
+       data=st.data())
+def test_window_at_domain_corners(command, corner, data, workdir):
+    # exit 2 exactly when a window flag lies outside its bounds, no traceback inside
+    names, values, window = WINDOWS[command]
+    flags = {name: ("argv", value) for name, value in corner.items()}
+    flags.update({name: ("argv", data.draw(st.sampled_from(values))) for name in names})
+    result = _run(command, flags, ["--mode=complex-over-real", "--points", "6",
+                                   "--out", str(workdir / "c.csv")], workdir)
+    outside = _outside(flags, names, window)
+    assert result is not None or not outside
+    assert result is None or (result[0] == 2) == outside, result
 
 
 @settings(max_examples=60, **FUZZ)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from susypv.hierarchies import closed_form_w, convention_sqrt, crosscheck, detect
+from susypv.hierarchies import HierarchyTag, closed_form_w, convention_sqrt, crosscheck, detect
 from susypv.oscillator import NU_INF, SeedSpec, e0
 
 
@@ -44,6 +44,12 @@ class TestDetect:
 
     def test_k_not_one_is_transcendent(self):
         assert detect(spec_nu(2.0, 0.75, 0.0, k=2)).family == "transcendent"
+
+    def test_nu_at_a_gamma_pole_is_transcendent(self):
+        # at l = 0, eps1 = 3/4 the nu mapping's gamma sits on its pole
+        # (GammaPoleError), so no (eps1, nu) condition can fire
+        spec = SeedSpec.from_lambda_kappa(0.0, 0.75, 0.0, 1.0)
+        assert detect(spec) == HierarchyTag("transcendent", {})
 
     def test_stable_under_nu_mixture_mapping(self):
         a = detect(spec_nu(2.0, 0.75, 0.0))

@@ -122,16 +122,14 @@ def test_chain_stack_jet_matches_mp(x):
 def test_ratio_jet_matches_mp(x):
     # psi_n^(2) ratio jet at order 12 against the 50-digit rebuild
     from susypv.oscillator import physical_eigenfunction
-    from susypv.susy import PartnerPotential, WronskianRatioState
+    from susypv.susy import PartnerPotential, transformed_state
 
     ell, eps, order = 1.0, -0.4, 12
     spec = SeedSpec.from_nu(ell, eps, 0.8, k=2)
     chain = seed_chain(spec)
     target = physical_eigenfunction(1, 1, ell)
-    state = WronskianRatioState(WronskianStack(chain + [target]),
-                                WronskianStack(chain), target.energy,
-                                PartnerPotential(chain))
-    got = derivs(state.ratio_jet(x, order))
+    state = transformed_state(PartnerPotential(chain), target)
+    got = derivs(state.taylor(x, order))
 
     mix = chain[0].mixture
     u1 = mp_seed_jet(ell, eps, mix, x, order + 2 + 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -27,7 +28,6 @@ from susypv.painleve import (
     permute_quartet,
     pv_params,
     pv_params_closed_form,
-    pv_params_exact,
     pv_residual,
     solution_from_quartet,
     solve,
@@ -40,7 +40,7 @@ from susypv.susy import (
     radial_oscillator_quartet,
 )
 
-from oracles import fd4_first, fd4_second, g_route_b
+from oracles import fd4_first, fd4_second, g_route_b, pv_params_exact
 
 
 class TestGFromQuartet:
@@ -49,7 +49,7 @@ class TestGFromQuartet:
         ell = 1.0
         f = physical_eigenfunction(4, 0, ell)
         g = physical_eigenfunction(3, 0, ell)
-        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell), ell)
+        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell))
         for x in (0.9, 2.2):
             g0, g1, g2 = g_from_quartet(q, x)
             assert abs(g0 - (-2.0 * x)) <= 1e-10 * abs(2 * x)
@@ -104,6 +104,21 @@ class TestParams:
         ref = pv_params_closed_form(2.0, 0.4, 2)
         for name in "abcd":
             assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-13
+
+    def test_fraction_alpha_route_matches_exact_oracle(self):
+        # exact on Fractions, for all 24 labels (the library permutes by the
+        # normalized label, the oracle by the label itself)
+        for ell, eps, k in ((F(0), F(-1, 2), 1), (F(5, 2), F(3, 4), 3), (F(1), F(7, 4), 4)):
+            ez = ell / 2 + F(3, 4)
+            energies = [eps + 1, 1 - ez, eps - (k - 1), ez]
+            for label in map("".join, itertools.permutations("1234")):
+                slots = [energies[int(ch) - 1] for ch in normalize_ordering(label)]
+                got = params_from_energies(*slots)
+                want = pv_params_exact(ell, (eps, F(0)), k, label)
+                for name in "abcd":
+                    value = getattr(got, name)
+                    assert isinstance(value, F), (label, name)
+                    assert (value, F(0)) == want[name], (ell, eps, k, label, name)
 
     def test_k1_table_row_1234(self):
         # k=1, eps=E0: 8a = (2l+3)^2, 8b = 0, 4c = -2l-1
@@ -163,7 +178,7 @@ class TestPermute:
 
 class TestPVResidual:
     def test_fabricated_rhs_gives_zero(self):
-        params = PVParams(0.3, -0.2, 0.1, -0.125, (0, 0, 0, 0))
+        params = PVParams(0.3, -0.2, 0.1, -0.125)
         w, wz, z = 0.7 + 0.2j, 0.1 - 0.3j, 2.0
         rhs = ((0.5 / w + 1.0 / (w - 1.0)) * wz * wz - wz / z
                + (w - 1.0) ** 2 / (z * z) * (params.a * w + params.b / w)
@@ -171,7 +186,7 @@ class TestPVResidual:
         assert pv_residual(w, wz, rhs, z, params) <= 1e-15
 
     def test_equation_singularity(self):
-        params = PVParams(0.3, -0.2, 0.1, -0.125, (0, 0, 0, 0))
+        params = PVParams(0.3, -0.2, 0.1, -0.125)
         with pytest.raises(EquationSingularityError):
             pv_residual(1.0 + 1e-12j, 0.1, 0.1, 2.0, params)
 
@@ -223,7 +238,7 @@ class TestWEval:
         ell = 1.0
         f = physical_eigenfunction(4, 0, ell)
         g = physical_eigenfunction(3, 0, ell)
-        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell), ell)
+        q = ExtremalQuartet((f, g, f, g), "1234", RadialPotential(ell))
         sol = solution_from_quartet(q, "1234")
         # w = 1 + x/(-2x) = 1/2 for all z; constant, hence degenerate
         assert sol.classification == "w==const"

@@ -17,7 +17,6 @@ from susypv.susy import (
     SingularEvaluationError,
     WronskianStack,
     extremal_quartet,
-    partner_potential,
     radial_oscillator_quartet,
     transformed_state,
     wronskian,
@@ -36,7 +35,7 @@ from oracles import (
 def vk_residual(state, potential, energy, x):
     """Schrodinger residual of a ratio state, second derivative taken from
     the Wronskian ratio itself (independent of the ODE closure)."""
-    r = derivs(state.ratio_jet(x, 2))
+    r = derivs(state.taylor(x, 2))
     res = -0.5 * r[2] + (potential(x) - energy) * r[0]
     return abs(res) / max(abs(r[0]), abs(r[2]), 1e-300)
 
@@ -131,12 +130,6 @@ class TestPartnerPotential:
             ref = x * x / 8 + ell * (ell + 1) / (2 * x * x) + (ell + 1) / (x * x) + 0.5
             assert abs(vp(x) - ref) <= 1e-10 * abs(ref)
 
-    def test_module_level_wrapper(self):
-        spec = SeedSpec.from_nu(2.0, 0.5, 1.0, k=1)
-        v = partner_potential(spec, 1.3)
-        vp = PartnerPotential(seed_chain(spec))
-        assert v == vp(1.3)
-
     def test_figure_regime_smooth(self):
         # k=1, l=2, eps=1/2 with the three plotted nu values, all above the
         # bound (~-0.6027): W nodeless, V_1 finite on (0, 8]
@@ -169,7 +162,7 @@ class TestPartnerPotential:
 class TestTransformedState:
     def test_empty_chain_is_identity(self):
         tgt = physical_eigenfunction(1, 1, 1.0)
-        ts = transformed_state([], tgt)
+        ts = transformed_state(PartnerPotential([], ell=1.0), tgt)
         for x in (0.8, 1.9, 3.2):
             v, d = ts.value_and_derivative(x)
             rv, rd = tgt.value_and_derivative(x)
@@ -180,7 +173,7 @@ class TestTransformedState:
         ell = 1.0
         u1 = physical_eigenfunction(1, 0, ell)
         tgt = physical_eigenfunction(2, 0, ell)
-        ts = transformed_state([u1], tgt)
+        ts = transformed_state(PartnerPotential([u1]), tgt)
         for x in (0.8, 1.3, 2.5):
             ref = -(2 * ell + 1) * math.exp(-x * x / 2) / (x ** (ell + 1)
                                                            * math.exp(-x * x / 4))
@@ -196,12 +189,32 @@ class TestTransformedState:
         rng = np.random.default_rng(9)
         for _ in range(3):
             tgt = physical_eigenfunction(1, int(rng.integers(0, 4)), 1.0)
-            ts = transformed_state(chain, tgt, vk)
+            ts = transformed_state(vk, tgt)
             for x in (0.7, 1.2, 2.0, 3.1, 4.2):
                 assert vk_residual(ts, vk, tgt.energy, x) <= 1e-8
 
 
+    def test_chain_member_image_is_zero(self):
+        # W(u_1..u_k, u_j) has a repeated column, so it vanishes identically
+        for k in (1, 3):
+            chain = seed_chain(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+            vk = PartnerPotential(chain)
+            for u in chain:
+                assert transformed_state(vk, u).is_zero(), (k, u.energy)
+
+    def test_target_must_share_ell(self):
+        for chain in ([], seed_chain(SeedSpec.from_nu(1.0, -0.2, 0.8, k=2))):
+            with pytest.raises(ValueError):
+                transformed_state(PartnerPotential(chain, ell=1.0),
+                                  physical_eigenfunction(1, 0, 2.0))
+
+
 class TestExtremalQuartet:
+    def test_generic_quartet_states_are_not_zero(self):
+        for k in (1, 3):
+            q = extremal_quartet(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+            assert not any(state.is_zero() for state in q.states), k
+
     def test_k1_energies(self):
         spec = SeedSpec.from_nu(1.0, 0.3, 0.7, k=1)
         q = extremal_quartet(spec)
