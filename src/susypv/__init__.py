@@ -45,7 +45,6 @@ from .susy import (
     extremal_quartet,
     radial_oscillator_quartet,
     transformed_state,
-    wronskian,
 )
 from .hierarchies import HierarchyTag, crosscheck, detect
 from .specialfunctions import (

@@ -58,10 +58,6 @@ class HierarchyReport:
     residual_ordering: str
     form_results: list[FormMatch] = field(default_factory=list)
 
-    @property
-    def matched_forms(self) -> list[FormMatch]:
-        return [f for f in self.form_results if f.matched]
-
 
 def _is_int(x: float) -> int | None:
     n = round(x)

@@ -29,7 +29,8 @@ from .oscillator import (
     physical_eigenfunction,
     seed_chain,
 )
-from .susy import PartnerPotential, WronskianRatioState, WronskianStack, transformed_state
+from .susy import (PartnerPotential, SingularEvaluationError, WronskianRatioState,
+                   WronskianStack, transformed_state)
 
 __all__ = [
     "AtomA",
@@ -217,9 +218,6 @@ class SusyLadder:
     def atom_a_minus(self, j: int) -> AtomFirstOrder:
         return AtomFirstOrder(self.potentials[j].stack, self.potentials[j - 1].stack, -1)
 
-    def hamiltonian(self, level: int, shift: complex = 0.0) -> AtomH:
-        return AtomH(self.potentials[level], shift)
-
     def ladder_image(self, state, energy: complex, up: bool):
         """L^+/- = B_k^+ b^+/- B_k^- as a state pipeline; returns (image, energy')."""
         cur = state
@@ -236,10 +234,6 @@ class SusyLadder:
         """L_k^+ L_k^- state: the lowering pipeline, then the raising one."""
         down, e_down = self.ladder_image(state, energy, up=False)
         return self.ladder_image(down, e_down, up=True)[0]
-
-    def transformed_eigenstate(self, n: int) -> WronskianRatioState:
-        return transformed_state(self.potentials[self.spec.k],
-                                 physical_eigenfunction(1, n, self.spec.ell))
 
     def new_level_state(self, j: int) -> WronskianRatioState:
         """W(chain without u_j) / W(chain); without u_k the numerator is V_{k-1}'s prefix."""
@@ -262,7 +256,8 @@ class CheckReport:
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
-        return f"{flag} {self.name}: max_error={self.max_error:.3e} tol={self.tolerance:.0e}"
+        text = f"{flag} {self.name}: max_error={self.max_error:.3e} tol={self.tolerance:.0e}"
+        return text + (f" ({self.details['error']})" if "error" in self.details else "")
 
 
 def default_test_seeds(ell: float) -> list[SeedSolution]:
@@ -281,53 +276,37 @@ def _rel_scale(provider, x: float, applied: complex) -> float:
     return max(abs(series[0]), abs(2.0 * series[2]), abs(applied), 1e-300)
 
 
-def _worst(seeds, defect) -> float:
-    """Largest defect over the seeds and sample points, relative to _rel_scale.
-
-    defect(f, x) returns (left-hand value, |left-hand - right-hand|).
-    """
+def _identity_check(name: str, tolerance: float, ell: float, pairs) -> CheckReport:
+    """Worst |lhs f - rhs f| / _rel_scale over (lhs, rhs) pairs, seeds and sample points."""
+    seeds = default_test_seeds(ell)
     worst = 0.0
-    for f in seeds:
-        for x in _SAMPLE_XS:
-            lv, err = defect(f, x)
-            worst = max(worst, err / _rel_scale(f, x, lv))
-    return worst
-
-
-def _identity(lhs: OperatorChain, rhs: OperatorChain):
-    """defect for _worst of the operator identity lhs = rhs."""
-    def defect(f, x):
-        lv = lhs(f, x)
-        return lv, abs(lv - rhs(f, x))
-    return defect
+    try:
+        for lhs, rhs in pairs:
+            for f in seeds:
+                for x in _SAMPLE_XS:
+                    lv = lhs(f, x)
+                    worst = max(worst, abs(lv - rhs(f, x)) / _rel_scale(f, x, lv))
+    except SingularEvaluationError as exc:
+        return CheckReport(name, math.inf, tolerance, {"error": str(exc)})
+    return CheckReport(name, worst, tolerance)
 
 
 def check_intertwining(ladder: SusyLadder) -> CheckReport:
     """H_j A_j^+ = A_j^+ H_{j-1} at every step of the ladder."""
-    seeds = default_test_seeds(ladder.spec.ell)
-    worst = 0.0
-    for j in range(1, ladder.spec.k + 1):
-        left = OperatorChain([ladder.hamiltonian(j), ladder.atom_a_plus(j)])
-        right = OperatorChain([ladder.atom_a_plus(j), ladder.hamiltonian(j - 1)])
-        worst = max(worst, _worst(seeds, _identity(left, right)))
-    return CheckReport(f"intertwining k={ladder.spec.k}", worst, _TOLS["intertwining"])
+    pairs = [(OperatorChain([AtomH(ladder.potentials[j]), ladder.atom_a_plus(j)]),
+              OperatorChain([ladder.atom_a_plus(j), AtomH(ladder.potentials[j - 1])]))
+             for j in range(1, ladder.spec.k + 1)]
+    return _identity_check(f"intertwining k={ladder.spec.k}", _TOLS["intertwining"],
+                           ladder.spec.ell, pairs)
 
 
 def check_commutator(ell: float) -> CheckReport:
-    """[H, b^+/-] = +/- b^+/- on generic seeds."""
-    h = AtomH(RadialPotential(ell))
-    seeds = default_test_seeds(ell)
-    worst = 0.0
-    for sign in (+1, -1):
-        b = AtomB(ell, sign)
-        hb, bh, bb = OperatorChain([h, b]), OperatorChain([b, h]), OperatorChain([b])
-
-        def defect(f, x):
-            v = hb(f, x)
-            return v, abs(v - bh(f, x) - sign * bb(f, x))
-
-        worst = max(worst, _worst(seeds, defect))
-    return CheckReport(f"commutator [H,b+/-] l={ell:g}", worst, _TOLS["commutator"])
+    """[H, b^+/-] = +/- b^+/-, as H b^+/- = b^+/- (H +/- 1), on generic seeds."""
+    pot = RadialPotential(ell)
+    pairs = [(OperatorChain([AtomH(pot), AtomB(ell, sign)]),
+              OperatorChain([AtomB(ell, sign), AtomH(pot, shift=-sign)]))
+             for sign in (+1, -1)]
+    return _identity_check(f"commutator [H,b+/-] l={ell:g}", _TOLS["commutator"], ell, pairs)
 
 
 def check_factorization(ladder: SusyLadder) -> CheckReport:
@@ -335,23 +314,17 @@ def check_factorization(ladder: SusyLadder) -> CheckReport:
     spec = ladder.spec
     lhs = OperatorChain([ladder.atom_a_minus(j) for j in range(1, spec.k + 1)]
                         + [ladder.atom_a_plus(j) for j in range(spec.k, 0, -1)])
-    rhs = OperatorChain([ladder.hamiltonian(0, shift=spec.eps1 - i) for i in range(spec.k)])
-    worst = _worst(default_test_seeds(spec.ell), _identity(lhs, rhs))
-    return CheckReport(f"factorization Bk-Bk+ k={spec.k}", worst, _TOLS["factorization"])
+    rhs = OperatorChain([AtomH(ladder.potentials[0], spec.eps1 - i) for i in range(spec.k)])
+    return _identity_check(f"factorization Bk-Bk+ k={spec.k}", _TOLS["factorization"],
+                           spec.ell, [(lhs, rhs)])
 
 
 def check_shift_identities(ell: float) -> CheckReport:
     """b^- = a^-_{-(l+1)} a^-_{l+1} = a^-_l a^-_{-l} pointwise."""
     b = OperatorChain([AtomB(ell, -1)])
-    alt1 = OperatorChain([AtomA(-(ell + 1.0), -1), AtomA(ell + 1.0, -1)])
-    alt2 = OperatorChain([AtomA(ell, -1), AtomA(-ell, -1)])
-
-    def defect(f, x):
-        v = b(f, x)
-        return v, max(abs(v - alt1(f, x)), abs(v - alt2(f, x)))
-
-    worst = _worst(default_test_seeds(ell), defect)
-    return CheckReport(f"shift-operator factorizations l={ell:g}", worst, _TOLS["shift"])
+    pairs = [(b, OperatorChain([AtomA(-(ell + 1.0), -1), AtomA(ell + 1.0, -1)])),
+             (b, OperatorChain([AtomA(ell, -1), AtomA(-ell, -1)]))]
+    return _identity_check(f"shift-operator factorizations l={ell:g}", _TOLS["shift"], ell, pairs)
 
 
 def check_ladder_polynomial(ell: float) -> CheckReport:
@@ -359,8 +332,8 @@ def check_ladder_polynomial(ell: float) -> CheckReport:
     pot = RadialPotential(ell)
     lhs = OperatorChain([AtomB(ell, +1), AtomB(ell, -1)])
     rhs = OperatorChain([AtomH(pot, shift=e0(ell)), AtomH(pot, shift=1.0 - e0(ell))])
-    worst = _worst(default_test_seeds(ell), _identity(lhs, rhs))
-    return CheckReport(f"number operator b+b- l={ell:g}", worst, _TOLS["ladder-polynomial"])
+    return _identity_check(f"number operator b+b- l={ell:g}", _TOLS["ladder-polynomial"], ell,
+                           [(lhs, rhs)])
 
 
 def natural_eigenvalue(spec: SeedSpec, n: int) -> complex:
@@ -380,6 +353,27 @@ def reduced_quartic(spec: SeedSpec, n: int) -> complex:
     return n * (n + 2.0 * ez - 1.0) * (n + ez - spec.eps1 - 1.0) * (n + ez - eps_k)
 
 
+def _eigen_check(name: str, tolerance: float, ladder: SusyLadder, cases):
+    """Worst |L_k^+ L_k^- s - lam s| / max(_rel_scale, |lam s|) over (s, energy, lam) cases.
+
+    Also returns the measured eigenvalues (L_k^+ L_k^- s)/s of the cases with lam != 0.
+    """
+    worst, measured = 0.0, []
+    try:
+        for state, energy, lam in cases:
+            image = ladder.number_image(state, energy)
+            for x in _SAMPLE_XS:
+                applied = complex(image.value_and_derivative(x)[0])
+                val = complex(state.taylor(x, 0)[0])
+                scale = max(_rel_scale(state, x, applied), abs(lam * val))
+                worst = max(worst, abs(applied - lam * val) / scale)
+                if lam:
+                    measured.append(applied / val)
+    except SingularEvaluationError as exc:
+        return CheckReport(name, math.inf, tolerance, {"error": str(exc)}), []
+    return CheckReport(name, worst, tolerance), measured
+
+
 def check_number_operator(ladder: SusyLadder, n: int) -> CheckReport:
     """L_k^+ L_k^- on psi_n^(k), against the spectral polynomial.
 
@@ -388,44 +382,28 @@ def check_number_operator(ladder: SusyLadder, n: int) -> CheckReport:
     content of the ladder-reduction theorem.
     """
     spec = ladder.spec
-    state = ladder.transformed_eigenstate(n)
-    en = e0(spec.ell) + n
-    result = ladder.number_image(state, en)
     lam = natural_eigenvalue(spec, n)
-    worst = 0.0
-    measured = []
-    for x in _SAMPLE_XS:
-        applied = complex(result.value_and_derivative(x)[0])
-        val = complex(state.taylor(x, 0)[0])
-        scale = _rel_scale(state, x, applied)
-        if abs(lam) < 1e-12:
-            worst = max(worst, abs(applied) / scale)
-        else:
-            measured.append(applied / val)
-            worst = max(worst, abs(applied - lam * val) / max(scale, abs(lam * val)))
-    details = {"eigenvalue": lam}
-    if measured and abs(lam) >= 1e-12:
-        pk = 1.0 + 0.0j
-        for i in range(spec.k - 1):
-            pk *= en - (spec.eps1 - i)
+    en = e0(spec.ell) + n
+    state = transformed_state(ladder.potentials[spec.k], physical_eigenfunction(1, n, spec.ell))
+    case = (state, en, lam if abs(lam) >= 1e-12 else 0.0)
+    report, measured = _eigen_check(f"number operator L+L- k={spec.k} n={n}", _TOLS["number"],
+                                    ladder, [case])
+    report.details["eigenvalue"] = lam
+    if measured:
+        pk = math.prod(en - (spec.eps1 - i) for i in range(spec.k - 1))
         quartic = reduced_quartic(spec, n)
-        ratio_errs = [abs(m / (pk * pk) - quartic) / max(1.0, abs(quartic)) for m in measured]
-        details["quartic"] = quartic
-        details["quartic_error"] = max(ratio_errs)
-        worst = max(worst, max(ratio_errs))
-    return CheckReport(f"number operator L+L- k={spec.k} n={n}", worst, _TOLS["number"], details)
+        err = max(abs(m / (pk * pk) - quartic) / max(1.0, abs(quartic)) for m in measured)
+        report.details.update(quartic=quartic, quartic_error=err)
+        report.max_error = max(report.max_error, err)
+    return report
 
 
 def check_new_level_annihilation(ladder: SusyLadder) -> CheckReport:
     """L_k^+ L_k^- annihilates the new-level states psi_eps_j^(k)."""
-    worst = 0.0
-    for j in range(1, ladder.spec.k + 1):
-        state = ladder.new_level_state(j)
-        result = ladder.number_image(state, complex(ladder.chain[j - 1].energy))
-        for x in _SAMPLE_XS:
-            applied = complex(result.value_and_derivative(x)[0])
-            worst = max(worst, abs(applied) / _rel_scale(state, x, applied))
-    return CheckReport(f"new-level annihilation k={ladder.spec.k}", worst, _TOLS["annihilation"])
+    cases = [(ladder.new_level_state(j), complex(ladder.chain[j - 1].energy), 0.0)
+             for j in range(1, ladder.spec.k + 1)]
+    return _eigen_check(f"new-level annihilation k={ladder.spec.k}", _TOLS["annihilation"],
+                        ladder, cases)[0]
 
 
 def run_all_checks(specs: list[SeedSpec] | None = None,

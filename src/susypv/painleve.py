@@ -57,10 +57,9 @@ class EquationSingularityError(ArithmeticError):
 class DegenerateOutputError(RuntimeError):
     """The requested ordering yields a degenerate w (constant or infinite)."""
 
-    def __init__(self, classification: str, solution=None):
+    def __init__(self, classification: str):
         super().__init__(f"degenerate PV output: {classification}")
         self.classification = classification
-        self.solution = solution
 
 
 class PoleError(ArithmeticError):
@@ -372,5 +371,5 @@ def solve(spec: SeedSpec, allow_degenerate: bool = False) -> PVSolution:
                 raise AssertionError(
                     f"alpha-route {name}={got} disagrees with closed form {want}")
     if sol.classification != "generic" and not allow_degenerate:
-        raise DegenerateOutputError(sol.classification, sol)
+        raise DegenerateOutputError(sol.classification)
     return sol

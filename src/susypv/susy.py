@@ -6,8 +6,8 @@ determinant, by series LU in extended precision: series coefficients
 track the function's own analytic scale, so cancellations stay benign
 where the row multi-index (Leibniz) expansion of W^(n) would lose most of
 its digits (the tests keep that expansion as the reference). Derivatives
-come back out only in ``wronskian`` and ``PartnerPotential.deriv_jet``,
-because a potential feeds the ODE closure.
+come back out only in ``PartnerPotential.deriv_jet``, because a potential
+feeds the ODE closure.
 
 States of a transformed Hamiltonian are Wronskian ratios
 (``WronskianRatioState``), built by Darboux-Crum transformations (Crum,
@@ -41,7 +41,6 @@ from .oscillator import (
 __all__ = [
     "SingularEvaluationError",
     "WronskianStack",
-    "wronskian",
     "PartnerPotential",
     "WronskianRatioState",
     "transformed_state",
@@ -82,6 +81,13 @@ class WronskianStack:
         out = self._taylor_det(x, order).astype(complex)
         self._jet_cache[x] = out
         return out
+
+    def nonsingular_jet(self, x: float, order: int) -> np.ndarray:
+        """jet(x, order), or SingularEvaluationError where |W| < 1e-13 row_scale(x)."""
+        tw = self.jet(x, order)
+        if abs(tw[0]) < 1e-13 * self.row_scale(x):
+            raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
+        return tw
 
     def _taylor_det(self, x: float, order: int) -> np.ndarray:
         """Taylor series of W at x, through `order`, by series LU.
@@ -153,13 +159,6 @@ def _valuation(series: np.ndarray) -> int:
     return int(nonzero[0]) if nonzero.size else len(series)
 
 
-def wronskian(stack: WronskianStack, x: float, deriv_order: int = 0) -> complex:
-    """W(u_1,...,u_m) or its first/second derivative at x, from the stack's series."""
-    if deriv_order not in (0, 1, 2):
-        raise ValueError("deriv_order must be 0, 1 or 2")
-    return complex(stack.jet(x, deriv_order)[deriv_order]) * math.factorial(deriv_order)
-
-
 class PartnerPotential:
     """V_k(x) = V0(x) - (ln W(u_1,...,u_k))'' and its derivatives.
 
@@ -178,9 +177,7 @@ class PartnerPotential:
     def deriv_jet(self, x: float, order: int) -> np.ndarray:
         if self.k == 0:
             return self.base.deriv_jet(x, order)
-        tw = self.stack.jet(x, order + 2)
-        if abs(tw[0]) < 1e-13 * self.stack.row_scale(x):
-            raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
+        tw = self.stack.nonsingular_jet(x, order + 2)
         logd = series_div(series_diff(tw), tw, order + 1)  # (ln W)' as a series
         lw2 = jet_from_taylor(series_diff(logd))           # (ln W)'' as derivatives
         return self.base.deriv_jet(x, order) - lw2
@@ -206,10 +203,7 @@ class WronskianRatioState:
     def taylor(self, x: float, order: int) -> np.ndarray:
         """Taylor coefficients of num/den at x, through `order`."""
         f = self.num.jet(x, order)
-        g = self.den.jet(x, order)
-        if abs(g[0]) < 1e-13 * self.den.row_scale(x):
-            raise SingularEvaluationError(f"denominator Wronskian vanishes near x={x}")
-        return series_div(f, g, order)
+        return series_div(f, self.den.nonsingular_jet(x, order), order)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         r = self.taylor(x, 1)

@@ -9,7 +9,8 @@ ODE-closure jets rather than restate them. The Leibniz jet calculus
 Wronskian (``term_maps``, ``leibniz_wronskian_jet``), ``g_route_b`` and
 the exact-complex alpha route ``pv_params_exact`` are second routes that
 the tests hold the library's series arithmetic, series-LU Wronskian, g and
-``params_from_energies`` against.
+``params_from_energies`` against. ``wronskian`` reads W, W' or W'' off a
+stack's series, for tests that compare derivative values.
 """
 
 import math
@@ -134,6 +135,13 @@ def seed_branch_jet2(ell, eps, x):
 def derivs(series):
     """Derivative values f^(n) = n! c_n from Taylor coefficients c_n."""
     return np.asarray(series) * np.array([math.factorial(n) for n in range(len(series))])
+
+
+def wronskian(stack, x, deriv_order=0):
+    """W(u_1,...,u_m) or its first/second derivative at x, from the stack's series."""
+    if deriv_order not in (0, 1, 2):
+        raise ValueError("deriv_order must be 0, 1 or 2")
+    return complex(stack.jet(x, deriv_order)[deriv_order]) * math.factorial(deriv_order)
 
 
 def jet_mul(f, g, order=None):

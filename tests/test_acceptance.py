@@ -463,11 +463,11 @@ def test_criterion_6_hierarchies():
     notes = []
     # polynomial and exponential must match the machinery
     rep = crosscheck(SeedSpec.from_nu(2.0, 0.75, 0.0))
-    assert rep.matched_forms and rep.matched_forms[0].error <= 1e-9
-    notes.append(f"polynomial matched ({rep.matched_forms[0].convention}, "
-                 f"{rep.matched_forms[0].error:.1e})")
+    matched = [f for f in rep.form_results if f.matched]
+    assert matched and matched[0].error <= 1e-9
+    notes.append(f"polynomial matched ({matched[0].convention}, {matched[0].error:.1e})")
     rep = crosscheck(SeedSpec.from_nu(0.5, 0.0, NU_INF, mode="complex-over-real"))
-    matched = [f for f in rep.matched_forms]
+    matched = [f for f in rep.form_results if f.matched]
     assert matched and min(f.error for f in matched) <= 1e-9
     assert rep.machinery_residual <= 1e-8
     notes.append(f"exponential form {matched[0].form} matched "

@@ -220,6 +220,18 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["all_passed"] is True
 
+    def test_singular_wronskian_ends_in_fail_lines(self, capsys):
+        # at k = 8 the chain Wronskian has a node at a sample point: the checks
+        # that meet it report FAIL with max_error=inf and the error text
+        assert run(["verify", "--k", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.splitlines()
+        assert sum(line.startswith("FAIL ") for line in lines) == 6
+        assert sum(line.startswith("PASS ") for line in lines) == 9
+        singular = [line for line in lines if "max_error=inf" in line]
+        assert len(singular) == 5 and all("W vanishes near x=" in line for line in singular)
+
 
 class TestHierarchyCommand:
     def test_polynomial(self, capsys):

@@ -8,10 +8,12 @@ The exit must be 0, 1, 2 or 3 with no uncaught exception, and exit 1 only
 where the command documents it: a residual above the tolerance (solve,
 hierarchy), a failing row (table) or a FAIL line (verify).
 
-The one expected failure is ROADMAP item 3: at k >= 5 the zero tests of
-the Wronskian machinery, which compare |W| with 1e-13 of its row scale,
-can raise SingularEvaluationError. The fuzz lets it pass at k >= 5 only,
-and test_known_k5_failure keeps one reproduction as a strict xfail.
+The one expected failure is ROADMAP item 3: at k >= 5 the zero test of
+the Wronskian machinery, which compares |W| with 1e-13 of its row scale,
+can raise SingularEvaluationError from solve, hierarchy and
+grid-potential. The fuzz lets it pass there at k >= 5 only, and
+test_known_k5_failure keeps one reproduction as a strict xfail. verify
+reports it as FAIL lines, and its fuzz tolerates nothing.
 """
 
 import contextlib
@@ -182,11 +184,11 @@ def test_table(which, ell, points):
        check=st.sampled_from([None, "intertwining", "shift", "commutator", "factorization",
                               "annihilation", "ladder-polynomial", "nosuch", ""]))
 def test_verify(k, check):
-    flags = {} if k is None else {"k": ("argv", k)}
-    extra = [] if check is None else [f"--check={check}"]
-    result = _run("verify", flags, extra, None)
-    if result and result[0] == 1:
-        assert "FAIL " in result[1]
+    # a singular Wronskian is a FAIL line here, so nothing is tolerated
+    code, out = _invoke(["verify"] + [f"--{name}={value}" for name, value
+                                      in (("k", k), ("check", check)) if value is not None])
+    if code == 1:
+        assert "FAIL " in out
 
 
 @pytest.mark.xfail(raises=SingularEvaluationError, strict=True,

@@ -82,15 +82,16 @@ class TestCrosscheck:
     def test_polynomial_matches(self):
         rep = crosscheck(spec_nu(2.0, 0.75, 0.0))
         assert rep.machinery_residual <= 1e-8
-        assert rep.matched_forms, "polynomial form must match under a convention"
-        best = rep.matched_forms[0]
+        matched = [f for f in rep.form_results if f.matched]
+        assert matched, "polynomial form must match under a convention"
+        best = matched[0]
         assert best.convention == "sqrt"
         assert best.error <= 1e-9
 
     def test_exponential_matches(self):
         rep = crosscheck(spec_nu(0.5, 0.0, NU_INF))
         assert rep.machinery_residual <= 1e-8
-        matched = rep.matched_forms
+        matched = [f for f in rep.form_results if f.matched]
         assert any(f.form == 1 for f in matched)
         # the first printed form matches under neither convention; the
         # report must say so rather than stay silent

@@ -19,7 +19,6 @@ from susypv.susy import (
     extremal_quartet,
     radial_oscillator_quartet,
     transformed_state,
-    wronskian,
 )
 
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     fd4_second,
     fd_schrodinger_residual,
     leibniz_wronskian_jet,
+    wronskian,
 )
 
 
