@@ -130,10 +130,10 @@ class AtomFirstOrder(_Atom):
         self.sign = int(sign)
 
     def _w_jet(self, x: float, n: int) -> np.ndarray:
-        whi = self.hi.jet(x, n + 1)
+        whi = self.hi.nonsingular_jet(x, n + 1)
         out = series_div(series_diff(whi), whi, n)
         if self.lo.size:
-            wlo = self.lo.jet(x, n + 1)
+            wlo = self.lo.nonsingular_jet(x, n + 1)
             out = out - series_div(series_diff(wlo), wlo, n)
         return out
 

@@ -18,6 +18,7 @@ import numpy as np
 from .jets import binom, taylor_from_jet
 from .specialfunctions import (
     GammaPoleError,
+    _as_nonpositive_int,
     gamma,
     kummer_1f1,
     kummer_1f1_dx,
@@ -49,8 +50,6 @@ __all__ = [
 
 NU_INF = math.inf
 K_MAX, ELL_MAX, EPS1_MAX = 8, 50.0, 100.0  # bounds of the SeedSpec domain
-
-_PROBE_XS = (0.6, 1.1, 1.9, 3.0, 4.4)
 
 
 class DomainError(ValueError):
@@ -154,8 +153,9 @@ class SeedSpec:
     is a finite double. At half-odd l the branches are never mixed, and
     branch 1 (mu1 != 0) needs 1F1(a1, b1) defined. mode is real-physical
     (real eps1 < E0, real mixture, nu >= nu_lower_bound), complex-over-real
-    or fully-complex; ordering is a permutation of 1234. Only evaluation
-    finds an annihilated chain or a degenerate w.
+    or fully-complex; ordering is a permutation of 1234. No member of the
+    seed chain u_1..u_k is identically zero (ChainAnnihilationError; the
+    rule is exact). Only evaluation finds a degenerate w.
     """
 
     ell: float
@@ -186,6 +186,16 @@ class SeedSpec:
                     raise SeedSpecError(
                         f"nu={complex(nu).real:.6g} below the non-singularity bound {bound:.6g}")
         check_ordering(self.ordering)
+        # b^- maps branch j at E to a_j(E) branch j at E - 1 (DLMF 13.3) and
+        # a_j(E - 1) = a_j(E) + 1, so u_{i+1} = mu1 (a1)_i branch1 + mu2 (a2)_i branch2
+        # (rising factorials): branch j is in u_1..u_last, last = 0 if mu_j = 0,
+        # n + 1 if a_j = -n, else inf
+        a1, _, a2, _ = _branch_parameters(self.ell, complex(self.eps1))
+        last = max(0 if mu == 0 else math.inf if n is None else n + 1
+                   for mu, n in zip(self.mixture, map(_as_nonpositive_int, (a1, a2))))
+        if last < self.k:
+            raise ChainAnnihilationError(
+                f"seed chain member u_{last + 1} of k={self.k} is identically zero")
 
     @staticmethod
     def from_nu(ell: float, eps1: complex, nu: complex, k: int = 1,
@@ -228,7 +238,6 @@ class SchrodingerSolution:
         self.energy = complex(energy)
         self.potential = potential if potential is not None else RadialPotential(ell)
         self._jet_cache: dict[float, np.ndarray] = {}
-        self._zero: bool | None = None
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         raise NotImplementedError
@@ -263,14 +272,6 @@ class SchrodingerSolution:
 
     def __call__(self, x: float) -> complex:
         return complex(self.jet_values(x, 0)[0])
-
-    def is_zero(self) -> bool:
-        """Identically-zero detection (ladder annihilation) on probe points."""
-        if self._zero is None:
-            mags = [abs(u) + abs(du)
-                    for u, du in map(self.value_and_derivative, _PROBE_XS)]
-            self._zero = max(mags) < 1e-200 or all(m < 1e-14 * (1.0 + max(mags)) for m in mags)
-        return self._zero
 
 
 class SeedSolution(SchrodingerSolution):
@@ -341,18 +342,6 @@ class _LadderedSolution(SchrodingerSolution):
         dv = 0.5 * (u[3] + s * (u[1] + x * u[2]) + p * u[1] + dp * u[0])
         return v, dv
 
-    def is_zero(self) -> bool:
-        # Annihilation leaves only cancellation dust; compare to the parent's scale.
-        if self._zero is None:
-            ratios = []
-            for x in _PROBE_XS:
-                v, dv = self.value_and_derivative(x)
-                pj = self._parent.jet_values(x, 2)
-                scale = max(abs(pj[0]), abs(pj[1]), abs(pj[2]), 1e-300)
-                ratios.append((abs(v) + abs(dv)) / scale)
-            self._zero = max(ratios) < 1e-12
-        return self._zero
-
 
 def _nu_coefficient(ell: float, eps: complex) -> complex:
     """G((3+2l-4e)/4)/G((3+2l)/2), the factor between nu and mu2/mu1."""
@@ -385,7 +374,7 @@ def nu_lower_bound(ell: float, eps: float) -> float:
     """
     num = gamma((1.0 - 2.0 * ell) / 2.0)  # may raise GammaPoleError
     arg = (1.0 - 2.0 * ell - 4.0 * float(eps)) / 4.0
-    if abs(arg - round(arg)) < 1e-12 and round(arg) <= 0:
+    if _as_nonpositive_int(arg) is not None:
         return 0.0
     return float((-num / gamma(arg)).real)
 
@@ -406,16 +395,13 @@ def apply_b_plus(sol: SchrodingerSolution) -> SchrodingerSolution:
 
 
 def seed_chain(spec: SeedSpec) -> list[SchrodingerSolution]:
-    """Connected chain u_i = (b^-)^(i-1) u_1 with energies eps1 - (i-1)."""
+    """Connected chain u_i = (b^-)^(i-1) u_1 with energies eps1 - (i-1).
+
+    No member is identically zero: SeedSpec rules that out.
+    """
     chain: list[SchrodingerSolution] = [make_seed(spec)]
     for _ in range(spec.k - 1):
-        nxt = apply_b_minus(chain[-1])
-        if nxt.is_zero():
-            raise ChainAnnihilationError(
-                f"b^- annihilates chain member {len(chain)} (degenerate seed)")
-        chain.append(nxt)
-    if chain[0].is_zero():
-        raise ChainAnnihilationError("seed solution is identically zero")
+        chain.append(apply_b_minus(chain[-1]))
     return chain
 
 

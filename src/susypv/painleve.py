@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .oscillator import SeedSpec, check_ordering, check_positive
-from .susy import ExtremalQuartet, SingularEvaluationError, extremal_quartet
+from .susy import ExtremalQuartet, SingularEvaluationError, WronskianRatioState, extremal_quartet
 
 __all__ = [
     "EquationSingularityError",
@@ -315,13 +315,15 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
     """generic | w==1 | w==inf | w==0-shift | w==const.
 
     A zero state in slot 3/4 means W == 0, i.e. g = infinity and w == 1.
-    Otherwise constancy and blow-up are detected on a geometric sample of
-    the window (constants other than 0 or 1 only arise from quartets with
-    coincident extremal data; they are excluded from the residual suite
-    like the other degenerate outputs).
+    Only Wronskian ratio states are asked (is_zero, a sampled test): the
+    closed-form and perp states of radial_oscillator_quartet are never
+    zero. Otherwise constancy and blow-up are detected on a geometric
+    sample of the window (constants other than 0 or 1 only arise from
+    quartets with coincident extremal data; they are excluded from the
+    residual suite like the other degenerate outputs).
     """
     s3, s4 = quartet.pair_34()
-    if s3.is_zero() or s4.is_zero():
+    if any(isinstance(s, WronskianRatioState) and s.is_zero() for s in (s3, s4)):
         return "w==1"
     zs = np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES)
     ws = []

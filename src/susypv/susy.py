@@ -236,9 +236,9 @@ def transformed_state(potential: PartnerPotential,
 class ExtremalQuartet:
     """Four states in a chosen ordering, plus their potential.
 
-    states expose value_and_derivative(x) and is_zero(); all four are
-    formal eigenfunctions of the Hamiltonian with potential `potential`,
-    and energies holds their energies in slot order.
+    states expose value_and_derivative(x), ratio states also is_zero(); all
+    four are formal eigenfunctions of the Hamiltonian with potential
+    `potential`, and energies holds their energies in slot order.
     """
 
     states: tuple

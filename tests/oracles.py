@@ -9,7 +9,9 @@ ODE-closure jets rather than restate them. The Leibniz jet calculus
 Wronskian (``term_maps``, ``leibniz_wronskian_jet``), ``g_route_b`` and
 the exact-complex alpha route ``pv_params_exact`` are second routes that
 the tests hold the library's series arithmetic, series-LU Wronskian, g and
-``params_from_energies`` against. ``wronskian`` reads W, W' or W'' off a
+``params_from_energies`` against. ``mp_w`` rebuilds a spec's w(z) end to end
+in mpmath (seed chain, Wronskians, g): the forward-error reference for
+the library's w. ``wronskian`` reads W, W' or W'' off a
 stack's series, for tests that compare derivative values.
 """
 
@@ -33,6 +35,112 @@ def mp_hyp1f1(a, b, x, max_terms=300):
         if abs(term) < mp.mpf(10) ** (-45) * max(abs(total), 1):
             break
     return total
+
+
+def mp_closure_jet(ell, energy, x, u, du, order):
+    """Jet [u, u', ..., u^(order)] at x of the solution at `energy` with value u, slope du.
+
+    Closure u'' = 2 (V0 - energy) u with the exact potential derivatives.
+    """
+    c = mp.mpf(ell) * (ell + 1)
+    vals = [u, du]
+    vj = [x * x / 8 + c / (2 * x * x), x / 4 - c / x**3, mp.mpf(1) / 4 + 3 * c / x**4]
+    fac = mp.mpf(6)
+    for j in range(3, order + 1):
+        fac *= j + 1
+        vj.append(c / 2 * (-1) ** j * fac / x ** (j + 2))
+    for n in range(order - 1):
+        acc = mp.mpc(0)
+        for j in range(n + 1):
+            acc += mp.binomial(n, j) * vj[j] * vals[n - j]
+        vals.append(2 * acc - 2 * mp.mpc(energy) * vals[n])
+    return vals[: order + 1]
+
+
+def mp_seed_jet(ell, eps, mixture, x, order):
+    """Seed derivative jet built entirely in mpmath."""
+    ell = mp.mpf(ell)
+    eps = mp.mpc(eps)
+    x = mp.mpf(x)
+    y = x * x / 2
+    u = mp.mpc(0)
+    du = mp.mpc(0)
+    for mu, branch in zip(mixture, (1, 2)):
+        if mu == 0:
+            continue
+        if branch == 1:
+            a = (1 - 2 * ell - 4 * eps) / 4
+            b = (1 - 2 * ell) / 2
+            pref = x**-ell * mp.exp(-x * x / 4)
+            dlog = -ell / x - x / 2
+            extra = mp.mpf(0)
+        else:
+            a = (3 + 2 * ell - 4 * eps) / 4
+            b = (3 + 2 * ell) / 2
+            pref = x**-ell * mp.exp(-x * x / 4) * y ** (ell + mp.mpf(1) / 2)
+            dlog = -ell / x - x / 2
+            extra = (2 * ell + 1) / x
+        m0 = mp_hyp1f1(a, b, y)
+        m1 = a / b * mp_hyp1f1(a + 1, b + 1, y)
+        u += mu * pref * m0
+        du += mu * (pref * (dlog + extra) * m0 + pref * m1 * x)
+    return mp_closure_jet(ell, eps, x, u, du, order)
+
+
+def mp_b_minus_jet(parent_jet, ell, eps, x, order):
+    """b^- image jet of a parent at energy eps: (value, derivative), then closure."""
+    x = mp.mpf(x)
+    c = mp.mpf(ell) * (ell + 1)
+    p = x * x / 4 - c / (x * x) + mp.mpf(1) / 2
+    dp = x / 2 + 2 * c / x**3
+    u = parent_jet
+    v = (u[2] + x * u[1] + p * u[0]) / 2
+    dv = (u[3] + u[1] + x * u[2] + p * u[1] + dp * u[0]) / 2
+    return mp_closure_jet(ell, mp.mpc(eps) - 1, x, v, dv, order)
+
+
+def mp_wronskian_jet(jets, order):
+    """W^(0..order) by the exact multi-index expansion in mpmath."""
+    m = len(jets)
+    out = []
+    for n, terms in enumerate(term_maps(m, order)):
+        acc = mp.mpc(0)
+        for rows, coeff in terms.items():
+            mat = mp.matrix(m, m)
+            for r_i, r in enumerate(rows):
+                for c_i in range(m):
+                    mat[r_i, c_i] = jets[c_i][r]
+            acc += mp.mpf(coeff) * mp.det(mat)
+        out.append(acc)
+    return out
+
+
+def mp_w(spec, z):
+    """w(z) of a canonical-ordering spec at the working mpmath precision.
+
+    The chain u_1..u_k comes from mp_seed_jet and mp_b_minus_jet, and
+    phi = x^{l+1} e^{-x^2/4} (at E0) from its closed form through the
+    closure. psi3 = F/D and psi4 = G/D, with F = W(u_1..u_{k-1}),
+    G = W(u_1..u_k, phi) and D = W(u_1..u_k); D drops out of
+        g = -x - 2(e3 - e4) psi3 psi4 / W(psi3, psi4)
+          = -x - 2(e3 - e4) F G / W(F, G),   e3 - e4 = eps1 - (k - 1) - E0,
+    and w = 1 + x/g at x = sqrt(z). The spec's double mixture is exact here.
+    """
+    if spec.ordering != "1234":
+        raise ValueError("mp_w follows the canonical ordering 1234 only")
+    ell, k = mp.mpf(spec.ell), spec.k
+    x = mp.sqrt(mp.mpf(z))
+    order = max(k + 1, 3)  # W(F, G) needs G' (jets through k + 1); b^- reads u'''
+    chain = [mp_seed_jet(spec.ell, spec.eps1, spec.mixture, x, order)]
+    for i in range(1, k):
+        chain.append(mp_b_minus_jet(chain[-1], spec.ell, mp.mpc(spec.eps1) - (i - 1), x, order))
+    e0 = ell / 2 + mp.mpf(3) / 4
+    phi = x ** (ell + 1) * mp.exp(-x * x / 4)
+    phi_jet = mp_closure_jet(ell, e0, x, phi, phi * ((ell + 1) / x - x / 2), order)
+    f = mp_wronskian_jet(chain[:-1], 1) if k > 1 else [mp.mpf(1), mp.mpf(0)]
+    g = mp_wronskian_jet(chain + [phi_jet], 1)
+    e34 = mp.mpc(spec.eps1) - (k - 1) - e0
+    return complex(1 + x / (-x - 2 * e34 * f[0] * g[0] / (f[0] * g[1] - f[1] * g[0])))
 
 
 def mp_bessel_i(mu, x, max_terms=300):

@@ -102,8 +102,10 @@ class TestSolveCommand:
 
 
 class TestSeedConstructionErrors:
-    # the half-odd-l branch mixture and the annihilated chain are found
-    # only while the seed chain is built, after the spec parsed cleanly;
+    # the half-odd-l branch mixture and the annihilated chain are rules of
+    # SeedSpec, checked after argparse accepted the flags (an annihilated
+    # chain that a sampled zero test missed once ended in exit 3, NaN rows
+    # or exit 1: the --l 0 --eps 2.25 --nu 0 --k 4 cases);
     # the other values pass argparse but name nothing the library can
     # run (a bad ordering, k, l, grid bound, tol, filter or --out path);
     # a grid bound outside the evaluation window once ended in a traceback
@@ -112,6 +114,9 @@ class TestSeedConstructionErrors:
          "--order", "2413"],
         ["grid-potential", "--l", "1.5", "--eps", "0.1,2", "--nu", "0.3,1", "--k", "1"],
         ["solve", "--l", "1", "--eps", "1.25", "--nu", "inf", "--k", "2"],
+        ["solve", "--l", "0", "--eps", "2.25", "--nu", "0", "--k", "4"],
+        ["grid-potential", "--l", "0", "--eps", "2.25", "--nu", "0", "--k", "4"],
+        ["hierarchy", "--l", "0", "--eps", "2.25", "--nu", "0", "--k", "4"],
         ["solve", "--order", "1111"],
         ["verify", "--k", "0"],
         ["verify", "--k", "-2"],
@@ -154,6 +159,8 @@ class TestSeedConstructionErrors:
         ["grid-potential", "--xmax", "25", "--eps", "0,100"],
         ["grid-potential", "--l", "50", "--xmin", "1e-7"],
     ], ids=["solve-half-odd-l", "grid-potential-half-odd-l", "solve-annihilated-chain",
+            "solve-annihilated-branch1", "grid-potential-annihilated-branch1",
+            "hierarchy-annihilated-branch1",
             "solve-invalid-ordering", "verify-k-zero", "verify-k-negative",
             "table-l-below-half", "table-t0-l-below-half", "table-l-zero-denominator",
             "solve-zmax-negative", "solve-zmin-nan", "solve-zmax-inf",
@@ -222,7 +229,8 @@ class TestVerifyCommand:
 
     def test_singular_wronskian_ends_in_fail_lines(self, capsys):
         # at k = 8 the chain Wronskian has a node at a sample point: the checks
-        # that meet it report FAIL with max_error=inf and the error text
+        # that meet it, factorization included, report FAIL with max_error=inf
+        # and the error text
         assert run(["verify", "--k", "8"]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -230,7 +238,7 @@ class TestVerifyCommand:
         assert sum(line.startswith("FAIL ") for line in lines) == 6
         assert sum(line.startswith("PASS ") for line in lines) == 9
         singular = [line for line in lines if "max_error=inf" in line]
-        assert len(singular) == 5 and all("W vanishes near x=" in line for line in singular)
+        assert len(singular) == 6 and all("W vanishes near x=" in line for line in singular)
 
 
 class TestHierarchyCommand:

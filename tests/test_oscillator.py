@@ -140,7 +140,36 @@ class TestNuLowerBound:
 class TestLadder:
     def test_annihilates_ground(self):
         ground = physical_eigenfunction(1, 0, 1.0)
-        assert apply_b_minus(ground).is_zero()
+        lowered = apply_b_minus(ground)
+        for x in (0.6, 1.1, 1.9, 3.0, 4.4):
+            v, dv = lowered.value_and_derivative(x)
+            assert abs(v) + abs(dv) <= 1e-14 * max(map(abs, ground.jet_values(x, 2)))
+
+    @pytest.mark.parametrize("ell", [0.0, 1.3, 1.5, 2.5, 3.0])
+    def test_members_are_pochhammer_mixtures(self, ell):
+        # b^- maps branch j at E to a_j(E) branch j at E - 1 (DLMF 13.3), so
+        # u_{i+1} = mu1 (a1)_i branch1 + mu2 (a2)_i branch2 at eps1 - i; at
+        # half-odd l a terminating branch 1 stays in its branch
+        if abs((ell - 0.5) - round(ell - 0.5)) < 1e-12:
+            seeds = [(1.1, (0.0, 1.0)), (-0.8 + 0.4j, (0.0, 0.5j))] + [
+                ((1 - 2 * ell) / 4 + n, (1.0, 0.0)) for n in range(round(ell - 0.5))]
+        else:
+            seeds = [(0.37, (1.0, 0.6)), (-0.8 + 0.4j, (0.3, -1.1j)),
+                     ((1 - 2 * ell) / 4 + 2, (1.0, 0.0)), ((3 + 2 * ell) / 4 + 1, (1.0, 0.6))]
+        for eps, mix in seeds:
+            a = ((1 - 2 * ell - 4 * eps) / 4, (3 + 2 * ell - 4 * eps) / 4)
+            coeffs, member = mix, SeedSolution(ell, eps, mix)
+            for i in range(1, 6):
+                parent, member = member, apply_b_minus(member)
+                coeffs = tuple(c * (aj + i - 1) for c, aj in zip(coeffs, a))
+                ref = SeedSolution(ell, eps - i, coeffs)
+                for x in (0.7, 1.4, 2.6):
+                    got, want = member.value_and_derivative(x), ref.value_and_derivative(x)
+                    scale = abs(want[0]) + abs(want[1]) or max(map(abs, parent.jet_values(x, 2)))
+                    assert abs(got[0] - want[0]) + abs(got[1] - want[1]) <= 1e-11 * scale, \
+                        (eps, mix, i, x)
+                if coeffs == (0, 0):
+                    break  # annihilated: later members are b^- of rounding dust
 
     def test_lowered_energy_residual(self):
         u = make_seed(SeedSpec(1.0, 0.3, (1.0, 0.7), 1, "real-physical"))
@@ -201,9 +230,54 @@ class TestSeedChain:
                 assert fd_schrodinger_residual(c, x) <= 1e-9
 
     def test_chain_annihilation(self):
-        spec = SeedSpec.from_nu(1.0, e0(1.0), NU_INF, k=2, mode="complex-over-real")
+        # b^- takes x^{l+1} e^{-x^2/4}, branch 2 at E0, to zero: u_2 vanishes
+        SeedSpec.from_nu(1.0, e0(1.0), NU_INF, k=1, mode="complex-over-real")
         with pytest.raises(ChainAnnihilationError):
-            seed_chain(spec)
+            SeedSpec.from_nu(1.0, e0(1.0), NU_INF, k=2, mode="complex-over-real")
+
+
+LATTICE_ELLS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _annihilation_lattice(ell):
+    """(eps1, nu, k, raised) for every spec at this l that passes the other rules.
+
+    eps1 runs over the ladders E0 + m and -E0 + 1 + m (m = 0..5), where the
+    1F1 parameters a_j are multiples of 1/2; raised says whether SeedSpec
+    raised ChainAnnihilationError.
+    """
+    out = []
+    for eps in [e0(ell) + m for m in range(6)] + [-e0(ell) + 1 + m for m in range(6)]:
+        for nu in (0.0, 1.0, NU_INF):
+            for k in (2, 4, 6, 8):
+                try:
+                    SeedSpec.from_nu(ell, eps, nu, k=k, mode="complex-over-real")
+                except ChainAnnihilationError:
+                    out.append((eps, nu, k, True))
+                except ValueError:
+                    continue  # outside the domain for another reason
+                else:
+                    out.append((eps, nu, k, False))
+    return out
+
+
+class TestChainAnnihilationRule:
+    @pytest.mark.parametrize("ell", LATTICE_ELLS)
+    def test_raised_exactly_where_a_member_vanishes(self, ell):
+        # u_{i+1} has branch coefficients mu_j (a_j)_i; on the lattice a_j is a
+        # multiple of 1/2, so the rising factorials are exact in floats
+        for eps, nu, k, raised in _annihilation_lattice(ell):
+            a = ((1 - 2 * ell - 4 * eps) / 4, (3 + 2 * ell - 4 * eps) / 4)
+            mix = nu_to_mixture(nu, ell, eps)
+            zero = any(all(mu * math.prod(aj + m for m in range(i)) == 0
+                           for mu, aj in zip(mix, a)) for i in range(k))
+            assert raised == zero, (eps, nu, k)
+
+    def test_lattice_counts(self):
+        # 388 lattice specs pass the other rules and 150 name a zero member
+        # (a sampled zero test found 117 of those)
+        cases = [c for ell in LATTICE_ELLS for c in _annihilation_lattice(ell)]
+        assert (len(cases), sum(c[-1] for c in cases)) == (388, 150)
 
 
 class TestPhysicalEigenfunctions:
