@@ -1,6 +1,6 @@
 """Special parameter regimes where the transcendents collapse to named functions.
 
-detect() classifies a first-order spec by the (eps1, nu, ell) patterns;
+detect() classifies a spec by the termination of its single 1F1 branch;
 closed_form_w() evaluates the published closed forms verbatim. Because
 those formulas are written with an ambiguous argument convention, the
 crosscheck evaluates each form under both candidate conventions
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import NU_INF, SeedSpec, mixture_to_nu
+from .oscillator import SeedSpec, _branch_parameters
 from .painleve import CANONICAL_ORDERINGS, solution_from_quartet
-from .specialfunctions import GammaPoleError, bessel_i, hermite_h, laguerre_l
+from .specialfunctions import _as_nonpositive_int, bessel_i, hermite_h, laguerre_l
 from .susy import extremal_quartet
 
 __all__ = [
@@ -38,7 +38,7 @@ _MATCH_TOL = 1e-9  # relative w error at which a printed form counts as matched
 
 @dataclass(frozen=True)
 class HierarchyTag:
-    family: str  # laguerre|hermite|weber|bessel|exponential|polynomial|transcendent
+    family: str  # laguerre|hermite|weber|bessel|exponential|polynomial|rational|transcendent
     condition: dict
 
 
@@ -59,58 +59,49 @@ class HierarchyReport:
     form_results: list[FormMatch] = field(default_factory=list)
 
 
-def _is_int(x: float) -> int | None:
-    n = round(x)
-    if abs(x - n) < _TOL:
-        return int(n)
-    return None
-
-
 def detect(spec: SeedSpec) -> HierarchyTag:
     """First matching family tag; 'transcendent' when no condition fires.
 
-    All published closed forms are first-order, so k != 1 is always
-    transcendent. The check order (exponential, polynomial, hermite,
-    laguerre, bessel, weber) puts the more reduced families first: at
-    l = 0 the weber condition fires for every real eps1 with nu = 0, and
-    the hermite/laguerre conditions overlap.
+    Every family keeps one branch: mu1 = 0 is nu = inf (branch 2), mu2 = 0
+    is nu = 0 (branch 1). Its 1F1(a, b) terminates, by SeedSpec's test,
+    when a = -n (hermite at l = 0, else laguerre) or, after Kummer's
+    transformation, when b - a = -n (polynomial at n = 0). The published
+    forms are first-order (k = 1, real eps1); their check order
+    (exponential, polynomial, hermite, laguerre, bessel, weber) puts the
+    more reduced families first: at l = 0 the weber condition fires for
+    every real eps1 with nu = 0. Any other terminating seed, at any k, is
+    'rational': every chain member is x^p e^(+-x^2/4) P(x^2), so w is
+    rational in z.
     """
-    if spec.k != 1 or abs(complex(spec.eps1).imag) > _TOL:
+    mu1, mu2 = (complex(m) for m in spec.mixture)
+    if mu1 != 0 and mu2 != 0:
         return HierarchyTag("transcendent", {})
-    eps = complex(spec.eps1).real
+    nu_kind, branch = ("inf", 2) if mu1 == 0 else ("0", 1)
+    eps = complex(spec.eps1)
     ell = spec.ell
-    try:
-        nu = mixture_to_nu(spec.mixture, ell, spec.eps1)
-    except GammaPoleError:  # nu does not exist at this eps1, so no family fires
-        return HierarchyTag("transcendent", {})
-    if nu == NU_INF:
-        nu_kind = "inf"
-    elif abs(complex(nu)) < _TOL:
-        nu_kind = "0"
-    else:
-        return HierarchyTag("transcendent", {})
-
-    if nu_kind == "inf" and abs(ell - 0.5) < _TOL and abs(eps) < _TOL:
-        return HierarchyTag("exponential", {"nu": "inf", "ell": ell})
-    if nu_kind == "0" and abs(eps - (0.5 * ell - 0.25)) < _TOL:
-        return HierarchyTag("polynomial", {"nu": "0", "branch": 1, "ell": ell})
-    if nu_kind == "inf" and abs(eps - (-0.5 * ell - 0.75)) < _TOL:
-        return HierarchyTag("polynomial", {"nu": "inf", "branch": 2, "ell": ell})
-    if abs(ell) < _TOL:
-        n = _is_int(eps - 0.25) if nu_kind == "0" else _is_int(eps - 0.75)
-        if n is not None and n >= 0:
-            return HierarchyTag("hermite", {"nu": nu_kind, "n": n})
-    n = _is_int(eps + 0.5 * ell - 0.25) if nu_kind == "0" else _is_int(eps - 0.5 * ell - 0.75)
-    if n is not None and n >= 0:
-        return HierarchyTag("laguerre", {"nu": nu_kind, "n": n, "ell": ell})
-    if abs(eps) < _TOL:
-        if nu_kind == "0":
-            mus = (-(2.0 * ell + 1.0) / 4.0, -(2.0 * ell + 3.0) / 4.0)
-        else:
-            mus = ((2.0 * ell + 1.0) / 4.0, (2.0 * ell - 1.0) / 4.0)
-        return HierarchyTag("bessel", {"nu": nu_kind, "mus": mus, "ell": ell})
-    if abs(ell) < _TOL and nu_kind == "0":
-        return HierarchyTag("weber", {"mu": (4.0 * eps - 1.0) / 2.0})
+    a, b = _branch_parameters(ell, eps)[2 * branch - 2: 2 * branch]
+    n, n_reflected = _as_nonpositive_int(a), _as_nonpositive_int(b - a)
+    if spec.k == 1 and abs(eps.imag) <= _TOL:
+        eps = eps.real
+        if nu_kind == "inf" and abs(ell - 0.5) < _TOL and abs(eps) < _TOL:
+            return HierarchyTag("exponential", {"nu": "inf", "ell": ell})
+        if n_reflected == 0:
+            return HierarchyTag("polynomial", {"nu": nu_kind, "branch": branch, "ell": ell})
+        if n is not None:
+            if abs(ell) < _TOL:
+                return HierarchyTag("hermite", {"nu": nu_kind, "n": n})
+            return HierarchyTag("laguerre", {"nu": nu_kind, "n": n, "ell": ell})
+        if abs(eps) < _TOL:
+            if nu_kind == "0":
+                mus = (-(2.0 * ell + 1.0) / 4.0, -(2.0 * ell + 3.0) / 4.0)
+            else:
+                mus = ((2.0 * ell + 1.0) / 4.0, (2.0 * ell - 1.0) / 4.0)
+            return HierarchyTag("bessel", {"nu": nu_kind, "mus": mus, "ell": ell})
+        if abs(ell) < _TOL and nu_kind == "0":
+            return HierarchyTag("weber", {"mu": (4.0 * eps - 1.0) / 2.0})
+    if n is not None or n_reflected is not None:
+        return HierarchyTag("rational", {"nu": nu_kind, "n": n if n is not None else n_reflected,
+                                         "reflected": n is None})
     return HierarchyTag("transcendent", {})
 
 

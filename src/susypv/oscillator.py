@@ -17,7 +17,6 @@ import numpy as np
 
 from .jets import binom, taylor_from_jet
 from .specialfunctions import (
-    GammaPoleError,
     _as_nonpositive_int,
     gamma,
     kummer_1f1,
@@ -171,16 +170,16 @@ class SeedSpec:
         check_seed(self.ell, self.eps1, self.mixture)
         if self.mode not in ("real-physical", "complex-over-real", "fully-complex"):
             raise SeedSpecError(f"unknown mode {self.mode!r}")
+        a1, _, a2, _ = _branch_parameters(self.ell, complex(self.eps1))
         if self.mode == "real-physical":
             eps = complex(self.eps1)
             if (abs(eps.imag) > 1e-13 or eps.real >= e0(self.ell) + 1e-13
                     or any(abs(complex(m).imag) > 1e-13 for m in self.mixture)):
                 raise SeedSpecError("real-physical needs a real eps1 < E0 and a real mixture")
-            try:
+            # nu exists unless mu1 = 0 or G(a2) has a pole; a gamma pole of the
+            # bound itself raises GammaPoleError
+            if complex(self.mixture[0]) != 0 and _as_nonpositive_int(a2) is None:
                 nu = mixture_to_nu(self.mixture, self.ell, self.eps1)
-            except GammaPoleError:
-                nu = NU_INF  # the bound is not expressible through nu at this eps1
-            if nu != NU_INF:  # a gamma pole of the bound itself raises GammaPoleError
                 bound = nu_lower_bound(self.ell, eps.real)
                 if complex(nu).real < bound - 1e-10:
                     raise SeedSpecError(
@@ -190,7 +189,6 @@ class SeedSpec:
         # a_j(E - 1) = a_j(E) + 1, so u_{i+1} = mu1 (a1)_i branch1 + mu2 (a2)_i branch2
         # (rising factorials): branch j is in u_1..u_last, last = 0 if mu_j = 0,
         # n + 1 if a_j = -n, else inf
-        a1, _, a2, _ = _branch_parameters(self.ell, complex(self.eps1))
         last = max(0 if mu == 0 else math.inf if n is None else n + 1
                    for mu, n in zip(self.mixture, map(_as_nonpositive_int, (a1, a2))))
         if last < self.k:

@@ -29,6 +29,7 @@ __all__ = [
 
 MAX_TERMS = 500
 SERIES_TOL = 1e-16
+INT_TOL = 1e-12  # distance at which a parameter counts as an integer
 
 
 class ParameterPoleError(ValueError):
@@ -43,12 +44,12 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
 
 
-def _as_nonpositive_int(z: complex, tol: float = 1e-12) -> int | None:
-    """Return n >= 0 with z == -n when z is (numerically) a non-positive integer."""
-    if abs(z.imag) > tol:
+def _as_nonpositive_int(z: complex) -> int | None:
+    """Return n >= 0 with z == -n when z is within INT_TOL of a non-positive integer."""
+    if abs(z.imag) > INT_TOL:
         return None
     n = round(z.real)
-    if n <= 0 and abs(z.real - n) <= tol:
+    if n <= 0 and abs(z.real - n) <= INT_TOL:
         return -n
     return None
 

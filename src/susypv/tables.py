@@ -116,18 +116,14 @@ def table_param_entries(which: str, ell: F) -> dict[str, tuple[F, F, F]]:
 
 def table_quartet(which: str, ell: float):
     """Quartet generating a table, plus its exact slot energies."""
-    le = F(ell) if float(ell) == float(F(ell)) else None
-    ez = F(1, 2) * F(ell) + F(3, 4) if le is not None else None
+    ez = F(1, 2) * F(ell) + F(3, 4)
     if which == "t0":
-        q = radial_oscillator_quartet(float(ell))
-        energies = [ez, 1 - ez, ez + 1, ez + 1] if ez is not None else None
-        return q, energies
+        return radial_oscillator_quartet(float(ell)), [ez, 1 - ez, ez + 1, ez + 1]
     if which in ("t1", "t2"):  # the k-SUSY seed at eps1 = E0 + k - 1, nu = inf
         k = int(which[1])
         spec = SeedSpec.from_nu(float(ell), e0(float(ell)) + (k - 1), NU_INF, k=k,
                                 mode="complex-over-real")
-        energies = [ez + k, 1 - ez, ez, ez] if ez is not None else None
-        return extremal_quartet(spec), energies
+        return extremal_quartet(spec), [ez + k, 1 - ez, ez, ez]
     raise ValueError(f"unknown table {which!r}")
 
 

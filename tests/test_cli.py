@@ -256,6 +256,13 @@ class TestHierarchyCommand:
         assert code == 0
         assert "family: weber" in out
 
+    def test_rational(self, capsys):
+        # w = (z + 7)/2 exactly: branch 2 terminates after Kummer's transformation
+        code = run(["hierarchy", "--l", "1", "--eps", "-2.25", "--nu", "inf"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "family: rational" in out
+
 
 class TestComplexEpsSolve:
     def test_complex_eps_and_nu(self, tmp_path):

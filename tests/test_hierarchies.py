@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from susypv.hierarchies import HierarchyTag, closed_form_w, convention_sqrt, crosscheck, detect
 from susypv.oscillator import NU_INF, SeedSpec, e0
+from susypv.painleve import solve
 
 
 def spec_nu(ell, eps, nu, k=1):
@@ -42,19 +44,100 @@ class TestDetect:
         assert tag.family == "weber"
         assert abs(tag.condition["mu"] - (4 * 0.37 - 1) / 2) < 1e-12
 
-    def test_k_not_one_is_transcendent(self):
-        assert detect(spec_nu(2.0, 0.75, 0.0, k=2)).family == "transcendent"
+    def test_k2_polynomial_member_is_rational(self):
+        # the k = 2 member of the polynomial family: branch 1 with b1 - a1 = 0
+        tag = detect(spec_nu(2.0, 0.75, 0.0, k=2))
+        assert tag == HierarchyTag("rational", {"nu": "0", "n": 0, "reflected": True})
 
     def test_nu_at_a_gamma_pole_is_transcendent(self):
-        # at l = 0, eps1 = 3/4 the nu mapping's gamma sits on its pole
-        # (GammaPoleError), so no (eps1, nu) condition can fire
+        # l = 0, eps1 = 3/4 is a pole of the nu mapping's gamma, but that plays
+        # no part: both mu are nonzero, and every family has a single branch
         spec = SeedSpec.from_lambda_kappa(0.0, 0.75, 0.0, 1.0)
         assert detect(spec) == HierarchyTag("transcendent", {})
+
+    def test_branch1_at_a_gamma_pole_has_its_family(self):
+        # nu cannot express this seed (G(a2) has a pole), the mixture can
+        spec = SeedSpec.from_lambda_kappa(0.0, 0.75, 0.0, 0.0)
+        assert detect(spec).family == "weber"
+
+    def test_near_zero_nu_is_not_nu_zero(self):
+        assert detect(spec_nu(0.0, 1.25, 1e-13)).family == "transcendent"
+
+    def test_published_families_need_no_gamma(self, monkeypatch):
+        specs = {
+            "exponential": spec_nu(0.5, 0.0, NU_INF),
+            "polynomial": spec_nu(2.0, 0.75, 0.0),
+            "hermite": spec_nu(0.0, 1.25, 0.0),
+            "laguerre": spec_nu(2.0, 0.25, 0.0),
+            "bessel": spec_nu(1.0, 0.0, 0.0),
+            "weber": spec_nu(0.0, 0.37, 0.0),
+        }
+
+        def no_gamma(z):
+            raise AssertionError("detect evaluated a gamma function")
+
+        monkeypatch.setattr("susypv.oscillator.gamma", no_gamma)
+        monkeypatch.setattr("susypv.specialfunctions.log_gamma", no_gamma)
+        for family, spec in specs.items():
+            assert detect(spec).family == family
 
     def test_stable_under_nu_mixture_mapping(self):
         a = detect(spec_nu(2.0, 0.75, 0.0))
         b = detect(SeedSpec(2.0, 0.75, (1.0, 0.0), 1, "real-physical"))
         assert a.family == b.family == "polynomial"
+
+
+def _linear_oracle(ell: F, eps: F, nu_kind: str) -> tuple[str, int | None]:
+    """(family, n) from linear conditions in eps, independent of the 1F1 parameters."""
+    if nu_kind == "0":
+        direct, reflected = eps + ell / 2 - F(1, 4), ell / 2 - F(1, 4) - eps
+    else:
+        direct, reflected = eps - ell / 2 - F(3, 4), -ell / 2 - F(3, 4) - eps
+    if reflected == 0:
+        return "polynomial", None
+    if direct.denominator == 1 and direct >= 0:
+        return ("hermite" if ell == 0 else "laguerre"), int(direct)
+    if eps == 0:
+        return "bessel", None
+    if ell == 0 and nu_kind == "0":
+        return "weber", None
+    if reflected.denominator == 1 and reflected >= 0:
+        return "rational", int(reflected)
+    return "transcendent", None
+
+
+def test_detect_agrees_with_linear_oracle():
+    seen = set()
+    for ell in map(F, (0, 1, 2, 3, 5)):
+        for eps in (F(q, 4) for q in range(-24, 25)):
+            for nu_kind, mixture in (("0", (1.0, 0.0)), ("inf", (0.0, 1.0))):
+                spec = SeedSpec(float(ell), complex(eps), mixture, 1, "complex-over-real")
+                family, n = _linear_oracle(ell, eps, nu_kind)
+                tag = detect(spec)
+                assert tag.family == family, (ell, eps, nu_kind)
+                assert tag.condition.get("n") == n, (ell, eps, nu_kind)
+                seen.add(family)
+    assert seen == {"polynomial", "hermite", "laguerre", "bessel", "weber", "rational",
+                    "transcendent"}
+
+
+@pytest.mark.parametrize("ell, eps, nu, k, exact", [
+    (1.0, -2.25, NU_INF, 1, lambda z: (z + 7.0) / 2.0),
+    (1.0, -2.25, NU_INF, 2,
+     lambda z: (z + 5.0) * (z * z + 14.0 * z + 63.0) / (2.0 * (z * z + 14.0 * z + 35.0))),
+    (2.0, -1.25, 0.0, 1,
+     lambda z: -(z**3 - 3.0 * z * z + 9.0 * z - 15.0) / (z * z - 6.0 * z + 15.0)),
+], ids=["l1-nuinf-k1", "l1-nuinf-k2", "l2-nu0-k1"])
+def test_rational_tag_and_exact_w(ell, eps, nu, k, exact):
+    spec = SeedSpec.from_nu(ell, eps, nu, k=k)
+    tag = detect(spec)
+    assert tag.family == "rational" and tag.condition["reflected"]
+    res, samples = solve(spec).residual_certificate()
+    assert res <= 1e-8
+    ok = [s for s in samples if s.flag == "ok"]
+    assert ok
+    for s in ok:
+        assert abs(s.w - exact(s.z)) <= 1e-10 * max(1.0, abs(exact(s.z))), s.z
 
 
 class TestClosedForms:
