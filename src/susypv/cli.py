@@ -116,6 +116,8 @@ def _positive(name: str, value: float) -> float:
 # x = 22 and 25, and x^-l overflows below x = 1e-6 at l = 50.
 X_WINDOW = (1e-2, 20.0)
 Z_WINDOW = (1e-4, 400.0)
+# grid sizes: 1e5 points solve in ~20 s at k = 1 on one core, 1e8 in hours; 1e15 overflow memory
+POINTS_RANGE = (2, 100_000)
 
 
 def _in_window(name: str, value: float, window: tuple[float, float]) -> float:
@@ -126,8 +128,9 @@ def _in_window(name: str, value: float, window: tuple[float, float]) -> float:
 
 
 def _points(n: int) -> int:
-    if n < 2:
-        raise ConfigError("points must be >= 2")
+    lo, hi = POINTS_RANGE
+    if not lo <= n <= hi:
+        raise ConfigError(f"points must lie in [{lo}, {hi}], got {n}")
     return n
 
 

@@ -3,23 +3,25 @@
 Differential operators are applied to Taylor series at the evaluation
 point (exact differentiation), never finite differences, so the identity
 checks run at near machine precision and a failure points at a formula,
-not at discretization. Each atom consumes `order` coefficients off the
-incoming series and multiplies by its coefficient functions as series of
-the remaining length; first-order SUSY atoms take their superpotentials
-from Wronskian log-derivatives. A test function enters as its own series
-(``taylor``; a Wronskian ratio state expands the ratio itself, so no
-intertwining fact is assumed), and derivative values are converted only
-in the Hamiltonian atom (its potential).
+not at discretization. Every operator is one ``Atom``, (c_0 + c_1 d/dx +
+... + c_order d^order/dx^order) / div with coefficient series from a
+callable; a^+/- and b^+/- have Laurent-polynomial coefficients, and the
+first-order SUSY atoms read w_j off ``WronskianStack.log_derivative``, as
+V_k does. A test function enters as its own series (``taylor``; a
+Wronskian ratio state expands the ratio itself, so no intertwining fact
+is assumed), and derivative values are converted only in the Hamiltonian
+atom (its potential).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .jets import series_diff, series_div, series_mul, taylor_from_jet
+from .jets import series_diff, series_mul, taylor_from_jet
 from .oscillator import (
     RadialPotential,
     SchrodingerSolution,
@@ -33,10 +35,11 @@ from .susy import (PartnerPotential, SingularEvaluationError, WronskianRatioStat
                    WronskianStack, transformed_state)
 
 __all__ = [
-    "AtomA",
-    "AtomB",
-    "AtomFirstOrder",
-    "AtomH",
+    "Atom",
+    "atom_a",
+    "atom_b",
+    "atom_h",
+    "atom_susy",
     "OperatorChain",
     "SusyLadder",
     "CheckReport",
@@ -59,101 +62,65 @@ _TOLS = {"intertwining": 1e-7, "commutator": 1e-7, "factorization": 1e-6, "shift
 _SQRT2 = math.sqrt(2.0)
 
 
-class _Atom:
-    order = 1
+def _laurent(x: float, n: int, terms: dict) -> np.ndarray:
+    """Taylor series at x, through order n, of sum_p c_p x^p over integer powers p."""
+    out = np.zeros(n + 1, dtype=complex)
+    for p, c in terms.items():
+        binom = 1  # C(p, j), an integer for any integer p
+        for j in range(n + 1):
+            out[j] += c * binom * x ** (p - j)
+            binom = binom * (p - j) // (j + 1)
+    return out
+
+
+@dataclass(frozen=True)
+class Atom:
+    """(c_0 + c_1 d/dx + ... + c_order d^order/dx^order) / div on Taylor series.
+
+    coeffs(x, n) returns the series of c_0..c_order at x through order n;
+    the division comes after the sum.
+    """
+
+    coeffs: Callable[[float, int], tuple]
+    order: int
+    div: float = 1.0
 
     def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        raise NotImplementedError
+        cs = self.coeffs(x, n_out)
+        out = series_mul(series, cs[0], n_out)
+        for c in cs[1:]:
+            series = series_diff(series)
+            out = out + series_mul(series, c, n_out)
+        return out / self.div
 
 
-def _first_order(series: np.ndarray, w: np.ndarray, sign: int, n_out: int) -> np.ndarray:
-    """(1/sqrt2)(-/+ d/dx + w) f on Taylor series; sign +1 takes -d/dx."""
-    d = -1.0 if sign > 0 else 1.0
-    return (d * series_diff(series)[: n_out + 1] + series_mul(series, w, n_out)) / _SQRT2
-
-
-class AtomA(_Atom):
+def atom_a(eta: float, sign: int) -> Atom:
     """a_eta^+/- = (1/sqrt2)(-/+ d/dx - eta/x + x/2); index eta may be any real."""
-
-    def __init__(self, eta: float, sign: int):
-        self.eta = float(eta)
-        self.sign = int(sign)  # +1 for a^+, -1 for a^-
-
-    def _s_jet(self, x: float, n: int) -> np.ndarray:
-        """Taylor series of -eta/x + x/2 at x: -eta (-1)^j / x^(j+1), plus x/2."""
-        out = -self.eta * (-1.0 / x) ** np.arange(n + 1) / x + 0j
-        out[0] += 0.5 * x
-        if n >= 1:
-            out[1] += 0.5
-        return out
-
-    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        return _first_order(series, self._s_jet(x, n_out), self.sign, n_out)
+    return Atom(lambda x, n: (_laurent(x, n, {-1: -eta, 1: 0.5}), _laurent(x, n, {0: -sign})),
+                1, _SQRT2)
 
 
-class AtomB(_Atom):
+def atom_b(ell: float, sign: int) -> Atom:
     """b^+/- = (1/2)(d^2 -/+ x d + x^2/4 - l(l+1)/x^2 -/+ 1/2)."""
-
-    order = 2
-
-    def __init__(self, ell: float, sign: int):
-        self.ell = float(ell)
-        self.sign = int(sign)
-
-    def _p_jet(self, x: float, n: int) -> np.ndarray:
-        """Taylor series of x^2/4 - l(l+1)/x^2 -/+ 1/2 at x: -l(l+1)(j+1)(-1)^j/x^(j+2) + ..."""
-        c = self.ell * (self.ell + 1.0)
-        j = np.arange(n + 1)
-        out = -c * (j + 1) * (-1.0 / x) ** j / (x * x) + 0j
-        out[0] += 0.25 * x * x + (-0.5 if self.sign > 0 else 0.5)
-        if n >= 1:
-            out[1] += 0.5 * x
-        if n >= 2:
-            out[2] += 0.25
-        return out
-
-    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        s = -1.0 if self.sign > 0 else 1.0
-        d1 = series_diff(series)
-        x_d1 = x * d1[: n_out + 1]
-        x_d1[1:] += d1[:n_out]  # (x0 + t) f'
-        p = self._p_jet(x, n_out)
-        return 0.5 * (series_diff(d1)[: n_out + 1] + s * x_d1 + series_mul(series, p, n_out))
+    return Atom(lambda x, n: (_laurent(x, n, {2: 0.25, -2: -ell * (ell + 1.0), 0: -0.5 * sign}),
+                              _laurent(x, n, {1: -sign}), _laurent(x, n, {0: 1.0})), 2, 2.0)
 
 
-class AtomFirstOrder(_Atom):
-    """A_j^+/- = (1/sqrt2)(-/+ d/dx + w_j), w_j = (ln W_j)' - (ln W_{j-1})'."""
-
-    def __init__(self, stack_hi: WronskianStack, stack_lo: WronskianStack, sign: int):
-        self.hi = stack_hi
-        self.lo = stack_lo
-        self.sign = int(sign)
-
-    def _w_jet(self, x: float, n: int) -> np.ndarray:
-        whi = self.hi.nonsingular_jet(x, n + 1)
-        out = series_div(series_diff(whi), whi, n)
-        if self.lo.size:
-            wlo = self.lo.nonsingular_jet(x, n + 1)
-            out = out - series_div(series_diff(wlo), wlo, n)
-        return out
-
-    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        return _first_order(series, self._w_jet(x, n_out), self.sign, n_out)
+def atom_h(potential, shift: complex = 0.0) -> Atom:
+    """H - shift = -d^2/2 + V - shift for a stated potential."""
+    return Atom(lambda x, n: (taylor_from_jet(potential.deriv_jet(x, n))
+                              - _laurent(x, n, {0: shift}),  # the constant term only
+                              _laurent(x, n, {}), _laurent(x, n, {0: -0.5})), 2)
 
 
-class AtomH(_Atom):
-    """(H - shift) f = -f''/2 + V f - shift f for a stated potential."""
+def superpotential(hi: WronskianStack, lo: WronskianStack, x: float, n: int) -> np.ndarray:
+    """w_j = (ln W_j)' - (ln W_{j-1})' as a series at x through order n."""
+    return hi.log_derivative(x, n) - lo.log_derivative(x, n)
 
-    order = 2
 
-    def __init__(self, potential, shift: complex = 0.0):
-        self.potential = potential
-        self.shift = complex(shift)
-
-    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        v = taylor_from_jet(self.potential.deriv_jet(x, n_out))
-        return (-0.5 * series_diff(series_diff(series))[: n_out + 1]
-                + series_mul(series, v, n_out) - self.shift * series[: n_out + 1])
+def atom_susy(hi: WronskianStack, lo: WronskianStack, sign: int) -> Atom:
+    """A_j^+/- = (1/sqrt2)(-/+ d/dx + w_j) between the chain stacks of V_j and V_{j-1}."""
+    return Atom(lambda x, n: (superpotential(hi, lo, x, n), _laurent(x, n, {0: -sign})), 1, _SQRT2)
 
 
 @dataclass
@@ -187,7 +154,7 @@ class AtomImage(SchrodingerSolution):
     would feed on the poorly conditioned top entries of deep jets).
     """
 
-    def __init__(self, parent, atom: _Atom, potential, energy: complex):
+    def __init__(self, parent, atom: Atom, potential, energy: complex):
         SchrodingerSolution.__init__(self, parent.ell, energy, potential)
         self._parent = parent
         self._atom = atom
@@ -212,22 +179,19 @@ class SusyLadder:
         self.potentials = [PartnerPotential(self.chain[:j], ell=spec.ell)
                            for j in range(spec.k + 1)]
 
-    def atom_a_plus(self, j: int) -> AtomFirstOrder:
-        return AtomFirstOrder(self.potentials[j].stack, self.potentials[j - 1].stack, +1)
-
-    def atom_a_minus(self, j: int) -> AtomFirstOrder:
-        return AtomFirstOrder(self.potentials[j].stack, self.potentials[j - 1].stack, -1)
+    def atom_susy(self, j: int, sign: int) -> Atom:
+        return atom_susy(self.potentials[j].stack, self.potentials[j - 1].stack, sign)
 
     def ladder_image(self, state, energy: complex, up: bool):
         """L^+/- = B_k^+ b^+/- B_k^- as a state pipeline; returns (image, energy')."""
         cur = state
         e = complex(energy)
         for j in range(self.spec.k, 0, -1):
-            cur = AtomImage(cur, self.atom_a_minus(j), self.potentials[j - 1], e)
+            cur = AtomImage(cur, self.atom_susy(j, -1), self.potentials[j - 1], e)
         e = e + (1.0 if up else -1.0)
-        cur = AtomImage(cur, AtomB(self.spec.ell, +1 if up else -1), self.potentials[0], e)
+        cur = AtomImage(cur, atom_b(self.spec.ell, +1 if up else -1), self.potentials[0], e)
         for j in range(1, self.spec.k + 1):
-            cur = AtomImage(cur, self.atom_a_plus(j), self.potentials[j], e)
+            cur = AtomImage(cur, self.atom_susy(j, +1), self.potentials[j], e)
         return cur, e
 
     def number_image(self, state, energy: complex) -> AtomImage:
@@ -293,8 +257,8 @@ def _identity_check(name: str, tolerance: float, ell: float, pairs) -> CheckRepo
 
 def check_intertwining(ladder: SusyLadder) -> CheckReport:
     """H_j A_j^+ = A_j^+ H_{j-1} at every step of the ladder."""
-    pairs = [(OperatorChain([AtomH(ladder.potentials[j]), ladder.atom_a_plus(j)]),
-              OperatorChain([ladder.atom_a_plus(j), AtomH(ladder.potentials[j - 1])]))
+    pairs = [(OperatorChain([atom_h(ladder.potentials[j]), ladder.atom_susy(j, +1)]),
+              OperatorChain([ladder.atom_susy(j, +1), atom_h(ladder.potentials[j - 1])]))
              for j in range(1, ladder.spec.k + 1)]
     return _identity_check(f"intertwining k={ladder.spec.k}", _TOLS["intertwining"],
                            ladder.spec.ell, pairs)
@@ -303,8 +267,8 @@ def check_intertwining(ladder: SusyLadder) -> CheckReport:
 def check_commutator(ell: float) -> CheckReport:
     """[H, b^+/-] = +/- b^+/-, as H b^+/- = b^+/- (H +/- 1), on generic seeds."""
     pot = RadialPotential(ell)
-    pairs = [(OperatorChain([AtomH(pot), AtomB(ell, sign)]),
-              OperatorChain([AtomB(ell, sign), AtomH(pot, shift=-sign)]))
+    pairs = [(OperatorChain([atom_h(pot), atom_b(ell, sign)]),
+              OperatorChain([atom_b(ell, sign), atom_h(pot, shift=-sign)]))
              for sign in (+1, -1)]
     return _identity_check(f"commutator [H,b+/-] l={ell:g}", _TOLS["commutator"], ell, pairs)
 
@@ -312,26 +276,26 @@ def check_commutator(ell: float) -> CheckReport:
 def check_factorization(ladder: SusyLadder) -> CheckReport:
     """B_k^- B_k^+ f = prod_i (H_0 - eps_i) f pointwise."""
     spec = ladder.spec
-    lhs = OperatorChain([ladder.atom_a_minus(j) for j in range(1, spec.k + 1)]
-                        + [ladder.atom_a_plus(j) for j in range(spec.k, 0, -1)])
-    rhs = OperatorChain([AtomH(ladder.potentials[0], spec.eps1 - i) for i in range(spec.k)])
+    lhs = OperatorChain([ladder.atom_susy(j, -1) for j in range(1, spec.k + 1)]
+                        + [ladder.atom_susy(j, +1) for j in range(spec.k, 0, -1)])
+    rhs = OperatorChain([atom_h(ladder.potentials[0], spec.eps1 - i) for i in range(spec.k)])
     return _identity_check(f"factorization Bk-Bk+ k={spec.k}", _TOLS["factorization"],
                            spec.ell, [(lhs, rhs)])
 
 
 def check_shift_identities(ell: float) -> CheckReport:
     """b^- = a^-_{-(l+1)} a^-_{l+1} = a^-_l a^-_{-l} pointwise."""
-    b = OperatorChain([AtomB(ell, -1)])
-    pairs = [(b, OperatorChain([AtomA(-(ell + 1.0), -1), AtomA(ell + 1.0, -1)])),
-             (b, OperatorChain([AtomA(ell, -1), AtomA(-ell, -1)]))]
+    b = OperatorChain([atom_b(ell, -1)])
+    pairs = [(b, OperatorChain([atom_a(-(ell + 1.0), -1), atom_a(ell + 1.0, -1)])),
+             (b, OperatorChain([atom_a(ell, -1), atom_a(-ell, -1)]))]
     return _identity_check(f"shift-operator factorizations l={ell:g}", _TOLS["shift"], ell, pairs)
 
 
 def check_ladder_polynomial(ell: float) -> CheckReport:
     """b^+ b^- = (H - E0)(H + E0 - 1) on generic seeds."""
     pot = RadialPotential(ell)
-    lhs = OperatorChain([AtomB(ell, +1), AtomB(ell, -1)])
-    rhs = OperatorChain([AtomH(pot, shift=e0(ell)), AtomH(pot, shift=1.0 - e0(ell))])
+    lhs = OperatorChain([atom_b(ell, +1), atom_b(ell, -1)])
+    rhs = OperatorChain([atom_h(pot, shift=e0(ell)), atom_h(pot, shift=1.0 - e0(ell))])
     return _identity_check(f"number operator b+b- l={ell:g}", _TOLS["ladder-polynomial"], ell,
                            [(lhs, rhs)])
 

@@ -138,6 +138,13 @@ class WronskianStack:
                     a[i][c] = a[i][c] - series_mul(factor, a[j][c], order)
         return sign * det
 
+    def log_derivative(self, x: float, order: int) -> np.ndarray:
+        """Taylor series of (ln W)' = W'/W at x through `order`; zero for the empty stack."""
+        if not self.solutions:
+            return np.zeros(order + 1, dtype=complex)
+        tw = self.nonsingular_jet(x, order + 1)
+        return series_div(series_diff(tw), tw, order)
+
     def row_scale(self, x: float) -> float:
         """Product of row norms of the base jet matrix (scale-aware zero test)."""
         m = self.size
@@ -170,17 +177,12 @@ class PartnerPotential:
         if not chain and ell is None:
             raise ValueError("an empty chain needs an explicit ell")
         self.ell = chain[0].ell if chain else float(ell)
-        self.k = len(chain)
         self.stack = WronskianStack(chain)
         self.base = RadialPotential(self.ell)
 
     def deriv_jet(self, x: float, order: int) -> np.ndarray:
-        if self.k == 0:
-            return self.base.deriv_jet(x, order)
-        tw = self.stack.nonsingular_jet(x, order + 2)
-        logd = series_div(series_diff(tw), tw, order + 1)  # (ln W)' as a series
-        lw2 = jet_from_taylor(series_diff(logd))           # (ln W)'' as derivatives
-        return self.base.deriv_jet(x, order) - lw2
+        logd = self.stack.log_derivative(x, order + 1)
+        return self.base.deriv_jet(x, order) - jet_from_taylor(series_diff(logd))
 
     def __call__(self, x: float) -> complex:
         return complex(self.deriv_jet(x, 0)[0])

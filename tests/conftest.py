@@ -12,13 +12,13 @@ def shift_superpotential(monkeypatch):
 
     The intertwining check must then fail, which shows that it can.
     """
-    from susypv.operators import AtomFirstOrder
+    from susypv import operators
 
-    w_jet = AtomFirstOrder._w_jet
+    superpotential = operators.superpotential
 
-    def shifted(self, x, n):
-        out = w_jet(self, x, n)
+    def shifted(hi, lo, x, n):
+        out = superpotential(hi, lo, x, n)
         out[0] += 0.01
         return out
 
-    monkeypatch.setattr(AtomFirstOrder, "_w_jet", shifted)
+    monkeypatch.setattr(operators, "superpotential", shifted)

@@ -24,8 +24,12 @@ import numpy as np
 mp.mp.dps = 50
 
 
+class OracleNoConvergence(ArithmeticError):
+    """A high-precision series reached its term cap before converging."""
+
+
 def mp_hyp1f1(a, b, x, max_terms=300):
-    """Direct Taylor summation of 1F1 in 50-digit arithmetic."""
+    """Direct Taylor summation of 1F1 in 50-digit arithmetic; raises at the term cap."""
     a, b, x = mp.mpc(a), mp.mpc(b), mp.mpc(x)
     term = mp.mpc(1)
     total = mp.mpc(1)
@@ -33,8 +37,8 @@ def mp_hyp1f1(a, b, x, max_terms=300):
         term = term * (a + k) * x / ((b + k) * (k + 1))
         total += term
         if abs(term) < mp.mpf(10) ** (-45) * max(abs(total), 1):
-            break
-    return total
+            return total
+    raise OracleNoConvergence(f"1F1({a}, {b}, {x}) not converged in {max_terms} terms")
 
 
 def mp_closure_jet(ell, energy, x, u, du, order):
@@ -144,7 +148,7 @@ def mp_w(spec, z):
 
 
 def mp_bessel_i(mu, x, max_terms=300):
-    """Ascending modified-Bessel series in 50-digit arithmetic."""
+    """Ascending modified-Bessel series in 50-digit arithmetic; raises at the term cap."""
     mu, x = mp.mpf(mu), mp.mpc(x)
     half = x / 2
     term = half**mu / mp.gamma(mu + 1)
@@ -154,8 +158,8 @@ def mp_bessel_i(mu, x, max_terms=300):
         term = term * q / ((k + 1) * (mu + k + 1))
         total += term
         if abs(term) < mp.mpf(10) ** (-45) * max(abs(total), 1):
-            break
-    return total
+            return total
+    raise OracleNoConvergence(f"I_{mu}({x}) not converged in {max_terms} terms")
 
 
 def mp_pv_residual(w, z, a, b, c, d=Fraction(-1, 8)):

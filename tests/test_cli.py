@@ -186,6 +186,23 @@ class TestSeedConstructionErrors:
         assert "Traceback" not in err
 
 
+class TestPointsBound:
+    # an unbounded --points once ran for hours (1e8) or ended in a
+    # MemoryError traceback from np.geomspace (1e15)
+    @pytest.mark.parametrize("points", ["100001", "1000000000000000"])
+    @pytest.mark.parametrize("command", [["solve"], ["table", "--which", "t1"],
+                                         ["grid-potential"]])
+    def test_above_bound_is_config_error(self, command, points, tmp_path, capsys):
+        argv = command + ["--points", points]
+        if command[0] != "table":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: points must lie in [2, 100000]" in err
+        assert "Traceback" not in err
+
+
 class TestTableCommand:
     def test_params_rows_reported(self, capsys):
         code = run(["table", "--which", "params"])

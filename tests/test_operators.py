@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from susypv.jets import series_diff, series_div, series_mul, taylor_from_jet
 from susypv.oscillator import (
+    RadialPotential,
     SeedSpec,
     apply_b_minus,
     apply_b_plus,
@@ -13,9 +15,7 @@ from susypv.oscillator import (
     physical_eigenfunction,
 )
 from susypv.operators import (
-    AtomA,
-    AtomB,
-    AtomH,
+    Atom,
     OperatorChain,
     SusyLadder,
     check_commutator,
@@ -25,6 +25,10 @@ from susypv.operators import (
     check_new_level_annihilation,
     check_number_operator,
     check_shift_identities,
+    atom_a,
+    atom_b,
+    atom_h,
+    atom_susy,
     default_test_seeds,
     natural_eigenvalue,
     reduced_quartic,
@@ -46,7 +50,7 @@ class TestAtoms:
 
     def test_b_minus_annihilates_ground(self):
         ground = physical_eigenfunction(1, 0, 1.0)
-        chain = OperatorChain([AtomB(1.0, -1)])
+        chain = OperatorChain([atom_b(1.0, -1)])
         for x in (0.8, 1.6):
             scale = max(abs(v) for v in ground.jet_values(x, 2))
             assert abs(chain(ground, x)) <= 1e-12 * scale
@@ -56,7 +60,7 @@ class TestAtoms:
         # the (value, derivative) entry that AtomImage consumes
         u = default_test_seeds(ell)[0]
         for sign, ladder in ((-1, apply_b_minus), (+1, apply_b_plus)):
-            chain = OperatorChain([AtomB(ell, sign)])
+            chain = OperatorChain([atom_b(ell, sign)])
             image = ladder(u)
             for x in (0.7, 1.3, 2.4, 4.0):
                 got = chain.apply_jet(u, x, 1)[:2]
@@ -67,7 +71,7 @@ class TestAtoms:
     def test_first_order_atom_annihilates_own_seed(self):
         ladder = SusyLadder(SPEC1)
         u1 = ladder.chain[0]
-        chain = OperatorChain([ladder.atom_a_plus(1)])
+        chain = OperatorChain([ladder.atom_susy(1, +1)])
         for x in (0.8, 1.4, 2.2):
             scale = max(abs(v) for v in u1.jet_values(x, 1))
             assert abs(chain(u1, x)) <= 1e-10 * scale
@@ -76,7 +80,7 @@ class TestAtoms:
         # a_eta^- = (d/dx - eta/x + x/2)/sqrt(2) on a seed
         f = make_seed(SPEC1)
         eta = 1.7
-        chain = OperatorChain([AtomA(eta, -1)])
+        chain = OperatorChain([atom_a(eta, -1)])
         for x in (0.9, 2.1):
             j = f.jet_values(x, 1)
             ref = (j[1] + (-eta / x + x / 2) * j[0]) / math.sqrt(2)
@@ -84,10 +88,118 @@ class TestAtoms:
 
     def test_hamiltonian_atom(self):
         f = make_seed(SPEC1)
-        h = OperatorChain([AtomH(f.potential, shift=f.energy)])
+        h = OperatorChain([atom_h(f.potential, shift=f.energy)])
         for x in (0.7, 1.9):
             scale = max(abs(v) for v in f.jet_values(x, 2))
             assert abs(h(f, x)) <= 1e-12 * scale  # (H - eps) u = 0
+
+
+# The closed forms and apply bodies of the per-operator atom classes that
+# `Atom` replaced, kept as the oracle for its constructors.
+def _s_jet(eta, x, n):
+    """Taylor series of -eta/x + x/2 at x: -eta (-1)^j / x^(j+1), plus x/2."""
+    out = -eta * (-1.0 / x) ** np.arange(n + 1) / x + 0j
+    out[0] += 0.5 * x
+    if n >= 1:
+        out[1] += 0.5
+    return out
+
+
+def _p_jet(ell, sign, x, n):
+    """Taylor series of x^2/4 - l(l+1)/x^2 -/+ 1/2 at x: -l(l+1)(j+1)(-1)^j/x^(j+2) + ..."""
+    c = ell * (ell + 1.0)
+    j = np.arange(n + 1)
+    out = -c * (j + 1) * (-1.0 / x) ** j / (x * x) + 0j
+    out[0] += 0.25 * x * x + (-0.5 if sign > 0 else 0.5)
+    if n >= 1:
+        out[1] += 0.5 * x
+    if n >= 2:
+        out[2] += 0.25
+    return out
+
+
+def _first_order_ref(series, w, sign, n_out):
+    d = -1.0 if sign > 0 else 1.0
+    return (d * series_diff(series)[: n_out + 1] + series_mul(series, w, n_out)) / math.sqrt(2)
+
+
+def _w_jet_ref(hi, lo, x, n):
+    whi = hi.nonsingular_jet(x, n + 1)
+    out = series_div(series_diff(whi), whi, n)
+    if lo.size:
+        wlo = lo.nonsingular_jet(x, n + 1)
+        out = out - series_div(series_diff(wlo), wlo, n)
+    return out
+
+
+def _b_ref(ell, sign, series, x, n_out):
+    s = -1.0 if sign > 0 else 1.0
+    d1 = series_diff(series)
+    x_d1 = x * d1[: n_out + 1]
+    x_d1[1:] += d1[:n_out]  # (x0 + t) f'
+    p = _p_jet(ell, sign, x, n_out)
+    return 0.5 * (series_diff(d1)[: n_out + 1] + s * x_d1 + series_mul(series, p, n_out))
+
+
+def _h_ref(potential, shift, series, x, n_out):
+    v = taylor_from_jet(potential.deriv_jet(x, n_out))
+    return (-0.5 * series_diff(series_diff(series))[: n_out + 1]
+            + series_mul(series, v, n_out) - shift * series[: n_out + 1])
+
+
+class TestAtomOracles:
+    XS = (0.3, 1.3, 4.0)
+    N_OUT = 6
+
+    def _assert_matches(self, atom, ref, ell):
+        # relative to the summands: near x = 0 the image's coefficients are
+        # sums of terms far larger than themselves, so each is held to its
+        # own sum of moduli (the atom with every coefficient and every
+        # series entry replaced by its modulus)
+        moduli = Atom(lambda x, n: tuple(np.abs(c) for c in atom.coeffs(x, n)),
+                      atom.order, atom.div)
+        u = default_test_seeds(ell)[1]
+        for x in self.XS:
+            series = u.taylor(x, self.N_OUT + atom.order)
+            got = atom.apply(series, x, self.N_OUT)
+            scale = moduli.apply(np.abs(series), x, self.N_OUT).real
+            assert len(got) == self.N_OUT + 1
+            assert np.all(np.abs(got - ref(series, x)) <= 1e-14 * scale), x
+
+    @pytest.mark.parametrize("ell", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_atom_a(self, ell, sign):
+        for eta in (ell, -(ell + 1.0), 1.7):
+            self._assert_matches(
+                atom_a(eta, sign),
+                lambda f, x: _first_order_ref(f, _s_jet(eta, x, self.N_OUT), sign, self.N_OUT),
+                ell)
+
+    @pytest.mark.parametrize("ell", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_atom_b(self, ell, sign):
+        self._assert_matches(atom_b(ell, sign),
+                             lambda f, x: _b_ref(ell, sign, f, x, self.N_OUT), ell)
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0, 0.35 - 0.2j])
+    def test_atom_h(self, shift):
+        # a shift on every coefficient of V, not on its constant term only,
+        # shows first at output order 1
+        ladder = SusyLadder(SPEC2)
+        for pot in (RadialPotential(1.0), ladder.potentials[1], ladder.potentials[2]):
+            self._assert_matches(atom_h(pot, shift),
+                                 lambda f, x: _h_ref(pot, shift, f, x, self.N_OUT), 1.0)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_atom_susy(self, sign):
+        ladder = SusyLadder(SPEC2)
+        for j in (1, 2):
+            hi, lo = ladder.potentials[j].stack, ladder.potentials[j - 1].stack
+            self._assert_matches(
+                atom_susy(hi, lo, sign),
+                lambda f, x: _first_order_ref(f, _w_jet_ref(hi, lo, x, self.N_OUT), sign,
+                                              self.N_OUT),
+                1.0)
 
 
 class TestIntertwining:

@@ -19,7 +19,7 @@ from susypv.specialfunctions import (
     parameter_pole,
 )
 
-from oracles import fd4_first, mp_bessel_i, mp_hyp1f1
+from oracles import OracleNoConvergence, fd4_first, mp_bessel_i, mp_hyp1f1
 
 
 class TestKummer:
@@ -46,6 +46,12 @@ class TestKummer:
             got = kummer_1f1(a, b, x)
             ref = complex(mp_hyp1f1(a, b, x))
             assert abs(got - ref) <= 1e-12 * max(1e-30, abs(ref)), (a, b, x)
+
+    def test_oracle_raises_at_term_cap(self):
+        # 300 terms of e^1000 stop far short of it; the oracle once returned
+        # that partial sum as the reference
+        with pytest.raises(OracleNoConvergence):
+            mp_hyp1f1(1, 1, 1000)
 
     def test_kummer_transformation_self_consistency(self):
         rng = np.random.default_rng(11)
@@ -170,3 +176,7 @@ class TestBesselI:
     def test_outside_series_regime(self):
         with pytest.raises(NoConvergenceError):
             bessel_i(0.0, 80.0)
+
+    def test_oracle_raises_at_term_cap(self):
+        with pytest.raises(OracleNoConvergence):
+            mp_bessel_i(0.0, 1000.0)
