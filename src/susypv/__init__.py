@@ -33,7 +33,6 @@ from .painleve import (
     g_from_quartet,
     permute_quartet,
     pv_params,
-    pv_params_closed_form,
     pv_residual,
     solution_from_quartet,
     solve,
@@ -43,6 +42,7 @@ from .susy import (
     PartnerPotential,
     WronskianStack,
     extremal_quartet,
+    quartet_energies,
     radial_oscillator_quartet,
     transformed_state,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hierarchies, operators, tables
 from .oscillator import NU_INF, SeedSpec, SeedSpecError, seed_chain
-from .painleve import DegenerateOutputError, solve
+from .painleve import CERT_TOL, DegenerateOutputError, solve
 from .susy import PartnerPotential, SingularEvaluationError
 
 EXIT_OK = 0
@@ -264,7 +264,7 @@ def cmd_hierarchy(args) -> int:
         verdict = "matched" if fm.matched else "MISMATCH"
         print(f"form {fm.form}: {verdict} convention={fm.convention} "
               f"ordering={fm.ordering} error={fm.error:.3e}")
-    ok = rep.machinery_residual <= 1e-8
+    ok = rep.machinery_residual <= CERT_TOL
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=["geometric", "linear"], default="geometric")
     p.add_argument("--out", type=str, default="-")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CERT_TOL)
     p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(func=cmd_solve)
 

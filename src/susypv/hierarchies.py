@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import SeedSpec, _branch_parameters
-from .painleve import CANONICAL_ORDERINGS, solution_from_quartet
+from .oscillator import REAL_TOL, SeedSpec, _branch_parameters
+from .painleve import CANONICAL_ORDERINGS, MATCH_TOL, solution_from_quartet, w_gap
 from .specialfunctions import _as_nonpositive_int, bessel_i, hermite_h, laguerre_l
 from .susy import extremal_quartet
 
@@ -33,7 +33,6 @@ __all__ = [
 
 _TOL = 1e-12
 _ZS = np.linspace(0.5, 10.0, 25)  # z samples of the crosscheck
-_MATCH_TOL = 1e-9  # relative w error at which a printed form counts as matched
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def detect(spec: SeedSpec) -> HierarchyTag:
     ell = spec.ell
     a, b = _branch_parameters(ell, eps)[2 * branch - 2: 2 * branch]
     n, n_reflected = _as_nonpositive_int(a), _as_nonpositive_int(b - a)
-    if spec.k == 1 and abs(eps.imag) <= _TOL:
+    if spec.k == 1 and abs(eps.imag) <= REAL_TOL:
         eps = eps.real
         if nu_kind == "inf" and abs(ell - 0.5) < _TOL and abs(eps) < _TOL:
             return HierarchyTag("exponential", {"nu": "inf", "ell": ell})
@@ -186,7 +185,7 @@ def crosscheck(spec: SeedSpec) -> HierarchyReport:
     """Certify a hierarchy spec and resolve the argument convention.
 
     (i) the machinery output passes the PV residual (the certificate);
-    (ii) every printed closed form is compared pointwise against every
+    (ii) every printed closed form is graded by w_gap against every
     non-degenerate quartet ordering under both argument conventions; the
     best (convention, ordering) is recorded, matched or not.
     """
@@ -199,8 +198,7 @@ def crosscheck(spec: SeedSpec) -> HierarchyReport:
         sol = solution_from_quartet(quartet, lab)
         if sol.classification != "generic":
             continue
-        res, samples = sol.residual_certificate(_ZS)
-        machinery[lab] = [s.w if s.flag == "ok" else None for s in samples]
+        res, machinery[lab] = sol.residual_certificate(_ZS)
         if res < best_res:
             best_res, best_lab = res, lab
     report = HierarchyReport(tag, best_res, best_lab)
@@ -210,21 +208,13 @@ def crosscheck(spec: SeedSpec) -> HierarchyReport:
     for idx, form in enumerate(forms):
         candidates = []
         for conv_name, fn in (("printed", form), ("sqrt", convention_sqrt(form))):
-            closed = []
-            for z in _ZS:
-                try:
-                    closed.append(complex(fn(float(z))))
-                except (ZeroDivisionError, OverflowError, ValueError):
-                    closed.append(None)
-            for lab, vals in machinery.items():
-                errs = [abs(cv - mv) / max(1.0, abs(mv))
-                        for cv, mv in zip(closed, vals)
-                        if cv is not None and mv is not None]
-                if len(errs) >= len(_ZS) // 2:
-                    candidates.append((max(errs), conv_name, lab))
+            for lab, samples in machinery.items():
+                err = w_gap(samples, fn)
+                if err is not None:
+                    candidates.append((err, conv_name, lab))
         if not candidates:
             report.form_results.append(FormMatch(idx, None, None, math.inf, False))
             continue
         err, conv_name, lab = min(candidates)
-        report.form_results.append(FormMatch(idx, conv_name, lab, err, err <= _MATCH_TOL))
+        report.form_results.append(FormMatch(idx, conv_name, lab, err, err <= MATCH_TOL))
     return report

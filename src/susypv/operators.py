@@ -32,7 +32,7 @@ from .oscillator import (
     seed_chain,
 )
 from .susy import (PartnerPotential, SingularEvaluationError, WronskianRatioState,
-                   WronskianStack, transformed_state)
+                   WronskianStack, quartet_energies, transformed_state)
 
 __all__ = [
     "Atom",
@@ -311,10 +311,9 @@ def natural_eigenvalue(spec: SeedSpec, n: int) -> complex:
 
 
 def reduced_quartic(spec: SeedSpec, n: int) -> complex:
-    """Fourth-order-ladder eigenvalue n(n+2E0-1)(n+E0-eps1-1)(n+E0-eps_k)."""
-    ez = e0(spec.ell)
-    eps_k = spec.eps1 - (spec.k - 1)
-    return n * (n + 2.0 * ez - 1.0) * (n + ez - spec.eps1 - 1.0) * (n + ez - eps_k)
+    """Fourth-order-ladder eigenvalue: prod of E0 + n - e over the quartet energies e."""
+    en = e0(spec.ell) + n
+    return math.prod(en - e for e in quartet_energies(spec.ell, spec.eps1, spec.k))
 
 
 def _eigen_check(name: str, tolerance: float, ladder: SusyLadder, cases):

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 NU_INF = math.inf
+REAL_TOL = 1e-13  # a value whose |imaginary part| is at most this counts as real
 K_MAX, ELL_MAX, EPS1_MAX = 8, 50.0, 100.0  # bounds of the SeedSpec domain
 
 
@@ -173,8 +174,8 @@ class SeedSpec:
         a1, _, a2, _ = _branch_parameters(self.ell, complex(self.eps1))
         if self.mode == "real-physical":
             eps = complex(self.eps1)
-            if (abs(eps.imag) > 1e-13 or eps.real >= e0(self.ell) + 1e-13
-                    or any(abs(complex(m).imag) > 1e-13 for m in self.mixture)):
+            if (abs(eps.imag) > REAL_TOL or eps.real >= e0(self.ell) + 1e-13
+                    or any(abs(complex(m).imag) > REAL_TOL for m in self.mixture)):
                 raise SeedSpecError("real-physical needs a real eps1 < E0 and a real mixture")
             # nu exists unless mu1 = 0 or G(a2) has a pole; a gamma pole of the
             # bound itself raises GammaPoleError
@@ -201,9 +202,9 @@ class SeedSpec:
         check_ranges(ell, eps1)  # outside them the gamma ratio of the nu mapping can overflow
         mixture = nu_to_mixture(nu, ell, eps1)
         if mode is None:
-            if abs(complex(eps1).imag) > 1e-13:
+            if abs(complex(eps1).imag) > REAL_TOL:
                 mode = "fully-complex"
-            elif (any(abs(complex(m).imag) > 1e-13 for m in mixture)
+            elif (any(abs(complex(m).imag) > REAL_TOL for m in mixture)
                   or complex(eps1).real >= e0(ell) - 1e-13):
                 mode = "complex-over-real"
             else:
@@ -214,7 +215,7 @@ class SeedSpec:
     def from_lambda_kappa(ell: float, eps1: complex, lam: float, kappa: float,
                           k: int = 1, ordering: str = "1234") -> "SeedSpec":
         mix = (1.0 + 0.0j, lam + 1j * kappa)
-        mode = "fully-complex" if abs(complex(eps1).imag) > 1e-13 else "complex-over-real"
+        mode = "fully-complex" if abs(complex(eps1).imag) > REAL_TOL else "complex-over-real"
         return SeedSpec(float(ell), complex(eps1), mix, k, mode, ordering)
 
 

@@ -20,13 +20,16 @@ from fractions import Fraction
 import numpy as np
 
 from .oscillator import SeedSpec, check_ordering, check_positive
-from .susy import ExtremalQuartet, SingularEvaluationError, WronskianRatioState, extremal_quartet
+from .susy import (ExtremalQuartet, SingularEvaluationError, WronskianRatioState,
+                   extremal_quartet, quartet_energies)
 
 __all__ = [
     "EquationSingularityError",
     "DegenerateOutputError",
     "PoleError",
     "CANONICAL_ORDERINGS",
+    "CERT_TOL",
+    "MATCH_TOL",
     "PVParams",
     "GridSample",
     "PVSolution",
@@ -34,9 +37,9 @@ __all__ = [
     "permute_quartet",
     "params_from_energies",
     "pv_params",
-    "pv_params_closed_form",
     "g_from_quartet",
     "pv_residual",
+    "w_gap",
     "classify_degenerate",
     "solution_from_quartet",
     "solve",
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 CANONICAL_ORDERINGS = ("1234", "1324", "1423", "2314", "2413", "3412")
+CERT_TOL = 1e-8  # PV residual at or below which an output is certified
+MATCH_TOL = 1e-9  # w_gap at or below which a printed closed form counts as matched
 
 _POLE_TOL = 1e-10
 _SING_TOL = 1e-10
@@ -119,20 +124,8 @@ def params_from_energies(e1, e2, e3, e4) -> PVParams:
 
 
 def pv_params(quartet: ExtremalQuartet) -> PVParams:
-    """Parameters from the quartet's slot energies (the alpha route).
-
-    For a canonical-order k-SUSY quartet this agrees exactly with the
-    closed forms of pv_params_closed_form; callers assert that.
-    """
+    """Parameters from the quartet's slot energies (the alpha route)."""
     return params_from_energies(*[complex(e) for e in quartet.energies])
-
-
-def pv_params_closed_form(ell: float, eps1: complex, k: int) -> PVParams:
-    """Closed forms for the canonical ordering of the k-SUSY quartet."""
-    a = (4.0 * eps1 + 2.0 * ell + 3.0) ** 2 / 32.0
-    b = -((4.0 * eps1 - 4.0 * k - 2.0 * ell + 1.0) ** 2) / 32.0
-    c = (2.0 * k - 2.0 * ell - 3.0) / 4.0
-    return PVParams(a, b, c, -0.125)
 
 
 # -- the g function and w ----------------------------------------------------
@@ -255,8 +248,8 @@ class PVSolution:
         """w(z) and its z-derivatives, with pole masking and residual.
 
         Points where the certificate cannot be resolved numerically
-        (conditioning floor above a quarter of the 1e-8 tolerance) are
-        masked as poles rather than reported with meaningless residuals.
+        (conditioning floor above CERT_TOL / 4) are masked as poles
+        rather than reported with meaningless residuals.
         """
         check_positive(z, "z")
         if self.classification != "generic":
@@ -298,7 +291,7 @@ class PVSolution:
                                        e_w, e_wz, e_wzz)
         except EquationSingularityError:
             return GridSample(z, w, None, "pole", w_z, w_zz)
-        if floor > 2.5e-9:
+        if floor > CERT_TOL / 4:
             return GridSample(z, w, None, "pole", w_z, w_zz)
         return GridSample(z, w, res, "ok", w_z, w_zz)
 
@@ -309,6 +302,23 @@ class PVSolution:
         samples = [self.w_eval(float(z)) for z in zs]
         oks = [s.residual for s in samples if s.flag == "ok"]
         return (max(oks) if oks else math.inf), samples
+
+
+def w_gap(samples: list[GridSample], form) -> float | None:
+    """Worst |w - form(z)| / max(1, |form(z)|) over the certified samples.
+
+    Points where the printed form raises ZeroDivisionError, OverflowError
+    or ValueError are skipped; None when fewer than half the samples are
+    left.
+    """
+    errs = []
+    for s in (s for s in samples if s.flag == "ok"):
+        try:
+            ref = form(s.z)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            continue
+        errs.append(abs(s.w - ref) / max(1.0, abs(ref)))
+    return max(errs) if errs and 2 * len(errs) >= len(samples) else None
 
 
 def classify_degenerate(quartet: ExtremalQuartet) -> str:
@@ -361,17 +371,17 @@ def solution_from_quartet(quartet: ExtremalQuartet, ordering: str = "1234") -> P
 def solve(spec: SeedSpec, allow_degenerate: bool = False) -> PVSolution:
     """Full recipe: seed chain -> quartet -> permute -> params/classification.
 
-    The canonical-ordering parameters are cross-checked against the closed
-    forms; degenerate outputs raise unless allow_degenerate.
+    The canonical-ordering parameters are cross-checked against
+    quartet_energies; degenerate outputs raise unless allow_degenerate.
     """
     sol = solution_from_quartet(extremal_quartet(spec), spec.ordering)
     if sol.ordering == "1234":
-        ref = pv_params_closed_form(spec.ell, spec.eps1, spec.k)
+        ref = params_from_energies(*quartet_energies(spec.ell, spec.eps1, spec.k))
         for name in "abcd":
             got, want = getattr(sol.params, name), getattr(ref, name)
             if abs(got - want) > 1e-12 * max(1.0, abs(want)):
                 raise AssertionError(
-                    f"alpha-route {name}={got} disagrees with closed form {want}")
+                    f"alpha-route {name}={got} disagrees with the quartet_energies value {want}")
     if sol.classification != "generic" and not allow_degenerate:
         raise DegenerateOutputError(sol.classification)
     return sol

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "WronskianRatioState",
     "transformed_state",
     "ExtremalQuartet",
+    "quartet_energies",
     "extremal_quartet",
     "radial_oscillator_quartet",
     "PerpSolution",
@@ -256,18 +258,28 @@ class ExtremalQuartet:
         return self.states[2], self.states[3]
 
 
+def quartet_energies(ell, eps1, k: int) -> tuple:
+    """Slot energies (eps1 + 1, 1 - E0, eps_k, E0) of the canonical quartet.
+
+    eps_k = eps1 - (k - 1) and E0 = l/2 + 3/4: exact on Fractions, and on
+    floats the same bits as e0(l).
+    """
+    ez = ell / 2 + Fraction(3, 4)
+    return (eps1 + 1, 1 - ez, eps1 - (k - 1), ez)
+
+
 def extremal_quartet(spec: SeedSpec) -> ExtremalQuartet:
     """Canonical ("1234") extremal quartet of the k-th order partner.
 
     states: (B_k^+ b^+ u_1,  B_k^+ x^-l e^{-x^2/4},
              W(u_1..u_{k-1})/W(u_1..u_k),  B_k^+ x^{l+1} e^{-x^2/4})
-    energies: (eps1 + 1, -E0 + 1, eps_k, E0). V_k and the four
+    at the energies of quartet_energies. V_k and the four
     denominators share one chain stack, so one factorization per x.
     """
     chain = seed_chain(spec)
     vk = PartnerPotential(chain)
     psi3 = WronskianRatioState(WronskianStack(chain[:-1]), vk.stack,
-                               spec.eps1 - (spec.k - 1), spec.ell)
+                               quartet_energies(spec.ell, spec.eps1, spec.k)[2], spec.ell)
     psi1, psi2, psi4 = (transformed_state(vk, target) for target in (
         apply_b_plus(chain[0]),
         physical_eigenfunction(2, 0, spec.ell),    # x^-l e^{-x^2/4}

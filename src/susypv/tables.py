@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .oscillator import NU_INF, SeedSpec, e0
-from .painleve import CANONICAL_ORDERINGS, GridSample, params_from_energies, solution_from_quartet
-from .susy import extremal_quartet, radial_oscillator_quartet
+from .painleve import (CANONICAL_ORDERINGS, CERT_TOL, MATCH_TOL, params_from_energies,
+                       solution_from_quartet, w_gap)
+from .susy import extremal_quartet, quartet_energies, radial_oscillator_quartet
 
 __all__ = [
     "RowReport",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 F = Fraction
-_W_TOL = 1e-9  # relative w error at which a printed cell counts as matched
 # rational (l, eps1, k) samples of the six-permutation parameter check
 _PARAMS_SAMPLES = tuple(itertools.product((F(0), F(1), F(2), F(5, 2), F(5)),
                                           (F(-1, 2), F(0), F(3, 4), F(7, 4)), (1, 2, 3, 4)))
@@ -67,13 +67,11 @@ def PERMUTATION_PARAMS(label: str, ell: F, eps: F, k: int) -> tuple[F, F, F]:
 
 def ksusy_exact_params(label: str, ell: F, eps: F, k: int) -> tuple[F, F, F]:
     """(32a, 32b, 4c) from the alpha route, exact, for the k-SUSY quartet."""
-    ez = F(ell) / 2 + F(3, 4)
-    eps = F(eps)
-    a8, b8, c4 = quartet_exact_params(label, [eps + 1, 1 - ez, eps - (k - 1), ez])
+    a8, b8, c4 = quartet_exact_params(label, quartet_energies(F(ell), F(eps), k))
     return (4 * a8, 4 * b8, c4)
 
 
-def quartet_exact_params(label: str, energies: list[F]) -> tuple[F, F, F]:
+def quartet_exact_params(label: str, energies: list[F] | tuple[F, ...]) -> tuple[F, F, F]:
     """(8a, 8b, 4c) from explicit rational slot energies (alpha route)."""
     p = params_from_energies(*[energies[int(ch) - 1] for ch in label])
     return (8 * p.a, 8 * p.b, 4 * p.c)
@@ -123,7 +121,7 @@ def table_quartet(which: str, ell: float):
         k = int(which[1])
         spec = SeedSpec.from_nu(float(ell), e0(float(ell)) + (k - 1), NU_INF, k=k,
                                 mode="complex-over-real")
-        return extremal_quartet(spec), [ez + k, 1 - ez, ez, ez]
+        return extremal_quartet(spec), list(quartet_energies(F(ell), ez + k - 1, k))
     raise ValueError(f"unknown table {which!r}")
 
 
@@ -215,20 +213,6 @@ class TableReport:
     rows: list[RowReport] = field(default_factory=list)
 
 
-def _compare_w(samples: list[GridSample], form) -> float | None:
-    """Worst relative gap between the certified samples and a closed form."""
-    errs = []
-    for s in samples:
-        if s.flag != "ok":
-            continue
-        try:
-            ref = form(s.z)
-        except ZeroDivisionError:
-            continue
-        errs.append(abs(s.w - ref) / max(1.0, abs(ref)))
-    return max(errs) if errs else None
-
-
 def reproduce_table(which: str, ell: float, n_points: int = 50) -> TableReport:
     """Recompute one table from the machinery and grade every row."""
     quartet, exact_energies = table_quartet(which, ell)
@@ -251,15 +235,15 @@ def reproduce_table(which: str, ell: float, n_points: int = 50) -> TableReport:
         mr, samples = sol.residual_certificate(zs)
         row.machinery_residual = mr
         if cell["kind"] == "residual-only":
-            row.w_status = "residual-certified" if mr <= 1e-8 else "mismatch"
+            row.w_status = "residual-certified" if mr <= CERT_TOL else "mismatch"
         elif cell["kind"] == "degenerate":
             row.w_status = "mismatch"  # table says degenerate, machinery generic
         else:
-            row.w_error_paper = _compare_w(samples, cell["paper"])
+            row.w_error_paper = w_gap(samples, cell["paper"])
             if cell.get("derived") is not None:
-                row.w_error_derived = _compare_w(samples, cell["derived"])
+                row.w_error_derived = w_gap(samples, cell["derived"])
             err = row.w_error_paper
-            row.w_status = "matched" if (err is not None and err <= _W_TOL) else "mismatch"
+            row.w_status = "matched" if (err is not None and err <= MATCH_TOL) else "mismatch"
         report.rows.append(row)
     return report
 

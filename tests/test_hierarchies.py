@@ -63,6 +63,13 @@ class TestDetect:
     def test_near_zero_nu_is_not_nu_zero(self):
         assert detect(spec_nu(0.0, 1.25, 1e-13)).family == "transcendent"
 
+    def test_realness_agrees_with_spec_mode(self):
+        # one threshold (REAL_TOL): a spec inferred fully-complex is no real-eps1 family
+        spec = SeedSpec.from_nu(0.0, 0.3 + 5e-13j, 0.0)
+        assert spec.mode == "fully-complex"
+        assert detect(spec).family == "transcendent"
+        assert detect(spec_nu(0.0, 0.3 + 5e-14j, 0.0)).family == "weber"
+
     def test_published_families_need_no_gamma(self, monkeypatch):
         specs = {
             "exponential": spec_nu(0.5, 0.0, NU_INF),

@@ -19,6 +19,7 @@ from susypv.painleve import (
     CANONICAL_ORDERINGS,
     DegenerateOutputError,
     EquationSingularityError,
+    GridSample,
     PVParams,
     classify_degenerate,
     default_z_grid,
@@ -27,16 +28,17 @@ from susypv.painleve import (
     params_from_energies,
     permute_quartet,
     pv_params,
-    pv_params_closed_form,
     pv_residual,
     solution_from_quartet,
     solve,
+    w_gap,
 )
 from susypv.susy import (
     ExtremalQuartet,
     RadialPotential,
     WronskianStack,
     extremal_quartet,
+    quartet_energies,
     radial_oscillator_quartet,
 )
 
@@ -76,6 +78,14 @@ class TestGFromQuartet:
                 assert abs(ga - gb) <= 1e-9 * max(1.0, abs(ga)), (k, x)
 
 
+def paper_closed_form(ell, eps1, k) -> PVParams:
+    """The paper's closed forms for the canonical ordering of the k-SUSY quartet."""
+    a = (4.0 * eps1 + 2.0 * ell + 3.0) ** 2 / 32.0
+    b = -((4.0 * eps1 - 4.0 * k - 2.0 * ell + 1.0) ** 2) / 32.0
+    c = (2.0 * k - 2.0 * ell - 3.0) / 4.0
+    return PVParams(a, b, c, -0.125)
+
+
 class TestParams:
     def test_d_always(self):
         spec = SeedSpec.from_nu(1.0, 0.3, 0.7, k=1)
@@ -97,11 +107,21 @@ class TestParams:
                     assert p["c"][0] == c_cf
                     assert p["d"][0] == F(-1, 8)
 
+    def test_quartet_energies_give_closed_forms_exactly(self):
+        for k in (1, 2, 3, 4):
+            for ell in (F(0), F(1), F(5, 2)):
+                for eps in (F(-1, 2), F(1, 4)):
+                    p = params_from_energies(*quartet_energies(ell, eps, k))
+                    assert p.a == F((4 * eps + 2 * ell + 3) ** 2, 32)
+                    assert p.b == -F((4 * eps - 4 * k - 2 * ell + 1) ** 2, 32)
+                    assert p.c == F(2 * k - 2 * ell - 3, 4)
+                    assert p.d == F(-1, 8)
+
     def test_alpha_vs_closed_form_floats(self):
         spec = SeedSpec.from_nu(2.0, 0.4, 1.0, k=2)
         q = extremal_quartet(spec)
         got = pv_params(q)
-        ref = pv_params_closed_form(2.0, 0.4, 2)
+        ref = paper_closed_form(2.0, 0.4, 2)
         for name in "abcd":
             assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-13
 
@@ -270,6 +290,42 @@ class TestWEval:
             assert (s.residual is not None) == (s.flag == "ok")
 
 
+def _ok_samples(ws, flags=None):
+    """GridSamples at z = 1, 2, ... holding ws, flagged ok unless flags says otherwise."""
+    flags = flags or ["ok"] * len(ws)
+    return [GridSample(float(z), complex(w), 0.0 if f == "ok" else None, f)
+            for z, (w, f) in enumerate(zip(ws, flags), start=1)]
+
+
+class TestWGap:
+    def test_each_form_exception_skips_its_point(self):
+        def form(z):
+            for at, exc in ((1.0, ZeroDivisionError), (2.0, OverflowError), (3.0, ValueError)):
+                if z == at:
+                    raise exc("printed form undefined here")
+            return 2.5 if z == 4.0 else 2.0
+
+        # three of six points left is half, not fewer
+        assert w_gap(_ok_samples([2.0] * 6), form) == pytest.approx(0.2)
+
+    def test_none_below_half_coverage(self):
+        def form(z):
+            if z <= 2.0:
+                raise ZeroDivisionError
+            return 2.0
+
+        # two skipped points and two masked ones leave two of six samples
+        flags = ["ok", "ok", "pole", "pole", "ok", "ok"]
+        assert w_gap(_ok_samples([2.0] * 6, flags), form) is None
+        assert w_gap(_ok_samples([2.0] * 6), form) == 0.0
+        assert w_gap([], form) is None
+
+    def test_error_relative_to_printed_value(self):
+        # |form| < 1: the absolute gap; |form| > 1: relative to the printed value
+        assert w_gap(_ok_samples([0.5]), lambda z: 0.25) == pytest.approx(0.25)
+        assert w_gap(_ok_samples([30.0]), lambda z: 20.0) == pytest.approx(0.5)
+
+
 class TestKOneClosedRoute:
     def test_w_from_seed_logderivative(self):
         # independent k=1 route: w(z) = 1 + 2 z u / (2 sqrt(z) u' - (z+2l+2) u)
@@ -369,9 +425,18 @@ class TestSolve:
 
     def test_alpha_route_closed_form_guard(self):
         sol = solve(SeedSpec.from_nu(2.0, 0.2, 1.5, k=3))
-        ref = pv_params_closed_form(2.0, 0.2, 3)
+        ref = paper_closed_form(2.0, 0.2, 3)
         for name in "abcd":
             assert abs(getattr(sol.params, name) - getattr(ref, name)) <= 1e-12
+
+    def test_alpha_route_guard_sees_a_shifted_energy(self, monkeypatch):
+        def shifted(ell, eps1, k):
+            e1, e2, ek, ez = quartet_energies(ell, eps1, k)
+            return e1, e2, ek + 1e-6, ez
+
+        monkeypatch.setattr("susypv.painleve.quartet_energies", shifted)
+        with pytest.raises(AssertionError, match="alpha-route"):
+            solve(SeedSpec.from_nu(2.0, 0.2, 1.5, k=3))
 
     def test_boundary_ell_values(self):
         # l = -1/2 (degenerate branches: single-branch seed) and the
