@@ -221,6 +221,8 @@ def cmd_table(args) -> int:
     status = EXIT_OK
     for r in rep.rows:
         bits = [f"params={'exact' if r.params_exact else 'MISMATCH'}", f"w={r.w_status}"]
+        if r.w_status == "mismatch" and r.classification != "generic":
+            bits.append(f"machinery={r.classification}")
         if r.w_error_paper is not None:
             bits.append(f"err_paper={r.w_error_paper:.2e}")
         if r.w_error_derived is not None:

@@ -9,6 +9,11 @@ states, superpotentials, operator images) is a series composed with the
 ``taylor(x, order)``; the two conversions mark that boundary.
 Differentiation stays exact, so failures in identity checks point at
 formulas, not discretization.
+
+The ``series_*`` helpers loop over sequences of numpy scalars and return
+lists: their series have at most a few coefficients, where numpy's
+per-call cost would dominate. ``series_mul`` does np.dot's operations in
+np.dot's order, so its bits are np.dot's on extended precision.
 """
 
 from __future__ import annotations
@@ -67,30 +72,32 @@ def jet_from_taylor(c: np.ndarray) -> np.ndarray:
     return np.asarray(c) * factorials(len(c) - 1)
 
 
-def series_mul(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Cauchy product of truncated Taylor series."""
+def series_mul(a, b, order: int | None = None) -> list:
+    """Cauchy product of truncated Taylor series: c_n = +0 + a_0 b_n + ... + a_n b_0."""
     if order is None:
         order = min(len(a), len(b)) - 1
-    out = np.empty(order + 1, dtype=a.dtype)
+    out = []
     for n in range(order + 1):
-        out[n] = np.dot(a[: n + 1], b[n::-1])
+        acc = 0
+        for j in range(n + 1):
+            acc = acc + a[j] * b[n - j]
+        out.append(acc)
     return out
 
 
-def series_div(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
+def series_div(a, b, order: int | None = None) -> list:
     """Series quotient a/b (b[0] must be nonzero)."""
     if order is None:
         order = min(len(a), len(b)) - 1
-    out = np.empty(order + 1, dtype=np.result_type(a.dtype, b.dtype))
+    out = []
     for n in range(order + 1):
         acc = a[n]
         for j in range(n):
             acc = acc - out[j] * b[n - j]
-        out[n] = acc / b[0]
+        out.append(acc / b[0])
     return out
 
 
-def series_diff(a: np.ndarray) -> np.ndarray:
+def series_diff(a) -> list:
     """Taylor coefficients of the derivative: (n+1) c_{n+1}."""
-    n = len(a) - 1
-    return a[1:] * np.arange(1, n + 1)
+    return [a[n] * n for n in range(1, len(a))]

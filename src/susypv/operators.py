@@ -87,7 +87,7 @@ class Atom:
 
     def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
         cs = self.coeffs(x, n_out)
-        out = series_mul(series, cs[0], n_out)
+        out = np.array(series_mul(series, cs[0], n_out))
         for c in cs[1:]:
             series = series_diff(series)
             out = out + series_mul(series, c, n_out)

@@ -73,7 +73,8 @@ def _kahan_sum_terms(first_term: complex, ratio, n_terms: int | None = None) -> 
         comp = (t - total) - y
         total = t
         if n_terms is None:
-            if abs(term) <= SERIES_TOL * max(abs(total), 1e-300):
+            at = abs(total)  # max(at, 1e-300) without the call, nan kept as max keeps it
+            if abs(term) <= SERIES_TOL * (1e-300 if at < 1e-300 else at):
                 small_streak += 1
                 if small_streak >= 2:
                     return total

@@ -5,9 +5,11 @@ built from them here is one too. A Wronskian is the series of the
 determinant, by series LU in extended precision: series coefficients
 track the function's own analytic scale, so cancellations stay benign
 where the row multi-index (Leibniz) expansion of W^(n) would lose most of
-its digits (the tests keep that expansion as the reference). Derivatives
-come back out only in ``PartnerPotential.deriv_jet``, because a potential
-feeds the ODE closure.
+its digits (the tests keep that expansion as the reference). The matrix
+is nested lists of np.clongdouble scalars run through the ``series_*``
+helpers: at k <= 4 its entries have at most 3 coefficients, too few to
+pay numpy's per-call cost. Derivatives come back out only in
+``PartnerPotential.deriv_jet``, because a potential feeds the ODE closure.
 
 States of a transformed Hamiltonian are Wronskian ratios
 (``WronskianRatioState``), built by Darboux-Crum transformations (Crum,
@@ -53,6 +55,9 @@ __all__ = [
 ]
 
 
+_ZERO, _ONE = np.clongdouble(0), np.clongdouble(1)
+
+
 class SingularEvaluationError(ArithmeticError):
     """Wronskian underflow at a node (potential singularity of V_k)."""
 
@@ -80,7 +85,7 @@ class WronskianStack:
         cached = self._jet_cache.get(x)
         if cached is not None and len(cached) > order:
             return np.asarray(cached[: order + 1], dtype=complex)
-        out = self._taylor_det(x, order).astype(complex)
+        out = np.array(self._taylor_det(x, order)).astype(complex)
         self._jet_cache[x] = out
         return out
 
@@ -91,7 +96,7 @@ class WronskianStack:
             raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
         return tw
 
-    def _taylor_det(self, x: float, order: int) -> np.ndarray:
+    def _taylor_det(self, x: float, order: int) -> list:
         """Taylor series of W at x, through `order`, by series LU.
 
         Rows pivot on the magnitude of their leading coefficient. Where
@@ -103,19 +108,15 @@ class WronskianStack:
         the pivot carries t^v.
         """
         m = self.size
-        tcols = []
-        for s in self.solutions:
-            tcols.append(s.taylor(x, m - 1 + order).astype(np.clongdouble))
         # a[r][c] = Taylor series of u_c^(r), truncated at `order`
         a = [[None] * m for _ in range(m)]
-        for c in range(m):
-            cur = tcols[c]
+        for c, s in enumerate(self.solutions):
+            cur = list(s.taylor(x, m - 1 + order).astype(np.clongdouble))
             for r in range(m):
-                a[r][c] = cur[: order + 1].copy()
+                a[r][c] = cur[: order + 1]
                 if r + 1 < m:
                     cur = series_diff(cur)
-        det = np.zeros(order + 1, dtype=np.clongdouble)
-        det[0] = 1.0
+        det = [_ONE] + [_ZERO] * order
         sign = 1.0
         for j in range(m):
             p = max(range(j, m), key=lambda i: abs(a[i][j][0]))
@@ -124,28 +125,26 @@ class WronskianStack:
                 p = min(range(j, m), key=lambda i: _valuation(a[i][j]))
                 v = _valuation(a[p][j])
                 if v > order:
-                    return np.zeros(order + 1, dtype=np.clongdouble)
+                    return [_ZERO] * (order + 1)
             if p != j:
                 a[j], a[p] = a[p], a[j]
                 sign = -sign
             piv = a[j][j]
             det = series_mul(det, piv, order)
             for i in range(j + 1, m):
-                if abs(a[i][j][0]) == 0.0 and not a[i][j].any():
+                if not any(a[i][j]):
                     continue
-                factor = series_div(a[i][j][v:], piv[v:], order - v)
-                if v:
-                    factor = np.concatenate([factor, np.zeros(v, dtype=factor.dtype)])
+                factor = series_div(a[i][j][v:], piv[v:], order - v) + [_ZERO] * v
                 for c in range(j + 1, m):
-                    a[i][c] = a[i][c] - series_mul(factor, a[j][c], order)
-        return sign * det
+                    a[i][c] = [t - u for t, u in zip(a[i][c], series_mul(factor, a[j][c], order))]
+        return [sign * t for t in det]
 
     def log_derivative(self, x: float, order: int) -> np.ndarray:
         """Taylor series of (ln W)' = W'/W at x through `order`; zero for the empty stack."""
         if not self.solutions:
             return np.zeros(order + 1, dtype=complex)
         tw = self.nonsingular_jet(x, order + 1)
-        return series_div(series_diff(tw), tw, order)
+        return np.array(series_div(series_diff(tw), tw, order))
 
     def row_scale(self, x: float) -> float:
         """Product of row norms of the base jet matrix (scale-aware zero test)."""
@@ -162,10 +161,9 @@ class WronskianStack:
         return scale
 
 
-def _valuation(series: np.ndarray) -> int:
+def _valuation(series: list) -> int:
     """Index of the first nonzero coefficient (len(series) if there is none)."""
-    nonzero = np.flatnonzero(series)
-    return int(nonzero[0]) if nonzero.size else len(series)
+    return next((n for n, t in enumerate(series) if t), len(series))
 
 
 class PartnerPotential:
@@ -207,7 +205,7 @@ class WronskianRatioState:
     def taylor(self, x: float, order: int) -> np.ndarray:
         """Taylor coefficients of num/den at x, through `order`."""
         f = self.num.jet(x, order)
-        return series_div(f, self.den.nonsingular_jet(x, order), order)
+        return np.array(series_div(f, self.den.nonsingular_jet(x, order), order))
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         r = self.taylor(x, 1)

@@ -9,10 +9,12 @@ ODE-closure jets rather than restate them. The Leibniz jet calculus
 Wronskian (``term_maps``, ``leibniz_wronskian_jet``), ``g_route_b`` and
 the exact-complex alpha route ``pv_params_exact`` are second routes that
 the tests hold the library's series arithmetic, series-LU Wronskian, g and
-``params_from_energies`` against. ``mp_w`` rebuilds a spec's w(z) end to end
-in mpmath (seed chain, Wronskians, g): the forward-error reference for
-the library's w. ``wronskian`` reads W, W' or W'' off a
-stack's series, for tests that compare derivative values.
+``params_from_energies`` against. ``taylor_det_array`` is the series LU
+on numpy arrays, which the library's scalar series LU must match bit for
+bit. ``mp_w`` rebuilds a spec's w(z) end to end in mpmath (seed chain,
+Wronskians, g): the forward-error reference for the library's w.
+``wronskian`` reads W, W' or W'' off a stack's series, for tests that
+compare derivative values.
 """
 
 import math
@@ -312,6 +314,72 @@ def leibniz_wronskian_jet(cols, order):
     return np.array([sum(coeff * np.linalg.det(mat[list(rows), :])
                          for rows, coeff in terms.items())
                      for terms in term_maps(len(cols), order)])
+
+
+def _dot_mul(a, b, order):
+    """Cauchy product of complex arrays, one np.dot per coefficient."""
+    out = np.empty(order + 1, dtype=a.dtype)
+    for n in range(order + 1):
+        out[n] = np.dot(a[: n + 1], b[n::-1])
+    return out
+
+
+def _array_div(a, b, order):
+    """Series quotient a/b of complex arrays, accumulated in an array."""
+    out = np.empty(order + 1, dtype=np.result_type(a.dtype, b.dtype))
+    for n in range(order + 1):
+        acc = a[n]
+        for j in range(n):
+            acc = acc - out[j] * b[n - j]
+        out[n] = acc / b[0]
+    return out
+
+
+def taylor_det_array(stack, x, order):
+    """Series LU of W on clongdouble arrays: the array route that
+    ``WronskianStack._taylor_det`` must reproduce bit for bit.
+
+    Same pivots (leading magnitude, then valuation) and the same
+    operations, with np.dot for each product coefficient and array
+    arithmetic for the row updates.
+    """
+    m = stack.size
+    a = [[None] * m for _ in range(m)]
+    for c, s in enumerate(stack.solutions):
+        cur = s.taylor(x, m - 1 + order).astype(np.clongdouble)
+        for r in range(m):
+            a[r][c] = cur[: order + 1].copy()
+            cur = cur[1:] * np.arange(1, len(cur))
+
+    def valuation(series):
+        nonzero = np.flatnonzero(series)
+        return int(nonzero[0]) if nonzero.size else len(series)
+
+    det = np.zeros(order + 1, dtype=np.clongdouble)
+    det[0] = 1.0
+    sign = 1.0
+    for j in range(m):
+        p = max(range(j, m), key=lambda i: abs(a[i][j][0]))
+        v = 0
+        if a[p][j][0] == 0:
+            p = min(range(j, m), key=lambda i: valuation(a[i][j]))
+            v = valuation(a[p][j])
+            if v > order:
+                return np.zeros(order + 1, dtype=np.clongdouble)
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            sign = -sign
+        piv = a[j][j]
+        det = _dot_mul(det, piv, order)
+        for i in range(j + 1, m):
+            if abs(a[i][j][0]) == 0.0 and not a[i][j].any():
+                continue
+            factor = _array_div(a[i][j][v:], piv[v:], order - v)
+            if v:
+                factor = np.concatenate([factor, np.zeros(v, dtype=factor.dtype)])
+            for c in range(j + 1, m):
+                a[i][c] = a[i][c] - _dot_mul(factor, a[j][c], order)
+    return sign * det
 
 
 def g_route_b(spec, chain, x):

@@ -229,6 +229,15 @@ class TestTableCommand:
             assert "w=residual-certified" in line
             assert float(line.split("residual=")[1].split()[0]) <= 1e-8
 
+    def test_degenerate_machinery_named_on_mismatch(self, capsys):
+        # at l = -1/2 the derived closed form of row 1423 is w = 0, while the
+        # machinery's w is identically 1: the line says which degeneracy it met
+        code = run(["table", "--which", "t2", "--l=-1/2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        line = next(l for l in out.splitlines() if l.startswith("t2 1423:"))
+        assert line == "t2 1423: params=exact w=mismatch machinery=w==1"
+
 
 class TestVerifyCommand:
     def test_filtered_check(self, capsys):

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from susypv.hierarchies import HierarchyTag, closed_form_w, convention_sqrt, crosscheck, detect
+from susypv.hierarchies import _ZS, HierarchyTag, closed_form_w, convention_sqrt, crosscheck, detect
 from susypv.oscillator import NU_INF, SeedSpec, e0
-from susypv.painleve import solve
+from susypv.painleve import PVSolution, solve
 
 
 def spec_nu(ell, eps, nu, k=1):
@@ -206,6 +206,23 @@ class TestCrosscheck:
         assert rep.tag.family == "weber"
         assert rep.form_results == []
         assert rep.machinery_residual <= 1e-8
+
+    def test_w_evaluated_once_per_generic_ordering_and_point(self, monkeypatch):
+        # four of the six orderings are generic (1423 is w==inf, 2314
+        # w==0-shift); both printed forms, under both conventions, are graded
+        # on the certificate's own samples
+        calls = []
+        w_eval = PVSolution.w_eval
+
+        def counted(self, z):
+            calls.append((id(self), z))
+            return w_eval(self, z)
+
+        monkeypatch.setattr(PVSolution, "w_eval", counted)
+        rep = crosscheck(spec_nu(0.5, 0.0, NU_INF))
+        assert len(rep.form_results) == 2
+        assert len(calls) == 4 * len(_ZS)
+        assert len(set(calls)) == len(calls)
 
     def test_convention_transform(self):
         form = lambda z: 1.0 - z**1.5 / 5.0

@@ -120,12 +120,13 @@ def _p_jet(ell, sign, x, n):
 
 def _first_order_ref(series, w, sign, n_out):
     d = -1.0 if sign > 0 else 1.0
-    return (d * series_diff(series)[: n_out + 1] + series_mul(series, w, n_out)) / math.sqrt(2)
+    return (d * np.array(series_diff(series)[: n_out + 1])
+            + series_mul(series, w, n_out)) / math.sqrt(2)
 
 
 def _w_jet_ref(hi, lo, x, n):
     whi = hi.nonsingular_jet(x, n + 1)
-    out = series_div(series_diff(whi), whi, n)
+    out = np.array(series_div(series_diff(whi), whi, n))
     if lo.size:
         wlo = lo.nonsingular_jet(x, n + 1)
         out = out - series_div(series_diff(wlo), wlo, n)
@@ -134,7 +135,7 @@ def _w_jet_ref(hi, lo, x, n):
 
 def _b_ref(ell, sign, series, x, n_out):
     s = -1.0 if sign > 0 else 1.0
-    d1 = series_diff(series)
+    d1 = np.array(series_diff(series))
     x_d1 = x * d1[: n_out + 1]
     x_d1[1:] += d1[:n_out]  # (x0 + t) f'
     p = _p_jet(ell, sign, x, n_out)
@@ -143,7 +144,7 @@ def _b_ref(ell, sign, series, x, n_out):
 
 def _h_ref(potential, shift, series, x, n_out):
     v = taylor_from_jet(potential.deriv_jet(x, n_out))
-    return (-0.5 * series_diff(series_diff(series))[: n_out + 1]
+    return (-0.5 * np.array(series_diff(series_diff(series))[: n_out + 1])
             + series_mul(series, v, n_out) - shift * series[: n_out + 1])
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,60 @@ from oracles import (
     fd4_second,
     fd_schrodinger_residual,
     leibniz_wronskian_jet,
+    taylor_det_array,
     wronskian,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import pool  # noqa: E402
+
+
+COMMON_NODE_X = 3.0
+
+
+def common_node_columns():
+    """(psi, phi, chi) at l = 3 with psi(3) = phi(3) = 0 exactly.
+
+    psi_1l(3) = 0 exactly at l = 3, and phi is the solution at E0 - 0.4
+    with phi(3) = 0, phi'(3) = 1 (only its jet at x = 3 enters).
+    """
+    ell = 3.0
+    psi = physical_eigenfunction(1, 1, ell)
+    phi = ClosedFormSolution(ell, e0(ell) - 0.4, lambda t: (t - 3.0, 1.0))
+    chi = physical_eigenfunction(2, 0, ell)
+    return psi, phi, chi
+
+
+def common_node_stacks():
+    """Stacks that meet a column whose leading coefficients all vanish at
+    COMMON_NODE_X, so the series LU pivots on valuation (for [psi, phi, chi]
+    and [chi, psi, phi] in a middle column)."""
+    psi, phi, chi = common_node_columns()
+    return [psi], [psi, phi], [psi, phi, chi], [chi, psi, phi]
+
+
+def grid_pool_stacks():
+    """Every Wronskian stack of the extremal quartet of the first buildable
+    grid-pool spec at each k = 1..4 (chain, chain prefix, chain + target)."""
+    found = {}
+    for s in pool("grid"):
+        if s.k in found:
+            continue
+        try:
+            q = extremal_quartet(SeedSpec.from_nu(s.ell, s.eps, s.nu, k=s.k))
+        except ValueError:
+            continue
+        found[s.k] = [q.potential.stack] + [st.num for st in q.states]
+    assert sorted(found) == [1, 2, 3, 4]
+    return [st for k in sorted(found) for st in found[k]]
+
+
+def assert_same_bits(got, ref):
+    """Equal real part, imaginary part and sign bit of each coefficient."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        for gp, rp in ((g.real, r.real), (g.imag, r.imag)):
+            assert gp == rp and np.signbit(gp) == np.signbit(rp), (got, ref)
 
 
 def vk_residual(state, potential, energy, x):
@@ -89,17 +143,10 @@ class TestWronskian:
                 assert abs(series[d] - leib[d]) <= 1e-9 * max(1.0, abs(leib[d]))
 
     def test_exact_common_node_matches_leibniz(self):
-        # psi_1l(3) = 0 exactly at l = 3, and phi is the solution at
-        # E0 - 0.4 with phi(3) = 0, phi'(3) = 1 (only its jet at x = 3
-        # enters): each stack meets a column whose leading coefficients all
-        # vanish, so the series LU must pivot on valuation (for
-        # [psi, phi, chi] and [chi, psi, phi] in a middle column)
-        ell, x, order = 3.0, 3.0, 6
-        psi = physical_eigenfunction(1, 1, ell)
-        phi = ClosedFormSolution(ell, e0(ell) - 0.4, lambda t: (t - 3.0, 1.0))
-        chi = physical_eigenfunction(2, 0, ell)
+        x, order = COMMON_NODE_X, 6
+        psi, phi, _ = common_node_columns()
         assert psi.jet_values(x, 0)[0] == 0 and phi.jet_values(x, 0)[0] == 0
-        for cols in ([psi], [psi, phi], [psi, phi, chi], [chi, psi, phi]):
+        for cols in common_node_stacks():
             got = derivs(WronskianStack(cols).jet(x, order))
             ref = leibniz_wronskian_jet([u.jet_values(x, len(cols) - 1 + order)
                                          for u in cols], order)
@@ -111,6 +158,30 @@ class TestWronskian:
         st = WronskianStack([])
         assert wronskian(st, 1.0, 0) == 1.0
         assert wronskian(st, 1.0, 1) == 0.0
+
+
+class TestScalarSeriesLU:
+    """The series LU on numpy scalars is the array route, bit for bit."""
+
+    @pytest.mark.parametrize("x", [0.316, 1.0, 2.4, 4.47])
+    def test_grid_pool_stacks(self, x):
+        for st in grid_pool_stacks():
+            for order in (0, 1, 2):
+                assert_same_bits(st._taylor_det(x, order), taylor_det_array(st, x, order))
+
+    def test_valuation_pivot(self):
+        for cols in common_node_stacks():
+            st = WronskianStack(cols)
+            for order in range(7):
+                assert_same_bits(st._taylor_det(COMMON_NODE_X, order),
+                                 taylor_det_array(st, COMMON_NODE_X, order))
+
+    def test_vanishing_beyond_order(self):
+        # psi alone has valuation 1 at its node: through order 0, W is 0
+        st = WronskianStack([common_node_columns()[0]])
+        got = st._taylor_det(COMMON_NODE_X, 0)
+        assert_same_bits(got, taylor_det_array(st, COMMON_NODE_X, 0))
+        assert got[0] == 0
 
 
 class TestPartnerPotential:
