@@ -32,7 +32,7 @@ from .oscillator import (
     seed_chain,
 )
 from .susy import (PartnerPotential, SingularEvaluationError, WronskianRatioState,
-                   WronskianStack, quartet_energies, transformed_state)
+                   WronskianStack, quartet_energies, raise_if_singular, transformed_state)
 
 __all__ = [
     "Atom",
@@ -87,7 +87,7 @@ class Atom:
 
     def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
         cs = self.coeffs(x, n_out)
-        out = np.array(series_mul(series, cs[0], n_out))
+        out = series_mul(series, cs[0], n_out)
         for c in cs[1:]:
             series = series_diff(series)
             out = out + series_mul(series, c, n_out)
@@ -115,7 +115,11 @@ def atom_h(potential, shift: complex = 0.0) -> Atom:
 
 def superpotential(hi: WronskianStack, lo: WronskianStack, x: float, n: int) -> np.ndarray:
     """w_j = (ln W_j)' - (ln W_{j-1})' as a series at x through order n."""
-    return hi.log_derivative(x, n) - lo.log_derivative(x, n)
+    xs = (x,)
+    out = hi.log_derivative(xs, n) - lo.log_derivative(xs, n)
+    for stack in (hi, lo):
+        raise_if_singular(xs, stack.singular(xs))
+    return out[0]
 
 
 def atom_susy(hi: WronskianStack, lo: WronskianStack, sign: int) -> Atom:

@@ -136,6 +136,14 @@ class RadialPotential:
             out[j] = 0.5 * c * ((-1) ** j) * fac / x ** (j + 2)
         return out
 
+    def deriv_jet_at(self, xs: tuple, order: int) -> np.ndarray:
+        """deriv_jet at each x of xs, one row per x."""
+        return np.array([self.deriv_jet(x, order) for x in xs]).reshape(len(xs), order + 1)
+
+    def singular_at(self, xs: tuple) -> np.ndarray:
+        """V0 is regular on x > 0."""
+        return np.zeros(len(xs), dtype=bool)
+
     def __call__(self, x: float) -> complex:
         return complex(self.deriv_jet(x, 0)[0])
 
@@ -268,6 +276,10 @@ class SchrodingerSolution:
     def taylor(self, x: float, order: int) -> np.ndarray:
         """Taylor coefficients [u, u', u''/2, ..., u^(order)/order!] at x."""
         return taylor_from_jet(self.jet_values(x, order))
+
+    def values_at(self, xs: tuple) -> np.ndarray:
+        """(value, derivative) at each x of xs, one row per x."""
+        return np.array([self.jet_values(x, 1) for x in xs]).reshape(len(xs), 2)
 
     def __call__(self, x: float) -> complex:
         return complex(self.jet_values(x, 0)[0])

@@ -9,6 +9,8 @@ and read the parameters off the slot energies,
 Because both slot states solve the same Schrodinger equation, the
 Wronskian obeys W' = 2(e3-e4) psi_3 psi_4, so g and two z-derivatives of w
 are available analytically; the PV residual then certifies every output.
+A certificate evaluates its whole grid in one batched pass
+(``PVSolution.w_grid``), with masks for the points it cannot certify.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .oscillator import SeedSpec, check_ordering, check_positive
-from .susy import (ExtremalQuartet, SingularEvaluationError, WronskianRatioState,
-                   extremal_quartet, quartet_energies)
+from .susy import (ExtremalQuartet, WronskianRatioState, extremal_quartet, quartet_energies,
+                   raise_if_singular)
 
 __all__ = [
     "EquationSingularityError",
@@ -137,32 +139,47 @@ def g_from_quartet(quartet: ExtremalQuartet, x: float) -> tuple[complex, complex
     Abel's identity W' = 2(e3-e4) psi3 psi4 (both states solve the same
     equation) supplies all Wronskian derivatives from values and first
     derivatives alone; any normalization of the states drops out of the
-    logarithmic derivative.
+    logarithmic derivative. Raises SingularEvaluationError where V_k is
+    singular and PoleError where W(psi3, psi4) vanishes.
     """
-    (g, g1, g2), _ = _g_with_errors(quartet, x)
-    return g, g1, g2
+    xs = (x,)
+    with np.errstate(all="ignore"):
+        (g, g1, g2), _, singular, pole = _g_with_errors(quartet, xs)
+    raise_if_singular(xs, singular)
+    if pole[0]:
+        raise PoleError(f"W(psi3,psi4) vanishes near x={x}")
+    return complex(g[0]), complex(g1[0]), complex(g2[0])
 
 
-def _g_with_errors(quartet: ExtremalQuartet, x: float):
-    """g, g', g'' in extended precision plus propagated error bounds.
+def _first_max(first, *rest):
+    """Python's max, elementwise: the first of the largest (NaN only where it comes first)."""
+    for r in rest:
+        first = np.where(r > first, r, first)
+    return first
 
-    The log-derivative chain cancels badly near zeros of W(psi3,psi4);
-    the returned absolute-error estimates let w_eval mask points where
-    the PV residual cannot be resolved at the certificate tolerance.
+
+def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
+    """g, g', g'' at each x of xs in extended precision, with error bounds.
+
+    Returns the complex arrays (g, g', g''), their propagated absolute
+    errors, and two masks: `singular` where V_k is singular and `pole`
+    where W(psi3, psi4) vanishes; values there carry no meaning. The
+    log-derivative chain cancels badly near zeros of W(psi3, psi4); the
+    error estimates let the certificate mask points where the PV residual
+    cannot be resolved at the certificate tolerance.
     """
     s3, s4 = quartet.pair_34()
     e3, e4 = complex(quartet.energies[2]), complex(quartet.energies[3])
     # V_k first: its order-2 chain series then serves both slot denominators
-    vd = complex(quartet.potential(x))
-    f0d, f1d = s3.value_and_derivative(x)
-    g0d, g1d = s4.value_and_derivative(x)
+    vd = quartet.potential.deriv_jet_at(xs, 0)[:, 0]
+    singular = quartet.potential.singular_at(xs)
+    (f0d, f1d), (g0d, g1d) = s3.values_at(xs).T, s4.values_at(xs).T
     cl = np.clongdouble
-    f0, f1, g0, g1, v = cl(f0d), cl(f1d), cl(g0d), cl(g1d), cl(vd)
+    f0, f1, g0, g1, v = (t.astype(cl) for t in (f0d, f1d, g0d, g1d, vd))
     eps_in = 1e-15  # relative accuracy of the double-precision inputs
     omega = f0 * g1 - g0 * f1
-    s_omega = float(abs(f0 * g1) + abs(g0 * f1))
-    if abs(omega) < 1e-15 * max(s_omega, 1e-300):
-        raise PoleError(f"W(psi3,psi4) vanishes near x={x}")
+    s_omega = (abs(f0 * g1) + abs(g0 * f1)).astype(float)
+    pole = abs(omega) < 1e-15 * np.maximum(s_omega, 1e-300)
     e_omega = eps_in * s_omega
     delta = cl(2.0) * (cl(e3) - cl(e4))
     om1 = delta * f0 * g0
@@ -179,10 +196,11 @@ def _g_with_errors(quartet: ExtremalQuartet, x: float):
     e_lh2 = (abs(om3 / omega) * rel_om
              + 3.0 * (abs(lh1m) * e_lh + abs(lh) * e_lh1m)
              + 6.0 * abs(lh) ** 2 * e_lh)
-    g = -cl(x) - lh
+    g = -np.array(xs, dtype=cl) - lh
     gp = -cl(1.0) - lh1
     gpp = -lh2
-    return (complex(g), complex(gp), complex(gpp)), (e_lh, e_lh1, e_lh2)
+    return ((g.astype(complex), gp.astype(complex), gpp.astype(complex)),
+            (e_lh, e_lh1, e_lh2), singular, pole)
 
 
 def pv_residual(w: complex, w_z: complex, w_zz: complex, z: float, params: PVParams) -> float:
@@ -191,27 +209,31 @@ def pv_residual(w: complex, w_z: complex, w_zz: complex, z: float, params: PVPar
     |w'' - RHS| / max(|w''|, |RHS|, 1) with
     RHS = (1/(2w) + 1/(w-1)) w'^2 - w'/z + (w-1)^2/z^2 (a w + b/w)
           + c w/z + d w (w+1)/(w-1).
+    Raises EquationSingularityError on the singular locus w = 0 or 1.
     """
     cl = np.clongdouble
-    res, _ = _residual_ext(cl(w), cl(w_z), cl(w_zz), z, params, 0.0, 0.0, 0.0)
-    return res
-
-
-def _residual_ext(w, w_z, w_zz, z: float, params: PVParams,
-                  e_w: float, e_wz: float, e_wzz: float) -> tuple[float, float]:
-    """Extended-precision residual plus a conditioning floor.
-
-    Inputs are clongdouble scalars; the floor combines the propagated
-    input errors with the sensitivities of the PV right-hand side near
-    its w = 0 / w = 1 singular locus.
-    """
-    cl = np.clongdouble
-    aw, aw1 = float(abs(w)), float(abs(complex(w) - 1.0))
-    if aw < _SING_TOL or aw1 < _SING_TOL:
+    res, _, locus = _residual_ext(np.array([w], cl), np.array([w_z], cl), np.array([w_zz], cl),
+                                  np.array([z], float), params, 0.0, 0.0, 0.0)
+    if locus[0]:
         raise EquationSingularityError(f"w={complex(w)} on the singular locus at z={z}")
+    return float(res[0])
+
+
+def _residual_ext(w, w_z, w_zz, z: np.ndarray, params: PVParams, e_w, e_wz, e_wzz):
+    """Extended-precision residual, conditioning floor and singular-locus mask.
+
+    w, w_z and w_zz are clongdouble arrays over the points z; the floor
+    combines the propagated input errors with the sensitivities of the PV
+    right-hand side near its w = 0 / w = 1 singular locus, where the
+    returned mask is set.
+    """
+    cl = np.clongdouble
+    wd = w.astype(complex)
+    aw, aw1 = abs(w).astype(float), np.hypot(wd.real - 1.0, wd.imag)
+    locus = (aw < _SING_TOL) | (aw1 < _SING_TOL)
     one = cl(1.0)
     a, b, c, d = cl(complex(params.a)), cl(complex(params.b)), cl(complex(params.c)), cl(complex(params.d))
-    zx = cl(z)
+    zx = z.astype(cl)
     terms = (
         (cl(0.5) / w + one / (w - one)) * w_z * w_z,
         -w_z / zx,
@@ -220,19 +242,20 @@ def _residual_ext(w, w_z, w_zz, z: float, params: PVParams,
         d * w * (w + one) / (w - one),
     )
     rhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-    den = max(float(abs(w_zz)), float(abs(rhs)), 1.0)
-    res = float(abs(w_zz - rhs)) / den
-    awz = float(abs(w_z))
+    a_wzz = abs(w_zz).astype(float)
+    den = _first_max(a_wzz, abs(rhs).astype(float), 1.0)
+    res = abs(w_zz - rhs).astype(float) / den
+    awz = abs(w_z).astype(float)
     aa, ab, ac, ad = abs(complex(params.a)), abs(complex(params.b)), abs(complex(params.c)), 0.125
     sens_wz = 2.0 * awz * (0.5 / aw + 1.0 / aw1) + 1.0 / z
     sens_w = (awz * awz * (0.5 / aw**2 + 1.0 / aw1**2)
               + (2.0 * aw1 * (aa * aw + ab / aw) + aw1**2 * (aa + ab / aw**2)) / (z * z)
               + ac / z
               + ad * ((2.0 * aw + 1.0) / aw1 + aw * (aw + 1.0) / aw1**2))
-    term_scale = max(float(abs(t)) for t in terms)
+    term_scale = _first_max(*(abs(t).astype(float) for t in terms))
     floor = (e_wzz + sens_w * e_w + sens_wz * e_wz
-             + 2e-18 * (term_scale + float(abs(w_zz)))) / den
-    return res, floor
+             + 2e-18 * (term_scale + a_wzz)) / den
+    return res, floor, locus
 
 
 @dataclass
@@ -244,62 +267,76 @@ class PVSolution:
     ordering: str
     classification: str
 
-    def w_eval(self, z: float) -> GridSample:
-        """w(z) and its z-derivatives, with pole masking and residual.
+    def w_grid(self, zs) -> list[GridSample]:
+        """w(z) and its z-derivatives at every z of zs, with pole masking and residuals.
 
-        Points where the certificate cannot be resolved numerically
-        (conditioning floor above CERT_TOL / 4) are masked as poles
-        rather than reported with meaningless residuals.
+        One batched pass: each Wronskian stack is factored once for the
+        whole grid. Points where the certificate cannot be resolved
+        numerically (conditioning floor above CERT_TOL / 4) are masked as
+        poles rather than reported with meaningless residuals.
         """
-        check_positive(z, "z")
+        zs = [float(z) for z in zs]
+        for z in zs:
+            check_positive(z, "z")
         if self.classification != "generic":
-            return GridSample(z, math.nan + 0j, None, "degenerate")
-        x = math.sqrt(z)
-        try:
-            (g, g1, g2), (e_g, e_g1, e_g2) = _g_with_errors(self.quartet, x)
-        except (PoleError, SingularEvaluationError):
-            return GridSample(z, math.inf + 0j, None, "pole")
-        if abs(g) < _POLE_TOL * (1.0 + abs(x)):
-            return GridSample(z, math.inf + 0j, None, "pole")
+            return [GridSample(z, math.nan + 0j, None, "degenerate") for z in zs]
+        xs = tuple(math.sqrt(z) for z in zs)
+        x, z = np.array(xs), np.array(zs)
         cl = np.clongdouble
-        gx, g1x, g2x, xx = cl(g), cl(g1), cl(g2), cl(x)
-        wx = cl(1.0) + xx / gx
-        num = gx - xx * g1x
-        den = cl(2.0) * xx * gx * gx
-        w_zx = num / den
-        dnum = -xx * g2x
-        dden = cl(2.0) * gx * gx + cl(4.0) * xx * gx * g1x
-        kx = dnum * den - num * dden
-        w_zzx = kx / (den * den) / (cl(2.0) * xx)
-        w, w_z, w_zz = complex(wx), complex(w_zx), complex(w_zzx)
-        # propagated absolute errors
-        ag, ag1 = abs(g), abs(g1)
-        e_w = x * e_g / max(ag * ag, 1e-300)
-        e_num = e_g + x * e_g1
-        e_den = 4.0 * x * ag * e_g
-        aden = float(abs(den))
-        e_wz = e_num / aden + float(abs(num)) * e_den / aden**2
-        e_dnum = x * e_g2
-        e_dden = 4.0 * ag * e_g + 4.0 * x * (ag * e_g1 + ag1 * e_g)
-        cancel = float(abs(dnum * den) + abs(num * dden))
-        e_k = (aden * e_dnum + float(abs(dnum)) * e_den
-               + float(abs(num)) * e_dden + float(abs(dden)) * e_num
-               + 2e-18 * cancel)
-        e_wzz = e_k / (aden * aden * 2.0 * x) + abs(w_zz) * 2.0 * e_den / aden
-        try:
-            res, floor = _residual_ext(wx, w_zx, w_zzx, z, self.params,
-                                       e_w, e_wz, e_wzz)
-        except EquationSingularityError:
-            return GridSample(z, w, None, "pole", w_z, w_zz)
-        if floor > CERT_TOL / 4:
-            return GridSample(z, w, None, "pole", w_z, w_zz)
-        return GridSample(z, w, res, "ok", w_z, w_zz)
+        with np.errstate(all="ignore"):  # masked points may divide by 0
+            (g, g1, g2), (e_g, e_g1, e_g2), singular, pole = _g_with_errors(self.quartet, xs)
+            ag, ag1 = np.hypot(g.real, g.imag), np.hypot(g1.real, g1.imag)
+            pole |= singular | (ag < _POLE_TOL * (1.0 + x))
+            gx, g1x, g2x, xx = g.astype(cl), g1.astype(cl), g2.astype(cl), x.astype(cl)
+            wx = cl(1.0) + xx / gx
+            num = gx - xx * g1x
+            den = cl(2.0) * xx * gx * gx
+            w_zx = num / den
+            dnum = -xx * g2x
+            dden = cl(2.0) * gx * gx + cl(4.0) * xx * gx * g1x
+            kx = dnum * den - num * dden
+            w_zzx = kx / (den * den) / (cl(2.0) * xx)
+            w, w_z, w_zz = wx.astype(complex), w_zx.astype(complex), w_zzx.astype(complex)
+            # propagated absolute errors
+            e_w = x * e_g / np.maximum(ag * ag, 1e-300)
+            e_num = e_g + x * e_g1
+            e_den = 4.0 * x * ag * e_g
+            aden = abs(den).astype(float)
+            a_num = abs(num).astype(float)
+            e_wz = e_num / aden + a_num * e_den / aden**2
+            e_dnum = x * e_g2
+            e_dden = 4.0 * ag * e_g + 4.0 * x * (ag * e_g1 + ag1 * e_g)
+            cancel = (abs(dnum * den) + abs(num * dden)).astype(float)
+            e_k = (aden * e_dnum + abs(dnum).astype(float) * e_den
+                   + a_num * e_dden + abs(dden).astype(float) * e_num
+                   + 2e-18 * cancel)
+            e_wzz = (e_k / (aden * aden * 2.0 * x)
+                     + np.hypot(w_zz.real, w_zz.imag) * 2.0 * e_den / aden)
+            res, floor, locus = _residual_ext(wx, w_zx, w_zzx, z, self.params, e_w, e_wz, e_wzz)
+        unresolved = locus | (floor > CERT_TOL / 4)
+        samples = []
+        for i, (zi, wi, wzi, wzzi) in enumerate(zip(zs, w.tolist(), w_z.tolist(), w_zz.tolist())):
+            if pole[i]:
+                samples.append(GridSample(zi, math.inf + 0j, None, "pole"))
+            elif unresolved[i]:
+                samples.append(GridSample(zi, wi, None, "pole", wzi, wzzi))
+            else:
+                samples.append(GridSample(zi, wi, float(res[i]), "ok", wzi, wzzi))
+        return samples
+
+    def w_eval(self, z: float) -> GridSample:
+        """w(z) and its z-derivatives at one point: w_grid on a grid of one."""
+        return self.w_grid((z,))[0]
 
     def residual_certificate(self, zs: np.ndarray | None = None) -> tuple[float, list[GridSample]]:
-        """Max masked-grid residual and the samples; inf when nothing is ok."""
+        """Max masked-grid residual and the samples; inf when nothing is ok.
+
+        The whole grid goes through w_grid at once (default_z_grid() when
+        zs is None).
+        """
         if zs is None:
             zs = default_z_grid()
-        samples = [self.w_eval(float(z)) for z in zs]
+        samples = self.w_grid(zs)
         oks = [s.residual for s in samples if s.flag == "ok"]
         return (max(oks) if oks else math.inf), samples
 
@@ -335,21 +372,14 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
     s3, s4 = quartet.pair_34()
     if any(isinstance(s, WronskianRatioState) and s.is_zero() for s in (s3, s4)):
         return "w==1"
-    zs = np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES)
-    ws = []
-    n_poles = 0
-    for z in zs:
-        x = math.sqrt(z)
-        try:
-            g, _, _ = g_from_quartet(quartet, x)
-        except PoleError:
-            n_poles += 1
-            continue
-        if abs(g) < _POLE_TOL * (1.0 + abs(x)):
-            n_poles += 1
-            continue
-        ws.append(1.0 + x / g)
-    if n_poles == len(zs):
+    xs = tuple(math.sqrt(z) for z in np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES))
+    with np.errstate(all="ignore"):
+        (g, _, _), _, singular, pole = _g_with_errors(quartet, xs)
+    raise_if_singular(xs, singular)
+    # Python's complex division, as before: numpy's differs in the last bit
+    ws = [1.0 + x / gx for x, gx, p in zip(xs, g.tolist(), pole)
+          if not (p or abs(gx) < _POLE_TOL * (1.0 + abs(x)))]
+    if not ws:
         return "w==inf"
     ws = np.array(ws)
     mean = ws.mean()

@@ -1,15 +1,18 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
 Solutions hand out Taylor series at a point (``taylor``); everything
-built from them here is one too. A Wronskian is the series of the
-determinant, by series LU in extended precision: series coefficients
-track the function's own analytic scale, so cancellations stay benign
-where the row multi-index (Leibniz) expansion of W^(n) would lose most of
-its digits (the tests keep that expansion as the reference). The matrix
-is nested lists of np.clongdouble scalars run through the ``series_*``
-helpers: at k <= 4 its entries have at most 3 coefficients, too few to
-pay numpy's per-call cost. Derivatives come back out only in
-``PartnerPotential.deriv_jet``, because a potential feeds the ODE closure.
+built from them here is one too, on a whole grid at once. A grid is a
+tuple of floats, the key of every per-grid cache; a single point is a
+grid of one. A Wronskian is the series of the determinant, by series LU
+in extended precision: series coefficients track the function's own
+analytic scale, so cancellations stay benign where the row multi-index
+(Leibniz) expansion of W^(n) would lose most of its digits (the tests
+keep that expansion as the reference). The LU runs on one np.clongdouble
+array over (point, row, column, coefficient), so each elimination step is
+one array operation per series coefficient for the whole grid, and each
+point keeps the pivots and bits it would have alone. Derivatives come
+back out only in ``PartnerPotential.deriv_jet_at``, because a potential
+feeds the ODE closure.
 
 States of a transformed Hamiltonian are Wronskian ratios
 (``WronskianRatioState``), built by Darboux-Crum transformations (Crum,
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import jet_from_taylor, series_diff, series_div, series_mul
+from .jets import jet_from_taylor, series_diff, series_div, series_mul, taylor_from_jet
 from .oscillator import (
     RadialPotential,
     SchrodingerSolution,
@@ -43,6 +46,7 @@ from .oscillator import (
 
 __all__ = [
     "SingularEvaluationError",
+    "raise_if_singular",
     "WronskianStack",
     "PartnerPotential",
     "WronskianRatioState",
@@ -55,17 +59,24 @@ __all__ = [
 ]
 
 
-_ZERO, _ONE = np.clongdouble(0), np.clongdouble(1)
-
 
 class SingularEvaluationError(ArithmeticError):
     """Wronskian underflow at a node (potential singularity of V_k)."""
 
 
-class WronskianStack:
-    """Ordered solutions sharing one ell, with Wronskian jets at any point.
+def raise_if_singular(xs: tuple, singular: np.ndarray) -> None:
+    """SingularEvaluationError at the first x of xs where `singular` is set."""
+    if np.count_nonzero(singular):  # ndarray.any costs 4x more on a grid of one
+        x = xs[int(np.argmax(singular))]
+        raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
 
-    The empty stack has W = 1 by convention so k = 1 formulas degenerate
+
+class WronskianStack:
+    """Ordered solutions sharing one ell, with Wronskian series on a grid.
+
+    A grid is a tuple of floats: the key of the per-grid caches, so every
+    caller that asks for the same points shares one factorization. The
+    empty stack has W = 1 by convention so k = 1 formulas degenerate
     gracefully.
     """
 
@@ -73,78 +84,118 @@ class WronskianStack:
         self.solutions = list(solutions)
         if len({s.ell for s in self.solutions}) > 1:
             raise ValueError("stack members must share ell")
-        self._jet_cache: dict[float, np.ndarray] = {}
+        self._jet_cache: dict[tuple, np.ndarray] = {}
+        # read off the cached jet of the same grid, so dropped when it is recomputed
+        self._logd_cache: dict[tuple, np.ndarray] = {}
+        self._singular_cache: dict[tuple, np.ndarray] = {}
         self._scale_cache: dict[float, float] = {}
 
     @property
     def size(self) -> int:
         return len(self.solutions)
 
-    def jet(self, x: float, order: int) -> np.ndarray:
-        """Taylor coefficients [W, W', W''/2, ..., W^(order)/order!] at x."""
-        cached = self._jet_cache.get(x)
-        if cached is not None and len(cached) > order:
-            return np.asarray(cached[: order + 1], dtype=complex)
-        out = np.array(self._taylor_det(x, order)).astype(complex)
-        self._jet_cache[x] = out
-        return out
+    def jet(self, xs: tuple, order: int) -> np.ndarray:
+        """Taylor coefficients [W, W', W''/2, ..., W^(order)/order!], one row per x of xs."""
+        cached = self._jet_cache.get(xs)
+        if cached is None or cached.shape[1] <= order:
+            cached = self._jet_cache[xs] = self._taylor_det(xs, order).astype(complex)
+            self._logd_cache.pop(xs, None)
+            self._singular_cache.pop(xs, None)
+        return cached[:, : order + 1]
 
-    def nonsingular_jet(self, x: float, order: int) -> np.ndarray:
-        """jet(x, order), or SingularEvaluationError where |W| < 1e-13 row_scale(x)."""
-        tw = self.jet(x, order)
-        if abs(tw[0]) < 1e-13 * self.row_scale(x):
-            raise SingularEvaluationError(f"W vanishes near x={x}: singular potential")
-        return tw
+    def singular(self, xs: tuple) -> np.ndarray:
+        """|W| < 1e-13 row_scale(x) at each x of xs: W vanishes, V_k is singular."""
+        if not self.solutions:
+            return np.zeros(len(xs), dtype=bool)
+        mask = self._singular_cache.get(xs)
+        if mask is None:
+            w = self.jet(xs, 0)[:, 0]
+            scale = np.array([self.row_scale(x) for x in xs])
+            mask = self._singular_cache[xs] = np.hypot(w.real, w.imag) < 1e-13 * scale
+        return mask
 
-    def _taylor_det(self, x: float, order: int) -> list:
-        """Taylor series of W at x, through `order`, by series LU.
+    def _taylor_det(self, xs: tuple, order: int) -> np.ndarray:
+        """Taylor series of W at each x of xs through `order`, by one series LU.
 
-        Rows pivot on the magnitude of their leading coefficient. Where
-        every leading coefficient of a column vanishes exactly (the
-        functions share a node at x), the row of lowest valuation v
-        pivots instead: each quotient divides t^v out of both series, so
-        it stays a power series; its last v coefficients are unknown and
-        left 0, which only touches the determinant beyond `order`, since
-        the pivot carries t^v.
+        The matrix holds every point at once, (point, row, column,
+        coefficient) in clongdouble, and each elimination step is one array
+        operation per series coefficient. Each point pivots on its own row
+        of largest leading magnitude (the first of equals). Where every
+        leading coefficient of a column vanishes exactly (the functions
+        share a node at x), the row of lowest valuation v pivots instead:
+        each quotient divides t^v out of both series, so it stays a power
+        series; its last v coefficients are unknown and left 0, which only
+        touches the determinant beyond `order`, since the pivot carries t^v.
+        Where v exceeds `order`, W is 0 through `order`.
         """
-        m = self.size
-        # a[r][c] = Taylor series of u_c^(r), truncated at `order`
-        a = [[None] * m for _ in range(m)]
-        for c, s in enumerate(self.solutions):
-            cur = list(s.taylor(x, m - 1 + order).astype(np.clongdouble))
+        m, npts, n = self.size, len(xs), order + 1
+        # a[:, r, c] = Taylor series of u_c^(r), truncated at `order`
+        a = np.empty((npts, m, m, n), dtype=np.clongdouble)
+        if m:
+            jets = [[s.jet_values(x, m - 1 + order) for s in self.solutions] for x in xs]
+            jets = np.array(jets).reshape(npts, m, m + order)  # (point, column, coefficient)
+            cur = taylor_from_jet(jets).astype(np.clongdouble)
             for r in range(m):
-                a[r][c] = cur[: order + 1]
+                a[:, r] = cur[..., :n]
                 if r + 1 < m:
                     cur = series_diff(cur)
-        det = [_ONE] + [_ZERO] * order
-        sign = 1.0
-        for j in range(m):
-            p = max(range(j, m), key=lambda i: abs(a[i][j][0]))
-            v = 0
-            if a[p][j][0] == 0:
-                p = min(range(j, m), key=lambda i: _valuation(a[i][j]))
-                v = _valuation(a[p][j])
-                if v > order:
-                    return [_ZERO] * (order + 1)
-            if p != j:
-                a[j], a[p] = a[p], a[j]
-                sign = -sign
-            piv = a[j][j]
-            det = series_mul(det, piv, order)
-            for i in range(j + 1, m):
-                if not any(a[i][j]):
-                    continue
-                factor = series_div(a[i][j][v:], piv[v:], order - v) + [_ZERO] * v
-                for c in range(j + 1, m):
-                    a[i][c] = [t - u for t, u in zip(a[i][c], series_mul(factor, a[j][c], order))]
-        return [sign * t for t in det]
+        det = np.zeros((npts, n), dtype=np.clongdouble)
+        det[:, 0] = 1
+        sign = np.ones(npts)
+        vanishes = np.zeros(npts, dtype=bool)
+        pts = np.arange(npts)
+        with np.errstate(all="ignore"):  # a point whose W vanishes divides by 0, then is zeroed
+            for j in range(m):
+                lead = np.abs(a[:, j:, j, 0])
+                p = j + lead.argmax(axis=1)
+                v = None  # the valuation pivot's shift, where some point needs one
+                flat = ~lead.any(axis=1)
+                if np.count_nonzero(flat):
+                    val = _valuation(a[:, j:, j])
+                    low = val.argmin(axis=1)
+                    p = np.where(flat, j + low, p)
+                    v = np.where(flat, val[pts, low], 0)
+                    vanishes |= v > order
+                swap = p != j
+                if np.count_nonzero(swap):
+                    sign[swap] = -sign[swap]
+                    row = a[pts, p]
+                    a[pts, p] = a[:, j]
+                    a[:, j] = row
+                piv = a[:, j, j]
+                det = series_mul(det, piv, order)
+                if j + 1 == m:
+                    break
+                col, rest = a[:, j + 1:, j], a[:, j + 1:, j + 1:]
+                if v is not None:
+                    keep = np.arange(n) <= order - v[:, None, None]
+                    factor = np.where(keep, series_div(_shift(col, v), _shift(piv[:, None], v),
+                                                       order), 0)
+                else:
+                    factor = series_div(col, piv[:, None], order)
+                upd = rest - series_mul(factor[:, :, None], a[:, j, None, j + 1:], order)
+                live = (col != 0).any(axis=-1)  # an all-zero entry leaves its row as it is
+                if np.count_nonzero(live) < live.size:
+                    upd = np.where(live[:, :, None, None], upd, rest)
+                rest[...] = upd
+        det = sign[:, None] * det
+        det[vanishes] = 0
+        return det
 
-    def log_derivative(self, x: float, order: int) -> np.ndarray:
-        """Taylor series of (ln W)' = W'/W at x through `order`; zero for the empty stack."""
+    def log_derivative(self, xs: tuple, order: int) -> np.ndarray:
+        """Taylor series of (ln W)' = W'/W at each x of xs through `order`.
+
+        Zero for the empty stack; rows where W vanishes (`singular`) carry
+        no meaning.
+        """
         if not self.solutions:
-            return np.zeros(order + 1, dtype=complex)
-        tw = self.nonsingular_jet(x, order + 1)
-        return np.array(series_div(series_diff(tw), tw, order))
+            return np.zeros((len(xs), order + 1), dtype=complex)
+        cached = self._logd_cache.get(xs)
+        if cached is None or cached.shape[1] <= order:
+            tw = self.jet(xs, order + 1)
+            with np.errstate(all="ignore"):
+                cached = self._logd_cache[xs] = series_div(series_diff(tw), tw, order)
+        return cached[:, : order + 1]
 
     def row_scale(self, x: float) -> float:
         """Product of row norms of the base jet matrix (scale-aware zero test)."""
@@ -161,9 +212,18 @@ class WronskianStack:
         return scale
 
 
-def _valuation(series: list) -> int:
-    """Index of the first nonzero coefficient (len(series) if there is none)."""
-    return next((n for n, t in enumerate(series) if t), len(series))
+def _valuation(series: np.ndarray) -> np.ndarray:
+    """Index of the first nonzero coefficient along the last axis (its length if none)."""
+    nonzero = series != 0
+    return np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), series.shape[-1])
+
+
+def _shift(series: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """series / t^v along the last axis, per point (axis 0), zero-filled at the end."""
+    n = series.shape[-1]
+    k = (np.arange(n) + v[:, None])[:, None, :]
+    taken = np.take_along_axis(series, np.broadcast_to(np.minimum(k, n - 1), series.shape), -1)
+    return np.where(k < n, taken, 0)
 
 
 class PartnerPotential:
@@ -179,10 +239,26 @@ class PartnerPotential:
         self.ell = chain[0].ell if chain else float(ell)
         self.stack = WronskianStack(chain)
         self.base = RadialPotential(self.ell)
+        self._jet_cache: dict[tuple, np.ndarray] = {}
+
+    def deriv_jet_at(self, xs: tuple, order: int) -> np.ndarray:
+        """Derivative jets at each x of xs, cached per grid; rows at singular points carry no meaning."""
+        cached = self._jet_cache.get(xs)
+        if cached is None or cached.shape[1] <= order:
+            cached = self._jet_cache[xs] = (self.base.deriv_jet_at(xs, order) - jet_from_taylor(
+                series_diff(self.stack.log_derivative(xs, order + 1))))
+        return cached[:, : order + 1]
+
+    def singular_at(self, xs: tuple) -> np.ndarray:
+        """Where W(u_1..u_k) vanishes on the grid xs: V_k is singular there."""
+        return self.stack.singular(xs)
 
     def deriv_jet(self, x: float, order: int) -> np.ndarray:
-        logd = self.stack.log_derivative(x, order + 1)
-        return self.base.deriv_jet(x, order) - jet_from_taylor(series_diff(logd))
+        """[V_k, V_k', ..., V_k^(order)] at x; SingularEvaluationError where V_k is singular."""
+        xs = (x,)
+        out = self.deriv_jet_at(xs, order)
+        raise_if_singular(xs, self.stack.singular(xs))
+        return out[0]
 
     def __call__(self, x: float) -> complex:
         return complex(self.deriv_jet(x, 0)[0])
@@ -202,22 +278,40 @@ class WronskianRatioState:
         self.energy = complex(energy)
         self.ell = float(ell)
 
+    def taylor_at(self, xs: tuple, order: int) -> np.ndarray:
+        """Taylor coefficients of num/den at each x of xs, through `order`.
+
+        Rows where den vanishes (den.singular) carry no meaning.
+        """
+        f = self.num.jet(xs, order)
+        with np.errstate(all="ignore"):
+            return series_div(f, self.den.jet(xs, order), order)
+
+    def values_at(self, xs: tuple) -> np.ndarray:
+        """(value, derivative) at each x of xs, one row per x."""
+        return self.taylor_at(xs, 1)
+
     def taylor(self, x: float, order: int) -> np.ndarray:
-        """Taylor coefficients of num/den at x, through `order`."""
-        f = self.num.jet(x, order)
-        return np.array(series_div(f, self.den.nonsingular_jet(x, order), order))
+        """Taylor coefficients of num/den at x, through `order`.
+
+        The rows of the grid-of-one Wronskians, divided as single series
+        (on numpy scalars, with taylor_at's bits).
+        """
+        xs = (x,)
+        f, tw = self.num.jet(xs, order)[0], self.den.jet(xs, order)[0]
+        raise_if_singular(xs, self.den.singular(xs))
+        return series_div(f, tw, order)
 
     def value_and_derivative(self, x: float) -> tuple[complex, complex]:
         r = self.taylor(x, 1)
         return complex(r[0]), complex(r[1])
 
     def is_zero(self) -> bool:
-        """Identically zero: |num| below 1e-12 of its row scale at four probe points."""
-        for x in (0.7, 1.3, 2.4, 3.6):
-            f = self.num.jet(x, 0)
-            if abs(f[0]) > 1e-12 * max(self.num.row_scale(x), 1e-300):
-                return False
-        return True
+        """Identically zero: |num| at most 1e-12 of its row scale at four probe points."""
+        xs = (0.7, 1.3, 2.4, 3.6)
+        f = self.num.jet(xs, 0)[:, 0]
+        scale = np.array([max(self.num.row_scale(x), 1e-300) for x in xs])
+        return not (np.hypot(f.real, f.imag) > 1e-12 * scale).any()
 
 
 def transformed_state(potential: PartnerPotential,
@@ -238,9 +332,10 @@ def transformed_state(potential: PartnerPotential,
 class ExtremalQuartet:
     """Four states in a chosen ordering, plus their potential.
 
-    states expose value_and_derivative(x), ratio states also is_zero(); all
-    four are formal eigenfunctions of the Hamiltonian with potential
-    `potential`, and energies holds their energies in slot order.
+    states expose value_and_derivative(x) and, on a grid, values_at(xs);
+    ratio states also is_zero(). All four are formal eigenfunctions of the
+    Hamiltonian with potential `potential` (deriv_jet_at and singular_at on
+    a grid), and energies holds their energies in slot order.
     """
 
     states: tuple
@@ -272,7 +367,7 @@ def extremal_quartet(spec: SeedSpec) -> ExtremalQuartet:
     states: (B_k^+ b^+ u_1,  B_k^+ x^-l e^{-x^2/4},
              W(u_1..u_{k-1})/W(u_1..u_k),  B_k^+ x^{l+1} e^{-x^2/4})
     at the energies of quartet_energies. V_k and the four
-    denominators share one chain stack, so one factorization per x.
+    denominators share one chain stack, so one factorization per grid.
     """
     chain = seed_chain(spec)
     vk = PartnerPotential(chain)

@@ -163,9 +163,7 @@ def table_w_cells(which: str, ell: float) -> dict[str, dict]:
             "2314": {"kind": "degenerate", "note": "w == 1"},
             "2413": {"kind": "closed", "paper": t1_2413_paper,
                      "derived": lambda z: 2.0 / (z - 2 * L - 1)},
-            "3412": {"kind": "closed", "paper": t1_3412_paper,
-                     "derived": None,
-                     "note": "machinery output is degenerate (w == inf)"},
+            "3412": {"kind": "closed", "paper": t1_3412_paper, "derived": None},
         }
     if which == "t2":
         def d2(z):

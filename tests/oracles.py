@@ -255,7 +255,7 @@ def wronskian(stack, x, deriv_order=0):
     """W(u_1,...,u_m) or its first/second derivative at x, from the stack's series."""
     if deriv_order not in (0, 1, 2):
         raise ValueError("deriv_order must be 0, 1 or 2")
-    return complex(stack.jet(x, deriv_order)[deriv_order]) * math.factorial(deriv_order)
+    return complex(stack.jet((x,), deriv_order)[0, deriv_order]) * math.factorial(deriv_order)
 
 
 def jet_mul(f, g, order=None):
@@ -393,8 +393,8 @@ def g_route_b(spec, chain, x):
     from susypv.susy import WronskianStack
 
     phi = physical_eigenfunction(1, 0, spec.ell)
-    fj = WronskianStack(chain[:-1]).jet(x, 1)
-    gj = WronskianStack(list(chain) + [phi]).jet(x, 1)
+    fj = WronskianStack(chain[:-1]).jet((x,), 1)[0]
+    gj = WronskianStack(list(chain) + [phi]).jet((x,), 1)[0]
     wfg = fj[0] * gj[1] - gj[0] * fj[1]
     if abs(wfg) == 0.0:
         raise PoleError(f"W(F,G) vanishes at x={x}")

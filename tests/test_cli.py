@@ -238,6 +238,15 @@ class TestTableCommand:
         line = next(l for l in out.splitlines() if l.startswith("t2 1423:"))
         assert line == "t2 1423: params=exact w=mismatch machinery=w==1"
 
+    @pytest.mark.parametrize("ell,machinery", [("-1/2", "w==1"), ("0", "w==inf")])
+    def test_t1_3412_names_only_the_measured_degeneracy(self, ell, machinery, capsys):
+        # the printed 3412 cell is a closed form; the machinery's w is
+        # degenerate, and which degeneracy depends on l
+        run(["table", "--which", "t1", f"--l={ell}", "--points", "12"])
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("t1 3412:"))
+        assert line == f"t1 3412: params=exact w=mismatch machinery={machinery}"
+
 
 class TestVerifyCommand:
     def test_filtered_check(self, capsys):

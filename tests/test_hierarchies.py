@@ -209,20 +209,21 @@ class TestCrosscheck:
 
     def test_w_evaluated_once_per_generic_ordering_and_point(self, monkeypatch):
         # four of the six orderings are generic (1423 is w==inf, 2314
-        # w==0-shift); both printed forms, under both conventions, are graded
-        # on the certificate's own samples
+        # w==0-shift): one batched w evaluation each, over the whole grid;
+        # both printed forms, under both conventions, are graded on the
+        # certificate's own samples
         calls = []
-        w_eval = PVSolution.w_eval
+        w_grid = PVSolution.w_grid
 
-        def counted(self, z):
-            calls.append((id(self), z))
-            return w_eval(self, z)
+        def counted(self, zs):
+            calls.append((self.ordering, len(zs)))
+            return w_grid(self, zs)
 
-        monkeypatch.setattr(PVSolution, "w_eval", counted)
+        monkeypatch.setattr(PVSolution, "w_grid", counted)
         rep = crosscheck(spec_nu(0.5, 0.0, NU_INF))
         assert len(rep.form_results) == 2
-        assert len(calls) == 4 * len(_ZS)
-        assert len(set(calls)) == len(calls)
+        assert [n for _, n in calls] == [len(_ZS)] * 4
+        assert len({ordering for ordering, _ in calls}) == 4
 
     def test_convention_transform(self):
         form = lambda z: 1.0 - z**1.5 / 5.0

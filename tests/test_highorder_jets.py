@@ -23,7 +23,7 @@ def test_chain_stack_jet_matches_mp(x):
     spec = SeedSpec.from_nu(ell, eps, 0.8, k=2)
     chain = seed_chain(spec)
     st = WronskianStack(chain)
-    got = derivs(st.jet(x, order))
+    got = derivs(st.jet((x,), order)[0])
 
     mix = chain[0].mixture
     u1 = mp_seed_jet(ell, eps, mix, x, order + 1 + 3)

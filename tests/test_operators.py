@@ -125,10 +125,10 @@ def _first_order_ref(series, w, sign, n_out):
 
 
 def _w_jet_ref(hi, lo, x, n):
-    whi = hi.nonsingular_jet(x, n + 1)
-    out = np.array(series_div(series_diff(whi), whi, n))
+    whi = hi.jet((x,), n + 1)[0]
+    out = series_div(series_diff(whi), whi, n)
     if lo.size:
-        wlo = lo.nonsingular_jet(x, n + 1)
+        wlo = lo.jet((x,), n + 1)[0]
         out = out - series_div(series_diff(wlo), wlo, n)
     return out
 

@@ -371,10 +371,11 @@ class TestConcurrency:
 
 
 class TestCallBudget:
-    # per grid point: each seed and ladder member is evaluated once, and
-    # the chain is factored once for V_k and both slot denominators, plus
-    # once per slot numerator (psi3's is the empty stack at k = 1, a 0 x 0
-    # series LU that returns 1)
+    # each seed and ladder member is evaluated once per grid point, and
+    # each of the three stacks is factored once for the whole grid: the
+    # chain (for V_k and both slot denominators) and the two slot
+    # numerators (psi3's is the empty stack at k = 1, a 0 x 0 series LU
+    # that returns 1)
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_certificate_call_counts(self, k, monkeypatch):
         sol = solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
@@ -396,7 +397,7 @@ class TestCallBudget:
         n = len(default_z_grid())
         assert calls.get(SeedSolution, 0) == n
         assert calls.get(_LadderedSolution, 0) == n * (k - 1)
-        assert calls.get(WronskianStack, 0) == 3 * n
+        assert calls.get(WronskianStack, 0) == 3
 
 
 class TestSolve:

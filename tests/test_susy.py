@@ -14,6 +14,7 @@ from susypv.oscillator import (
     physical_eigenfunction,
     seed_chain,
 )
+from susypv.painleve import default_z_grid
 from susypv.susy import (
     PartnerPotential,
     SingularEvaluationError,
@@ -136,7 +137,7 @@ class TestWronskian:
         chain = seed_chain(SeedSpec.from_nu(1.0, -0.3, 0.9, k=4))[:m]
         st = WronskianStack(chain)
         for x in (0.8, 2.1):
-            series = derivs(st.jet(x, 2))
+            series = derivs(st.jet((x,), 2)[0])
             leib = leibniz_wronskian_jet([u.jet_values(x, m + 1) for u in chain], 2)
             for d in (0, 1, 2):
                 assert wronskian(st, x, d) == series[d]
@@ -147,7 +148,7 @@ class TestWronskian:
         psi, phi, _ = common_node_columns()
         assert psi.jet_values(x, 0)[0] == 0 and phi.jet_values(x, 0)[0] == 0
         for cols in common_node_stacks():
-            got = derivs(WronskianStack(cols).jet(x, order))
+            got = derivs(WronskianStack(cols).jet((x,), order)[0])
             ref = leibniz_wronskian_jet([u.jet_values(x, len(cols) - 1 + order)
                                          for u in cols], order)
             scale = max(abs(ref))
@@ -161,27 +162,49 @@ class TestWronskian:
 
 
 class TestScalarSeriesLU:
-    """The series LU on numpy scalars is the array route, bit for bit."""
+    """The batched series LU is the per-point array route, bit for bit, at every point."""
 
     @pytest.mark.parametrize("x", [0.316, 1.0, 2.4, 4.47])
     def test_grid_pool_stacks(self, x):
         for st in grid_pool_stacks():
             for order in (0, 1, 2):
-                assert_same_bits(st._taylor_det(x, order), taylor_det_array(st, x, order))
+                assert_same_bits(st._taylor_det((x,), order)[0], taylor_det_array(st, x, order))
 
     def test_valuation_pivot(self):
         for cols in common_node_stacks():
             st = WronskianStack(cols)
             for order in range(7):
-                assert_same_bits(st._taylor_det(COMMON_NODE_X, order),
+                assert_same_bits(st._taylor_det((COMMON_NODE_X,), order)[0],
                                  taylor_det_array(st, COMMON_NODE_X, order))
 
     def test_vanishing_beyond_order(self):
         # psi alone has valuation 1 at its node: through order 0, W is 0
         st = WronskianStack([common_node_columns()[0]])
-        got = st._taylor_det(COMMON_NODE_X, 0)
+        got = st._taylor_det((COMMON_NODE_X,), 0)[0]
         assert_same_bits(got, taylor_det_array(st, COMMON_NODE_X, 0))
         assert got[0] == 0
+
+    def test_mixed_batch(self):
+        # one batch through every branch: leading-magnitude pivots at
+        # grid-pool points, the valuation pivot at COMMON_NODE_X and, for
+        # [psi] and [psi, phi] at order 0, the v > order zero return there
+        xs = (0.316, COMMON_NODE_X, 1.0, 2.4, 4.47)
+        for cols in common_node_stacks():
+            st = WronskianStack(cols)
+            for order in range(7):
+                got = st._taylor_det(xs, order)
+                assert got.shape == (len(xs), order + 1)
+                for x, row in zip(xs, got):
+                    assert_same_bits(row, taylor_det_array(st, x, order))
+        assert WronskianStack(common_node_stacks()[1])._taylor_det(xs, 0)[1, 0] == 0
+
+    def test_one_point_batch_is_its_row_of_the_grid(self):
+        xs = tuple(math.sqrt(z) for z in default_z_grid())
+        for st in grid_pool_stacks():
+            grid = st._taylor_det(xs, 2)
+            for i in range(0, len(xs), 11):
+                assert_same_bits(st._taylor_det((xs[i],), 2)[0], grid[i])
+                assert_same_bits(grid[i], taylor_det_array(st, xs[i], 2))
 
 
 class TestPartnerPotential:

@@ -16,18 +16,19 @@ from susypv.tables import (
 
 class TestCallBudget:
     def test_w_evaluated_once_per_row_and_point(self, monkeypatch):
-        # t1 at l = 1 has two generic rows (1423, 2413); the printed and
-        # derived cells are compared on the certificate's own samples
+        # t1 at l = 1 has two generic rows (1423, 2413): one batched w
+        # evaluation each, over the whole grid; the printed and derived
+        # cells are compared on the certificate's own samples
         calls = []
-        w_eval = PVSolution.w_eval
+        w_grid = PVSolution.w_grid
 
-        def counted(self, z):
-            calls.append(z)
-            return w_eval(self, z)
+        def counted(self, zs):
+            calls.append(len(zs))
+            return w_grid(self, zs)
 
-        monkeypatch.setattr(PVSolution, "w_eval", counted)
+        monkeypatch.setattr(PVSolution, "w_grid", counted)
         reproduce_table("t1", 1.0, n_points=25)
-        assert len(calls) == 50
+        assert calls == [25, 25]
 
 
 class TestExactParams:
