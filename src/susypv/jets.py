@@ -13,16 +13,15 @@ formulas, not discretization.
 The ``series_*`` helpers work along the last axis and loop over the
 coefficients, one elementwise operation each over the leading axes
 (operands have the same number of axes): a single series runs on numpy
-scalars, a grid of series on arrays, and both give numpy's scalar bits
-(complex128 array products are formed from their parts, since numpy's
-array kernel fuses multiply-adds).
-``series_mul`` does np.dot's operations in np.dot's order, so its bits are
-np.dot's on extended precision.
+scalars and a grid of series on arrays. ``series_mul`` adds the products
+onto an exact +0 in np.dot's order, so the clongdouble series LU has
+np.dot's bits (tests/test_susy.py pins them). Elsewhere a grid may round
+in the last bit unlike a single point (numpy's complex128 array kernel
+fuses multiply-adds); outputs are held to the pools' own rounding noise
+(tests/pool_envelope.py), not to bits.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -80,41 +79,19 @@ def jet_from_taylor(c: np.ndarray) -> np.ndarray:
     return c * factorials(c.shape[-1] - 1)
 
 
-def _parts_mul(a, b) -> np.ndarray:
-    """a*b on complex128 arrays as numpy's scalar forms it: (ar br - ai bi) + i (ar bi + ai br)."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    np.subtract(ar * br, ai * bi, out=out.real)
-    np.add(ar * bi, ai * br, out=out.imag)
-    return out
-
-
-def _coefficient_mul(a: np.ndarray, b: np.ndarray):
-    """The product of a coefficient of a by one of b, with numpy's scalar bits.
-
-    A coefficient of a single series is a numpy scalar and multiplies as
-    it is. Over a batch it is an array, and numpy's complex128 array
-    kernel fuses multiply-adds, so complex128 products are formed from
-    their parts.
-    """
-    if a.ndim != b.ndim:  # the helpers put the coefficient axis first with .T
-        raise ValueError(f"series of {a.ndim} and {b.ndim} axes")
-    if a.ndim > 1 and np.result_type(a, b) == complex:
-        return _parts_mul
-    return operator.mul
-
-
 def series_mul(a, b, order: int | None = None) -> np.ndarray:
     """Cauchy product along the last axis: c_n = +0 + a_0 b_n + ... + a_n b_0."""
     a, b = np.asarray(a), np.asarray(b)
     if order is None:
         order = min(a.shape[-1], b.shape[-1]) - 1
-    mul, ac, bc = _coefficient_mul(a, b), a.T, b.T  # coefficient axis first
+    if a.ndim != b.ndim:  # .T puts the coefficient axis first only when these agree
+        raise ValueError(f"series of {a.ndim} and {b.ndim} axes")
+    ac, bc = a.T, b.T
     cols = []
     for n in range(order + 1):
         acc = 0
         for j in range(n + 1):
-            acc = acc + mul(ac[j], bc[n - j])
+            acc = acc + ac[j] * bc[n - j]
         cols.append(acc)
     return np.array(cols).T
 
@@ -124,18 +101,19 @@ def series_div(a, b, order: int | None = None) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     if order is None:
         order = min(a.shape[-1], b.shape[-1]) - 1
-    mul, ac, bc = _coefficient_mul(a, b), a.T, b.T
+    if a.ndim != b.ndim:  # .T puts the coefficient axis first only when these agree
+        raise ValueError(f"series of {a.ndim} and {b.ndim} axes")
+    ac, bc = a.T, b.T
     cols = []
     for n in range(order + 1):
         acc = ac[n]
         for j in range(n):
-            acc = acc - mul(cols[j], bc[n - j])
+            acc = acc - cols[j] * bc[n - j]
         cols.append(acc / bc[0])
     return np.array(cols).T
 
 
 def series_diff(a) -> np.ndarray:
     """Taylor coefficients of the derivative along the last axis: (n+1) c_{n+1}."""
-    a = np.asarray(a)
-    mul, ac = _coefficient_mul(a, a), a.T
-    return np.array([mul(ac[n], n) for n in range(1, len(ac))]).T
+    ac = np.asarray(a).T
+    return np.array([ac[n] * n for n in range(1, len(ac))]).T

@@ -151,13 +151,6 @@ def g_from_quartet(quartet: ExtremalQuartet, x: float) -> tuple[complex, complex
     return complex(g[0]), complex(g1[0]), complex(g2[0])
 
 
-def _first_max(first, *rest):
-    """Python's max, elementwise: the first of the largest (NaN only where it comes first)."""
-    for r in rest:
-        first = np.where(r > first, r, first)
-    return first
-
-
 def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     """g, g', g'' at each x of xs in extended precision, with error bounds.
 
@@ -243,7 +236,7 @@ def _residual_ext(w, w_z, w_zz, z: np.ndarray, params: PVParams, e_w, e_wz, e_wz
     )
     rhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     a_wzz = abs(w_zz).astype(float)
-    den = _first_max(a_wzz, abs(rhs).astype(float), 1.0)
+    den = np.maximum(np.maximum(a_wzz, abs(rhs).astype(float)), 1.0)
     res = abs(w_zz - rhs).astype(float) / den
     awz = abs(w_z).astype(float)
     aa, ab, ac, ad = abs(complex(params.a)), abs(complex(params.b)), abs(complex(params.c)), 0.125
@@ -252,7 +245,7 @@ def _residual_ext(w, w_z, w_zz, z: np.ndarray, params: PVParams, e_w, e_wz, e_wz
               + (2.0 * aw1 * (aa * aw + ab / aw) + aw1**2 * (aa + ab / aw**2)) / (z * z)
               + ac / z
               + ad * ((2.0 * aw + 1.0) / aw1 + aw * (aw + 1.0) / aw1**2))
-    term_scale = _first_max(*(abs(t).astype(float) for t in terms))
+    term_scale = np.maximum.reduce([abs(t).astype(float) for t in terms])
     floor = (e_wzz + sens_w * e_w + sens_wz * e_wz
              + 2e-18 * (term_scale + a_wzz)) / den
     return res, floor, locus
@@ -376,12 +369,11 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
     with np.errstate(all="ignore"):
         (g, _, _), _, singular, pole = _g_with_errors(quartet, xs)
     raise_if_singular(xs, singular)
-    # Python's complex division, as before: numpy's differs in the last bit
-    ws = [1.0 + x / gx for x, gx, p in zip(xs, g.tolist(), pole)
-          if not (p or abs(gx) < _POLE_TOL * (1.0 + abs(x)))]
-    if not ws:
+    x = np.array(xs)
+    keep = ~(pole | (abs(g) < _POLE_TOL * (1.0 + x)))  # w is finite there
+    if not keep.any():
         return "w==inf"
-    ws = np.array(ws)
+    ws = 1.0 + x[keep] / g[keep]
     mean = ws.mean()
     spread = float(np.max(np.abs(ws - mean)))
     if spread < 1e-9 * max(1.0, abs(mean)):

@@ -8,7 +8,9 @@ class, the masked indices, every (z, w, w_z, w_zz) at unmasked points, the
 max residual and (a, b, c, d). Floats are written with ``float.hex`` and
 -0.0 as 0.0, so equal digests mean bit-identical outputs. The library is
 the one under this checkout's ``src/``; run the script in two checkouts to
-check that a change leaves the solve path bit-identical. Nothing is written.
+check that a change claiming bit identity keeps it. A change that moves
+arithmetic is judged against the pools' rounding noise instead, by
+``tests/pool_envelope.py``. Nothing is written.
 """
 
 import hashlib
@@ -35,15 +37,19 @@ def _encode(out) -> str:
     return "|".join(fields)
 
 
+def outcomes(workload: str):
+    """The Outcome of every task of one pool, in pool order."""
+    zs = z_grid(workload)
+    for spec in pool(workload):
+        yield from run_orderings(sp, spec, zs) if workload == "orderings" else [run_spec(sp, spec, zs)]
+
+
 def digest(workload: str) -> tuple[int, str]:
     """(number of tasks, sha256) of one pool."""
-    zs = z_grid(workload)
     h, n = hashlib.sha256(), 0
-    for spec in pool(workload):
-        outs = run_orderings(sp, spec, zs) if workload == "orderings" else [run_spec(sp, spec, zs)]
-        for out in outs:
-            h.update((_encode(out) + "\n").encode())
-            n += 1
+    for out in outcomes(workload):
+        h.update((_encode(out) + "\n").encode())
+        n += 1
     return n, h.hexdigest()
 
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from susypv.jets import (
     binom,
@@ -77,3 +78,11 @@ class TestSeries:
     def test_series_diff(self):
         t = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
         assert np.allclose(series_diff(t), [2.0, 6.0, 12.0])
+
+    def test_operands_with_different_axes_raise(self):
+        # the helpers put the coefficient axis first with .T, which needs equal ndim
+        grid = np.ones((3, 4), dtype=complex)
+        single = np.ones(4, dtype=complex)
+        for op in (series_mul, series_div):
+            with pytest.raises(ValueError, match="series of 2 and 1 axes"):
+                op(grid, single)
