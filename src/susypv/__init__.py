@@ -30,10 +30,8 @@ from .painleve import (
     PVParams,
     PVSolution,
     classify_degenerate,
-    g_from_quartet,
     permute_quartet,
     pv_params,
-    pv_residual,
     solution_from_quartet,
     solve,
 )

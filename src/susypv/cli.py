@@ -19,7 +19,7 @@ import numpy as np
 from . import hierarchies, operators, tables
 from .oscillator import NU_INF, SeedSpec, SeedSpecError, seed_chain
 from .painleve import CERT_TOL, DegenerateOutputError, solve
-from .susy import PartnerPotential, SingularEvaluationError
+from .susy import PartnerPotential
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -272,15 +272,12 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_grid_potential(args) -> int:
     pot = PartnerPotential(seed_chain(_spec_from_args(args)))
-    xs = np.geomspace(_in_window("xmin", args.xmin, X_WINDOW),
-                      _in_window("xmax", args.xmax, X_WINDOW), _points(args.points))
+    xs = tuple(np.geomspace(_in_window("xmin", args.xmin, X_WINDOW),
+                            _in_window("xmax", args.xmax, X_WINDOW), _points(args.points)).tolist())
     lines = ["x,v_re,v_im"]
-    for x in xs:
-        try:
-            v = pot(float(x))
-            lines.append(f"{_fmt(float(x))},{_fmt(v.real)},{_fmt(v.imag)}")
-        except SingularEvaluationError:
-            lines.append(f"{_fmt(float(x))},nan,nan")
+    for x, v, singular in zip(xs, pot.deriv_jet(xs, 0)[:, 0].tolist(), pot.singular_at(xs)):
+        v_re, v_im = ("nan", "nan") if singular else (_fmt(v.real), _fmt(v.imag))
+        lines.append(f"{_fmt(x)},{v_re},{v_im}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

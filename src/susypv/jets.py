@@ -1,12 +1,14 @@
 """Derivative jets and truncated Taylor series.
 
-A jet ``f`` holds ``f[n] = f^(n)(x)`` at a fixed point, its Taylor series
-``c[n] = f^(n)(x) / n!``. Potentials hand out jets, and so do solutions
-(``jet_values``), because the ODE closure runs on them (``binom`` feeds
-its Leibniz sum). Everything built from solutions (Wronskians, ratio
-states, superpotentials, operator images) is a series composed with the
-``series_*`` helpers, and every state hands out its series through
-``taylor(x, order)``; the two conversions mark that boundary.
+A jet ``f`` holds ``f[n] = f^(n)(x)`` at a point, its Taylor series
+``c[n] = f^(n)(x) / n!``; on a grid of points, one row per point.
+Potentials hand out jets (``deriv_jet(xs, order)``), and so do solutions
+(``jet_values(xs, order)``), because the ODE closure runs on them
+(``binom`` feeds its Leibniz sum). Everything built from solutions
+(Wronskians, ratio states, superpotentials, operator images) is a series
+composed with the ``series_*`` helpers, and every state hands out its
+series through ``taylor(xs, order)``; the two conversions mark that
+boundary.
 Differentiation stays exact, so failures in identity checks point at
 formulas, not discretization.
 
@@ -15,10 +17,10 @@ coefficients, one elementwise operation each over the leading axes
 (operands have the same number of axes): a single series runs on numpy
 scalars and a grid of series on arrays. ``series_mul`` adds the products
 onto an exact +0 in np.dot's order, so the clongdouble series LU has
-np.dot's bits (tests/test_susy.py pins them). Elsewhere a grid may round
-in the last bit unlike a single point (numpy's complex128 array kernel
-fuses multiply-adds); outputs are held to the pools' own rounding noise
-(tests/pool_envelope.py), not to bits.
+np.dot's bits (tests/test_susy.py pins them). Elsewhere an array may
+round in the last bit unlike numpy scalars (numpy's complex128 array
+kernel fuses multiply-adds); outputs are held to the pools' own rounding
+noise (tests/pool_envelope.py), not to bits.
 """
 
 from __future__ import annotations

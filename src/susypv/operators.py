@@ -1,7 +1,7 @@
 """Numerical verification of the operator algebra behind the construction.
 
 Differential operators are applied to Taylor series at the evaluation
-point (exact differentiation), never finite differences, so the identity
+points (exact differentiation), never finite differences, so the identity
 checks run at near machine precision and a failure points at a formula,
 not at discretization. Every operator is one ``Atom``, (c_0 + c_1 d/dx +
 ... + c_order d^order/dx^order) / div with coefficient series from a
@@ -10,7 +10,9 @@ first-order SUSY atoms read w_j off ``WronskianStack.log_derivative``, as
 V_k does. A test function enters as its own series (``taylor``; a
 Wronskian ratio state expands the ratio itself, so no intertwining fact
 is assumed), and derivative values are converted only in the Hamiltonian
-atom (its potential).
+atom (its potential). Everything runs on a grid, one row per point: each
+check evaluates its sample points ``_SAMPLE_XS`` as one grid, and reports
+a singular V_j of its ladder there as a FAIL with the error text.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ _TOLS = {"intertwining": 1e-7, "commutator": 1e-7, "factorization": 1e-6, "shift
 _SQRT2 = math.sqrt(2.0)
 
 
-def _laurent(x: float, n: int, terms: dict) -> np.ndarray:
-    """Taylor series at x, through order n, of sum_p c_p x^p over integer powers p."""
-    out = np.zeros(n + 1, dtype=complex)
+def _laurent(xs: tuple, n: int, terms: dict) -> np.ndarray:
+    """Taylor series at each x of xs, through order n, of sum_p c_p x^p over integer powers p."""
+    x = np.array(xs, dtype=float)
+    out = np.zeros((len(xs), n + 1), dtype=complex)
     for p, c in terms.items():
         binom = 1  # C(p, j), an integer for any integer p
         for j in range(n + 1):
-            out[j] += c * binom * x ** (p - j)
+            out[:, j] += c * binom * x ** (p - j)
             binom = binom * (p - j) // (j + 1)
     return out
 
@@ -77,16 +80,16 @@ def _laurent(x: float, n: int, terms: dict) -> np.ndarray:
 class Atom:
     """(c_0 + c_1 d/dx + ... + c_order d^order/dx^order) / div on Taylor series.
 
-    coeffs(x, n) returns the series of c_0..c_order at x through order n;
-    the division comes after the sum.
+    coeffs(xs, n) returns the series of c_0..c_order at each x of the grid
+    xs through order n, one row per x; the division comes after the sum.
     """
 
-    coeffs: Callable[[float, int], tuple]
+    coeffs: Callable[[tuple, int], tuple]
     order: int
     div: float = 1.0
 
-    def apply(self, series: np.ndarray, x: float, n_out: int) -> np.ndarray:
-        cs = self.coeffs(x, n_out)
+    def apply(self, series: np.ndarray, xs: tuple, n_out: int) -> np.ndarray:
+        cs = self.coeffs(xs, n_out)
         out = series_mul(series, cs[0], n_out)
         for c in cs[1:]:
             series = series_diff(series)
@@ -96,35 +99,32 @@ class Atom:
 
 def atom_a(eta: float, sign: int) -> Atom:
     """a_eta^+/- = (1/sqrt2)(-/+ d/dx - eta/x + x/2); index eta may be any real."""
-    return Atom(lambda x, n: (_laurent(x, n, {-1: -eta, 1: 0.5}), _laurent(x, n, {0: -sign})),
+    return Atom(lambda xs, n: (_laurent(xs, n, {-1: -eta, 1: 0.5}), _laurent(xs, n, {0: -sign})),
                 1, _SQRT2)
 
 
 def atom_b(ell: float, sign: int) -> Atom:
     """b^+/- = (1/2)(d^2 -/+ x d + x^2/4 - l(l+1)/x^2 -/+ 1/2)."""
-    return Atom(lambda x, n: (_laurent(x, n, {2: 0.25, -2: -ell * (ell + 1.0), 0: -0.5 * sign}),
-                              _laurent(x, n, {1: -sign}), _laurent(x, n, {0: 1.0})), 2, 2.0)
+    return Atom(lambda xs, n: (_laurent(xs, n, {2: 0.25, -2: -ell * (ell + 1.0), 0: -0.5 * sign}),
+                               _laurent(xs, n, {1: -sign}), _laurent(xs, n, {0: 1.0})), 2, 2.0)
 
 
 def atom_h(potential, shift: complex = 0.0) -> Atom:
     """H - shift = -d^2/2 + V - shift for a stated potential."""
-    return Atom(lambda x, n: (taylor_from_jet(potential.deriv_jet(x, n))
-                              - _laurent(x, n, {0: shift}),  # the constant term only
-                              _laurent(x, n, {}), _laurent(x, n, {0: -0.5})), 2)
+    return Atom(lambda xs, n: (taylor_from_jet(potential.deriv_jet(xs, n))
+                               - _laurent(xs, n, {0: shift}),  # the constant term only
+                               _laurent(xs, n, {}), _laurent(xs, n, {0: -0.5})), 2)
 
 
-def superpotential(hi: WronskianStack, lo: WronskianStack, x: float, n: int) -> np.ndarray:
-    """w_j = (ln W_j)' - (ln W_{j-1})' as a series at x through order n."""
-    xs = (x,)
-    out = hi.log_derivative(xs, n) - lo.log_derivative(xs, n)
-    for stack in (hi, lo):
-        raise_if_singular(xs, stack.singular(xs))
-    return out[0]
+def superpotential(hi: WronskianStack, lo: WronskianStack, xs: tuple, n: int) -> np.ndarray:
+    """w_j = (ln W_j)' - (ln W_{j-1})' as a series at each x of xs through order n."""
+    return hi.log_derivative(xs, n) - lo.log_derivative(xs, n)
 
 
 def atom_susy(hi: WronskianStack, lo: WronskianStack, sign: int) -> Atom:
     """A_j^+/- = (1/sqrt2)(-/+ d/dx + w_j) between the chain stacks of V_j and V_{j-1}."""
-    return Atom(lambda x, n: (superpotential(hi, lo, x, n), _laurent(x, n, {0: -sign})), 1, _SQRT2)
+    return Atom(lambda xs, n: (superpotential(hi, lo, xs, n), _laurent(xs, n, {0: -sign})), 1,
+                _SQRT2)
 
 
 @dataclass
@@ -133,17 +133,18 @@ class OperatorChain:
 
     atoms: list
 
-    def apply_jet(self, provider, x: float, n_out: int = 0) -> np.ndarray:
-        """Taylor series of the chain's image of `provider` at x, through n_out."""
+    def apply_jet(self, provider, xs: tuple, n_out: int = 0) -> np.ndarray:
+        """Taylor series of the chain's image of `provider` at each x of xs, through n_out."""
         need = sum(a.order for a in self.atoms) + n_out
-        series = provider.taylor(x, need)
+        series = provider.taylor(xs, need)
         for atom in reversed(self.atoms):
             need -= atom.order
-            series = atom.apply(series, x, need)
+            series = atom.apply(series, xs, need)
         return series
 
-    def __call__(self, provider, x: float) -> complex:
-        return complex(self.apply_jet(provider, x, 0)[0])
+    def __call__(self, provider, xs: tuple) -> np.ndarray:
+        """The image's values at each x of xs."""
+        return self.apply_jet(provider, xs, 0)[:, 0]
 
 
 class AtomImage(SchrodingerSolution):
@@ -163,10 +164,8 @@ class AtomImage(SchrodingerSolution):
         self._parent = parent
         self._atom = atom
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        pj = self._parent.taylor(x, self._atom.order + 1)
-        out = self._atom.apply(pj, x, 1)
-        return complex(out[0]), complex(out[1])
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        return self._atom.apply(self._parent.taylor(xs, self._atom.order + 1), xs, 1)
 
 
 class SusyLadder:
@@ -174,7 +173,7 @@ class SusyLadder:
 
     potentials[j] is V_j; its stack holds the chain prefix u_1..u_j (empty
     for j = 0), so every atom and ratio state shares one factorization of
-    each prefix per x.
+    each prefix per grid.
     """
 
     def __init__(self, spec: SeedSpec):
@@ -182,6 +181,10 @@ class SusyLadder:
         self.chain = seed_chain(spec)
         self.potentials = [PartnerPotential(self.chain[:j], ell=spec.ell)
                            for j in range(spec.k + 1)]
+
+    def singular(self, xs: tuple) -> np.ndarray:
+        """Where some V_j of the ladder is singular on the grid xs."""
+        return np.logical_or.reduce([p.singular_at(xs) for p in self.potentials])
 
     def atom_susy(self, j: int, sign: int) -> Atom:
         return atom_susy(self.potentials[j].stack, self.potentials[j - 1].stack, sign)
@@ -239,24 +242,35 @@ def default_test_seeds(ell: float) -> list[SeedSolution]:
     return out
 
 
-def _rel_scale(provider, x: float, applied: complex) -> float:
-    series = provider.taylor(x, 2)
-    return max(abs(series[0]), abs(2.0 * series[2]), abs(applied), 1e-300)
+def _rel_scale(provider, xs: tuple, applied: np.ndarray) -> np.ndarray:
+    series = provider.taylor(xs, 2)
+    return np.maximum(np.max(np.abs([series[:, 0], 2.0 * series[:, 2], applied]), axis=0), 1e-300)
 
 
-def _identity_check(name: str, tolerance: float, ell: float, pairs) -> CheckReport:
-    """Worst |lhs f - rhs f| / _rel_scale over (lhs, rhs) pairs, seeds and sample points."""
-    seeds = default_test_seeds(ell)
-    worst = 0.0
+def _report(name: str, worst: float, tolerance: float, ladder) -> CheckReport:
+    """The check's report, or a FAIL with the error text where a V_j of the ladder is singular.
+
+    Values at a singular sample point carry no meaning, so they never reach a PASS.
+    """
     try:
-        for lhs, rhs in pairs:
-            for f in seeds:
-                for x in _SAMPLE_XS:
-                    lv = lhs(f, x)
-                    worst = max(worst, abs(lv - rhs(f, x)) / _rel_scale(f, x, lv))
+        if ladder is not None:
+            raise_if_singular(_SAMPLE_XS, ladder.singular(_SAMPLE_XS))
     except SingularEvaluationError as exc:
         return CheckReport(name, math.inf, tolerance, {"error": str(exc)})
     return CheckReport(name, worst, tolerance)
+
+
+def _identity_check(name: str, tolerance: float, ell: float, pairs,
+                    ladder: SusyLadder | None = None) -> CheckReport:
+    """Worst |lhs f - rhs f| / _rel_scale over (lhs, rhs) pairs, seeds and sample points."""
+    worst = 0.0
+    with np.errstate(all="ignore"):  # a singular point's values are dropped by _report
+        for lhs, rhs in pairs:
+            for f in default_test_seeds(ell):
+                lv = lhs(f, _SAMPLE_XS)
+                err = np.abs(lv - rhs(f, _SAMPLE_XS)) / _rel_scale(f, _SAMPLE_XS, lv)
+                worst = max(worst, *err.tolist())
+    return _report(name, worst, tolerance, ladder)
 
 
 def check_intertwining(ladder: SusyLadder) -> CheckReport:
@@ -265,7 +279,7 @@ def check_intertwining(ladder: SusyLadder) -> CheckReport:
               OperatorChain([ladder.atom_susy(j, +1), atom_h(ladder.potentials[j - 1])]))
              for j in range(1, ladder.spec.k + 1)]
     return _identity_check(f"intertwining k={ladder.spec.k}", _TOLS["intertwining"],
-                           ladder.spec.ell, pairs)
+                           ladder.spec.ell, pairs, ladder)
 
 
 def check_commutator(ell: float) -> CheckReport:
@@ -284,7 +298,7 @@ def check_factorization(ladder: SusyLadder) -> CheckReport:
                         + [ladder.atom_susy(j, +1) for j in range(spec.k, 0, -1)])
     rhs = OperatorChain([atom_h(ladder.potentials[0], spec.eps1 - i) for i in range(spec.k)])
     return _identity_check(f"factorization Bk-Bk+ k={spec.k}", _TOLS["factorization"],
-                           spec.ell, [(lhs, rhs)])
+                           spec.ell, [(lhs, rhs)], ladder)
 
 
 def check_shift_identities(ell: float) -> CheckReport:
@@ -325,20 +339,17 @@ def _eigen_check(name: str, tolerance: float, ladder: SusyLadder, cases):
 
     Also returns the measured eigenvalues (L_k^+ L_k^- s)/s of the cases with lam != 0.
     """
-    worst, measured = 0.0, []
-    try:
+    worst, measured, xs = 0.0, [], _SAMPLE_XS
+    with np.errstate(all="ignore"):  # a singular point's values are dropped by _report
         for state, energy, lam in cases:
-            image = ladder.number_image(state, energy)
-            for x in _SAMPLE_XS:
-                applied = complex(image.value_and_derivative(x)[0])
-                val = complex(state.taylor(x, 0)[0])
-                scale = max(_rel_scale(state, x, applied), abs(lam * val))
-                worst = max(worst, abs(applied - lam * val) / scale)
-                if lam:
-                    measured.append(applied / val)
-    except SingularEvaluationError as exc:
-        return CheckReport(name, math.inf, tolerance, {"error": str(exc)}), []
-    return CheckReport(name, worst, tolerance), measured
+            applied = ladder.number_image(state, energy).value_and_derivative(xs)[:, 0]
+            val = state.taylor(xs, 0)[:, 0]
+            scale = np.maximum(_rel_scale(state, xs, applied), np.abs(lam * val))
+            worst = max(worst, *(np.abs(applied - lam * val) / scale).tolist())
+            if lam:
+                measured.extend((applied / val).tolist())
+    report = _report(name, worst, tolerance, ladder)
+    return report, ([] if "error" in report.details else measured)
 
 
 def check_number_operator(ladder: SusyLadder, n: int) -> CheckReport:

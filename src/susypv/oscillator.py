@@ -2,9 +2,10 @@
 
 The base Hamiltonian is H = -1/2 d^2/dx^2 + x^2/8 + l(l+1)/(2 x^2) on
 x > 0. Seeds are complex mixtures of the two confluent-hypergeometric
-branches; every solution object hands out derivative jets of any order,
-closed under its own Schrodinger equation (the potential derivatives are
-analytic, so the closure is exact).
+branches; every solution object hands out derivative jets of any order on
+a grid of points (a tuple of floats), closed under its own Schrodinger
+equation (the potential derivatives are analytic, so the closure is
+exact). Each point runs a one-point kernel on Python scalars.
 """
 
 from __future__ import annotations
@@ -69,9 +70,18 @@ class ChainAnnihilationError(SeedSpecError):
 
 
 def check_positive(x: float, name: str = "x") -> None:
-    """Evaluations live on x > 0 (on z > 0 for w)."""
-    if x <= 0:
-        raise DomainError(f"evaluated at {name}={x} <= 0")
+    """Evaluations live on finite x > 0 (on z > 0 for w); NaN and inf fail too."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"evaluated at {name}={x}: not a finite {name} > 0")
+
+
+def per_point(xs: tuple, kernel) -> np.ndarray:
+    """(u, u') at each x of xs from a one-point kernel x -> (u, u'), one row per x."""
+    out = np.empty((len(xs), 2), dtype=complex)
+    for row, x in zip(out, xs):
+        check_positive(x)
+        row[:] = kernel(x)
+    return out
 
 
 def check_ranges(ell: float, eps1: complex = 0.0) -> None:
@@ -120,32 +130,27 @@ class RadialPotential:
         self.ell = float(ell)
         self._c = self.ell * (self.ell + 1.0)
 
-    def deriv_jet(self, x: float, order: int) -> np.ndarray:
-        check_positive(x)
-        out = np.zeros(order + 1, dtype=complex)
+    def deriv_jet(self, xs: tuple, order: int) -> np.ndarray:
+        """[V0, V0', ..., V0^(order)] at each x of xs, one row per x."""
+        out = np.zeros((len(xs), order + 1), dtype=complex)
         c = self._c
-        out[0] = x * x / 8.0 + 0.5 * c / (x * x)
-        if order >= 1:
-            out[1] = x / 4.0 - c / x**3
-        if order >= 2:
-            out[2] = 0.25 + 3.0 * c / x**4
-        # d^j x^-2 = (-1)^j (j+1)! x^-(j+2)
-        fac = 6.0  # (j+1)! at j = 2
-        for j in range(3, order + 1):
-            fac *= j + 1
-            out[j] = 0.5 * c * ((-1) ** j) * fac / x ** (j + 2)
+        for row, x in zip(out, xs):
+            check_positive(x)
+            row[0] = x * x / 8.0 + 0.5 * c / (x * x)
+            if order >= 1:
+                row[1] = x / 4.0 - c / x**3
+            if order >= 2:
+                row[2] = 0.25 + 3.0 * c / x**4
+            # d^j x^-2 = (-1)^j (j+1)! x^-(j+2)
+            fac = 6.0  # (j+1)! at j = 2
+            for j in range(3, order + 1):
+                fac *= j + 1
+                row[j] = 0.5 * c * ((-1) ** j) * fac / x ** (j + 2)
         return out
-
-    def deriv_jet_at(self, xs: tuple, order: int) -> np.ndarray:
-        """deriv_jet at each x of xs, one row per x."""
-        return np.array([self.deriv_jet(x, order) for x in xs]).reshape(len(xs), order + 1)
 
     def singular_at(self, xs: tuple) -> np.ndarray:
         """V0 is regular on x > 0."""
         return np.zeros(len(xs), dtype=bool)
-
-    def __call__(self, x: float) -> complex:
-        return complex(self.deriv_jet(x, 0)[0])
 
 
 @dataclass(frozen=True)
@@ -228,61 +233,63 @@ class SeedSpec:
 
 
 class SchrodingerSolution:
-    """A solution of -u''/2 + V0 u = eps u exposing jets of any order.
+    """A solution of -u''/2 + V0 u = eps u exposing jets of any order on a grid.
 
-    Subclasses provide value_and_derivative(x); jet_values and taylor
+    A grid is a tuple of floats, the key of the per-grid jet cache.
+    Subclasses provide value_and_derivative(xs); jet_values and taylor
     hand out everything above first order, from the ODE closure
         u^(n+2) = 2 sum_j C(n,j) V0^(j) u^(n-j) - 2 eps u^(n),
-    which is exact because the potential derivatives are analytic.
-    Instances are immutable after construction; the per-x jet cache only
-    grows (safe under the GIL for concurrent reads): it keeps (u, u') from
-    the first request, and a longer jet extends the cached one through
-    the closure instead of evaluating the solution again.
+    which is exact because the potential derivatives are analytic. Each
+    point runs the closure on Python scalars, so a row of a grid has the
+    bits of a grid of one. Instances are immutable after construction; the
+    jet cache only grows (safe under the GIL for concurrent reads): it
+    keeps (u, u') from the first request on a grid, and a longer jet
+    extends the cached one through the closure instead of evaluating the
+    solution again.
     """
 
     def __init__(self, ell: float, energy: complex, potential: RadialPotential | None = None):
         self.ell = float(ell)
         self.energy = complex(energy)
         self.potential = potential if potential is not None else RadialPotential(ell)
-        self._jet_cache: dict[float, np.ndarray] = {}
+        self._jet_cache: dict[tuple, np.ndarray] = {}
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        """(u, u') at each x of xs, one row per x."""
         raise NotImplementedError
 
-    def jet_values(self, x: float, order: int) -> np.ndarray:
-        x = float(x)  # x <= 0 raises DomainError where the jet is first evaluated
-        cached = self._jet_cache.get(x)
-        if cached is not None and len(cached) > order:
-            return cached[: order + 1]
-        u0, u1 = self.value_and_derivative(x) if cached is None else cached[:2]
-        vals = self.closure_jet(x, u0, u1, max(order, 1))
-        self._jet_cache[x] = vals
-        return vals[: order + 1]
+    def jet_values(self, xs: tuple, order: int) -> np.ndarray:
+        """[u, u', ..., u^(order)] at each x of xs, one row per x; DomainError off 0 < x < inf."""
+        cached = self._jet_cache.get(xs)
+        if cached is not None and cached.shape[1] > order:
+            return cached[:, : order + 1]
+        start = (self.value_and_derivative(xs) if cached is None else cached[:, :2]).tolist()
+        n = max(order, 1)
+        vjets = self.potential.deriv_jet(xs, n - 2).tolist() if n >= 2 else [None] * len(xs)
+        vals = np.array([self.closure_jet(v, u0, u1, n) for v, (u0, u1) in zip(vjets, start)],
+                        dtype=complex).reshape(len(xs), n + 1)
+        self._jet_cache[xs] = vals
+        return vals[:, : order + 1]
 
-    def closure_jet(self, x: float, u0: complex, u1: complex, order: int) -> np.ndarray:
-        """Jet at x of the solution with u(x) = u0, u'(x) = u1 (uncached)."""
-        # Python scalars: the numpy-scalar operations, in order, at 1/3 the cost
+    def closure_jet(self, vjet: list, u0: complex, u1: complex, order: int) -> np.ndarray:
+        """Jet at one point of the solution with u = u0, u' = u1 there (uncached).
+
+        vjet holds the potential's derivatives at the point through
+        order - 2, as Python complex: the closure runs on Python scalars,
+        the numpy-scalar operations in order at 1/3 the cost.
+        """
         vals = [complex(u0), complex(u1)][: order + 1]
-        if order >= 2:
-            vjet = self.potential.deriv_jet(x, max(order - 2, 0)).tolist()
-            for n in range(order - 1):
-                c = binom(n).tolist()
-                acc = 0.0 + 0.0j
-                for j in range(n + 1):
-                    acc += c[j] * vjet[j] * vals[n - j]
-                vals.append(2.0 * acc - 2.0 * self.energy * vals[n])
+        for n in range(order - 1):
+            c = binom(n).tolist()
+            acc = 0.0 + 0.0j
+            for j in range(n + 1):
+                acc += c[j] * vjet[j] * vals[n - j]
+            vals.append(2.0 * acc - 2.0 * self.energy * vals[n])
         return np.array(vals, dtype=complex)
 
-    def taylor(self, x: float, order: int) -> np.ndarray:
-        """Taylor coefficients [u, u', u''/2, ..., u^(order)/order!] at x."""
-        return taylor_from_jet(self.jet_values(x, order))
-
-    def values_at(self, xs: tuple) -> np.ndarray:
-        """(value, derivative) at each x of xs, one row per x."""
-        return np.array([self.jet_values(x, 1) for x in xs]).reshape(len(xs), 2)
-
-    def __call__(self, x: float) -> complex:
-        return complex(self.jet_values(x, 0)[0])
+    def taylor(self, xs: tuple, order: int) -> np.ndarray:
+        """Taylor coefficients [u, u', u''/2, ..., u^(order)/order!] at each x of xs."""
+        return taylor_from_jet(self.jet_values(xs, order))
 
 
 class SeedSolution(SchrodingerSolution):
@@ -298,8 +305,11 @@ class SeedSolution(SchrodingerSolution):
         self.mixture = (complex(mixture[0]), complex(mixture[1]))
         self._a1, self._b1, self._a2, self._b2 = _branch_parameters(ell, self.energy)
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        check_positive(x)
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        return per_point(xs, self._point)
+
+    def _point(self, x: float) -> tuple[complex, complex]:
+        """(u, u') at one x > 0, on Python scalars."""
         mu1, mu2 = self.mixture
         y = 0.5 * x * x
         pref = x ** (-self.ell) * math.exp(-0.25 * x * x)
@@ -323,15 +333,14 @@ class SeedSolution(SchrodingerSolution):
 
 
 class ClosedFormSolution(SchrodingerSolution):
-    """Solution wrapping explicit (value, derivative) callables."""
+    """Solution wrapping an explicit x -> (value, derivative) callable."""
 
     def __init__(self, ell: float, energy: complex, fn):
         super().__init__(ell, energy)
         self._fn = fn
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        check_positive(x)
-        return self._fn(x)
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        return per_point(xs, self._fn)
 
 
 class _LadderedSolution(SchrodingerSolution):
@@ -343,15 +352,16 @@ class _LadderedSolution(SchrodingerSolution):
         self._parent = parent
         self._sign = -1.0 if raise_energy else 1.0  # the sign replacing -/+ in b^-/+
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        u = self._parent.jet_values(x, 3)
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        out = np.empty((len(xs), 2), dtype=complex)
         c = self.ell * (self.ell + 1.0)
         s = self._sign
-        p = x * x / 4.0 - c / (x * x) + 0.5 * s
-        dp = 0.5 * x + 2.0 * c / x**3
-        v = 0.5 * (u[2] + s * x * u[1] + p * u[0])
-        dv = 0.5 * (u[3] + s * (u[1] + x * u[2]) + p * u[1] + dp * u[0])
-        return v, dv
+        for row, x, u in zip(out, xs, self._parent.jet_values(xs, 3)):
+            p = x * x / 4.0 - c / (x * x) + 0.5 * s
+            dp = 0.5 * x + 2.0 * c / x**3
+            row[0] = 0.5 * (u[2] + s * x * u[1] + p * u[0])
+            row[1] = 0.5 * (u[3] + s * (u[1] + x * u[2]) + p * u[1] + dp * u[0])
+        return out
 
 
 def _nu_coefficient(ell: float, eps: complex) -> complex:

@@ -26,9 +26,7 @@ from .susy import (ExtremalQuartet, WronskianRatioState, extremal_quartet, quart
                    raise_if_singular)
 
 __all__ = [
-    "EquationSingularityError",
     "DegenerateOutputError",
-    "PoleError",
     "CANONICAL_ORDERINGS",
     "CERT_TOL",
     "MATCH_TOL",
@@ -39,8 +37,6 @@ __all__ = [
     "permute_quartet",
     "params_from_energies",
     "pv_params",
-    "g_from_quartet",
-    "pv_residual",
     "w_gap",
     "classify_degenerate",
     "solution_from_quartet",
@@ -57,20 +53,12 @@ _SING_TOL = 1e-10
 _CLASSIFY_SAMPLES = 12  # points of the geometric window classify_degenerate probes
 
 
-class EquationSingularityError(ArithmeticError):
-    """PV residual requested at w = 0 or w = 1 (the equation's singular locus)."""
-
-
 class DegenerateOutputError(RuntimeError):
     """The requested ordering yields a degenerate w (constant or infinite)."""
 
     def __init__(self, classification: str):
         super().__init__(f"degenerate PV output: {classification}")
         self.classification = classification
-
-
-class PoleError(ArithmeticError):
-    """g vanished at the requested point (movable pole of w)."""
 
 
 @dataclass(frozen=True)
@@ -133,24 +121,6 @@ def pv_params(quartet: ExtremalQuartet) -> PVParams:
 # -- the g function and w ----------------------------------------------------
 
 
-def g_from_quartet(quartet: ExtremalQuartet, x: float) -> tuple[complex, complex, complex]:
-    """(g, g', g'') at x from the slot-3/4 states.
-
-    Abel's identity W' = 2(e3-e4) psi3 psi4 (both states solve the same
-    equation) supplies all Wronskian derivatives from values and first
-    derivatives alone; any normalization of the states drops out of the
-    logarithmic derivative. Raises SingularEvaluationError where V_k is
-    singular and PoleError where W(psi3, psi4) vanishes.
-    """
-    xs = (x,)
-    with np.errstate(all="ignore"):
-        (g, g1, g2), _, singular, pole = _g_with_errors(quartet, xs)
-    raise_if_singular(xs, singular)
-    if pole[0]:
-        raise PoleError(f"W(psi3,psi4) vanishes near x={x}")
-    return complex(g[0]), complex(g1[0]), complex(g2[0])
-
-
 def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     """g, g', g'' at each x of xs in extended precision, with error bounds.
 
@@ -164,9 +134,9 @@ def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     s3, s4 = quartet.pair_34()
     e3, e4 = complex(quartet.energies[2]), complex(quartet.energies[3])
     # V_k first: its order-2 chain series then serves both slot denominators
-    vd = quartet.potential.deriv_jet_at(xs, 0)[:, 0]
+    vd = quartet.potential.deriv_jet(xs, 0)[:, 0]
     singular = quartet.potential.singular_at(xs)
-    (f0d, f1d), (g0d, g1d) = s3.values_at(xs).T, s4.values_at(xs).T
+    (f0d, f1d), (g0d, g1d) = s3.value_and_derivative(xs).T, s4.value_and_derivative(xs).T
     cl = np.clongdouble
     f0, f1, g0, g1, v = (t.astype(cl) for t in (f0d, f1d, g0d, g1d, vd))
     eps_in = 1e-15  # relative accuracy of the double-precision inputs
@@ -194,22 +164,6 @@ def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     gpp = -lh2
     return ((g.astype(complex), gp.astype(complex), gpp.astype(complex)),
             (e_lh, e_lh1, e_lh2), singular, pole)
-
-
-def pv_residual(w: complex, w_z: complex, w_zz: complex, z: float, params: PVParams) -> float:
-    """Normalized defect of the PV equation at one point.
-
-    |w'' - RHS| / max(|w''|, |RHS|, 1) with
-    RHS = (1/(2w) + 1/(w-1)) w'^2 - w'/z + (w-1)^2/z^2 (a w + b/w)
-          + c w/z + d w (w+1)/(w-1).
-    Raises EquationSingularityError on the singular locus w = 0 or 1.
-    """
-    cl = np.clongdouble
-    res, _, locus = _residual_ext(np.array([w], cl), np.array([w_z], cl), np.array([w_zz], cl),
-                                  np.array([z], float), params, 0.0, 0.0, 0.0)
-    if locus[0]:
-        raise EquationSingularityError(f"w={complex(w)} on the singular locus at z={z}")
-    return float(res[0])
 
 
 def _residual_ext(w, w_z, w_zz, z: np.ndarray, params: PVParams, e_w, e_wz, e_wzz):

@@ -1,18 +1,21 @@
 """Wronskian machinery, partner potentials and extremal quartets.
 
-Solutions hand out Taylor series at a point (``taylor``); everything
-built from them here is one too, on a whole grid at once. A grid is a
-tuple of floats, the key of every per-grid cache; a single point is a
-grid of one. A Wronskian is the series of the determinant, by series LU
-in extended precision: series coefficients track the function's own
-analytic scale, so cancellations stay benign where the row multi-index
-(Leibniz) expansion of W^(n) would lose most of its digits (the tests
-keep that expansion as the reference). The LU runs on one np.clongdouble
+Every solution, state and potential is evaluated on a grid, a tuple of
+floats that keys every per-grid cache; a single point is a grid of one.
+Solutions hand out Taylor series (``taylor(xs, order)``), and everything
+built from them here is one too, on the whole grid at once. A Wronskian
+is the series of the determinant, by series LU in extended precision:
+series coefficients track the function's own analytic scale, so
+cancellations stay benign where the row multi-index (Leibniz) expansion
+of W^(n) would lose most of its digits (the tests keep that expansion as
+the reference). The LU runs on one np.clongdouble
 array over (point, row, column, coefficient), so each elimination step is
 one array operation per series coefficient for the whole grid, and each
 point keeps the pivots and bits it would have alone. Derivatives come
-back out only in ``PartnerPotential.deriv_jet_at``, because a potential
-feeds the ODE closure.
+back out only in ``PartnerPotential.deriv_jet``, because a potential
+feeds the ODE closure. Nothing here raises at a singular point: stacks
+and potentials report it as a mask (``singular``, ``singular_at``), and
+callers that must raise call ``raise_if_singular``.
 
 States of a transformed Hamiltonian are Wronskian ratios
 (``WronskianRatioState``), built by Darboux-Crum transformations (Crum,
@@ -21,7 +24,8 @@ of a solution of the base equation, and ``extremal_quartet`` builds the
 four extremal states that give w.
 
 The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
-is integrated by Taylor steps on the same ODE-closure jets.
+is integrated point by point, by Taylor steps on the same ODE-closure
+jets.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .oscillator import (
     SchrodingerSolution,
     SeedSpec,
     apply_b_plus,
-    check_positive,
     check_ranges,
+    per_point,
     physical_eigenfunction,
     seed_chain,
 )
@@ -88,7 +92,6 @@ class WronskianStack:
         # read off the cached jet of the same grid, so dropped when it is recomputed
         self._logd_cache: dict[tuple, np.ndarray] = {}
         self._singular_cache: dict[tuple, np.ndarray] = {}
-        self._scale_cache: dict[float, float] = {}
 
     @property
     def size(self) -> int:
@@ -104,14 +107,13 @@ class WronskianStack:
         return cached[:, : order + 1]
 
     def singular(self, xs: tuple) -> np.ndarray:
-        """|W| < 1e-13 row_scale(x) at each x of xs: W vanishes, V_k is singular."""
+        """|W| < 1e-13 row_scale at each x of xs: W vanishes, V_k is singular."""
         if not self.solutions:
             return np.zeros(len(xs), dtype=bool)
         mask = self._singular_cache.get(xs)
         if mask is None:
             w = self.jet(xs, 0)[:, 0]
-            scale = np.array([self.row_scale(x) for x in xs])
-            mask = self._singular_cache[xs] = np.hypot(w.real, w.imag) < 1e-13 * scale
+            mask = self._singular_cache[xs] = np.hypot(w.real, w.imag) < 1e-13 * self.row_scale(xs)
         return mask
 
     def _taylor_det(self, xs: tuple, order: int) -> np.ndarray:
@@ -132,8 +134,8 @@ class WronskianStack:
         # a[:, r, c] = Taylor series of u_c^(r), truncated at `order`
         a = np.empty((npts, m, m, n), dtype=np.clongdouble)
         if m:
-            jets = [[s.jet_values(x, m - 1 + order) for s in self.solutions] for x in xs]
-            jets = np.array(jets).reshape(npts, m, m + order)  # (point, column, coefficient)
+            # (point, column, coefficient)
+            jets = np.stack([s.jet_values(xs, m - 1 + order) for s in self.solutions], axis=1)
             cur = taylor_from_jet(jets).astype(np.clongdouble)
             for r in range(m):
                 a[:, r] = cur[..., :n]
@@ -197,19 +199,14 @@ class WronskianStack:
                 cached = self._logd_cache[xs] = series_div(series_diff(tw), tw, order)
         return cached[:, : order + 1]
 
-    def row_scale(self, x: float) -> float:
-        """Product of row norms of the base jet matrix (scale-aware zero test)."""
+    def row_scale(self, xs: tuple) -> np.ndarray:
+        """Product of the base jet matrix's row norms at each x of xs (scale-aware zero test)."""
         m = self.size
         if m == 0:
-            return 1.0
-        scale = self._scale_cache.get(x)
-        if scale is None:
-            mat = np.column_stack([s.jet_values(x, m - 1) for s in self.solutions])
-            scale = 1.0
-            for r in range(m):
-                scale *= float(np.linalg.norm(mat[r, :]))
-            self._scale_cache[x] = scale
-        return scale
+            return np.ones(len(xs))
+        # (point, column, row)
+        jets = np.stack([s.jet_values(xs, m - 1) for s in self.solutions], axis=1)
+        return np.prod(np.linalg.norm(jets, axis=1), axis=1)
 
 
 def _valuation(series: np.ndarray) -> np.ndarray:
@@ -241,27 +238,20 @@ class PartnerPotential:
         self.base = RadialPotential(self.ell)
         self._jet_cache: dict[tuple, np.ndarray] = {}
 
-    def deriv_jet_at(self, xs: tuple, order: int) -> np.ndarray:
-        """Derivative jets at each x of xs, cached per grid; rows at singular points carry no meaning."""
+    def deriv_jet(self, xs: tuple, order: int) -> np.ndarray:
+        """[V_k, V_k', ..., V_k^(order)] at each x of xs, cached per grid.
+
+        Rows where V_k is singular (singular_at) carry no meaning.
+        """
         cached = self._jet_cache.get(xs)
         if cached is None or cached.shape[1] <= order:
-            cached = self._jet_cache[xs] = (self.base.deriv_jet_at(xs, order) - jet_from_taylor(
+            cached = self._jet_cache[xs] = (self.base.deriv_jet(xs, order) - jet_from_taylor(
                 series_diff(self.stack.log_derivative(xs, order + 1))))
         return cached[:, : order + 1]
 
     def singular_at(self, xs: tuple) -> np.ndarray:
         """Where W(u_1..u_k) vanishes on the grid xs: V_k is singular there."""
         return self.stack.singular(xs)
-
-    def deriv_jet(self, x: float, order: int) -> np.ndarray:
-        """[V_k, V_k', ..., V_k^(order)] at x; SingularEvaluationError where V_k is singular."""
-        xs = (x,)
-        out = self.deriv_jet_at(xs, order)
-        raise_if_singular(xs, self.stack.singular(xs))
-        return out[0]
-
-    def __call__(self, x: float) -> complex:
-        return complex(self.deriv_jet(x, 0)[0])
 
 
 class WronskianRatioState:
@@ -278,7 +268,7 @@ class WronskianRatioState:
         self.energy = complex(energy)
         self.ell = float(ell)
 
-    def taylor_at(self, xs: tuple, order: int) -> np.ndarray:
+    def taylor(self, xs: tuple, order: int) -> np.ndarray:
         """Taylor coefficients of num/den at each x of xs, through `order`.
 
         Rows where den vanishes (den.singular) carry no meaning.
@@ -287,30 +277,15 @@ class WronskianRatioState:
         with np.errstate(all="ignore"):
             return series_div(f, self.den.jet(xs, order), order)
 
-    def values_at(self, xs: tuple) -> np.ndarray:
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
         """(value, derivative) at each x of xs, one row per x."""
-        return self.taylor_at(xs, 1)
-
-    def taylor(self, x: float, order: int) -> np.ndarray:
-        """Taylor coefficients of num/den at x, through `order`.
-
-        The rows of the grid-of-one Wronskians, divided as single series
-        (on numpy scalars, with taylor_at's bits).
-        """
-        xs = (x,)
-        f, tw = self.num.jet(xs, order)[0], self.den.jet(xs, order)[0]
-        raise_if_singular(xs, self.den.singular(xs))
-        return series_div(f, tw, order)
-
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        r = self.taylor(x, 1)
-        return complex(r[0]), complex(r[1])
+        return self.taylor(xs, 1)
 
     def is_zero(self) -> bool:
         """Identically zero: |num| at most 1e-12 of its row scale at four probe points."""
         xs = (0.7, 1.3, 2.4, 3.6)
         f = self.num.jet(xs, 0)[:, 0]
-        scale = np.array([max(self.num.row_scale(x), 1e-300) for x in xs])
+        scale = np.maximum(self.num.row_scale(xs), 1e-300)
         return not (np.hypot(f.real, f.imag) > 1e-12 * scale).any()
 
 
@@ -332,10 +307,10 @@ def transformed_state(potential: PartnerPotential,
 class ExtremalQuartet:
     """Four states in a chosen ordering, plus their potential.
 
-    states expose value_and_derivative(x) and, on a grid, values_at(xs);
-    ratio states also is_zero(). All four are formal eigenfunctions of the
-    Hamiltonian with potential `potential` (deriv_jet_at and singular_at on
-    a grid), and energies holds their energies in slot order.
+    states expose value_and_derivative(xs) on a grid, and ratio states
+    also is_zero(). All four are formal eigenfunctions of the Hamiltonian
+    with potential `potential` (deriv_jet(xs, order) and singular_at(xs)),
+    and energies holds their energies in slot order.
     """
 
     states: tuple
@@ -398,7 +373,7 @@ class PerpSolution(SchrodingerSolution):
         self._order = next(n for n in range(1, 1000)
                            if math.lgamma(p + n + 1.0) - math.lgamma(p + 1.0) - math.lgamma(n + 1.0)
                            - n * math.log(4.0) < math.log(1e-17))
-        psi, dpsi = base.value_and_derivative(1.0)
+        psi, dpsi = base.value_and_derivative((1.0,))[0].tolist()
         start = (admixture * psi, 1.0 / psi + admixture * dpsi)
         points = {1.0: start}
         for path in ([1.0 + 0.25 * j for j in range(1, 45)], [0.75**j for j in range(1, 17)]):
@@ -416,7 +391,8 @@ class PerpSolution(SchrodingerSolution):
         while x0 != x1:
             reach = min(0.25, 0.25 * x0) * (1.0 + 1e-12)
             nxt = x1 if abs(x1 - x0) <= reach else x0 + math.copysign(reach, x1 - x0)
-            jet, h = self.closure_jet(x0, u, du, n), nxt - x0
+            vjet = self.potential.deriv_jet((x0,), n - 2)[0].tolist()
+            jet, h = self.closure_jet(vjet, u, du, n), nxt - x0
             u = du = jet[n]
             for m in range(n - 1, 0, -1):
                 u = jet[m] + u * h / (m + 1)
@@ -424,8 +400,10 @@ class PerpSolution(SchrodingerSolution):
             u, x0 = jet[0] + u * h, nxt
         return complex(u), complex(du)
 
-    def value_and_derivative(self, x: float) -> tuple[complex, complex]:
-        check_positive(x)
+    def value_and_derivative(self, xs: tuple) -> np.ndarray:
+        return per_point(xs, self._point)
+
+    def _point(self, x: float) -> tuple[complex, complex]:
         i = int(np.argmin(np.abs(self._xs - x)))
         return self._advance(float(self._xs[i]), self._states[i], float(x))
 

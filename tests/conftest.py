@@ -16,9 +16,9 @@ def shift_superpotential(monkeypatch):
 
     superpotential = operators.superpotential
 
-    def shifted(hi, lo, x, n):
-        out = superpotential(hi, lo, x, n)
-        out[0] += 0.01
+    def shifted(hi, lo, xs, n):
+        out = superpotential(hi, lo, xs, n)
+        out[:, 0] += 0.01
         return out
 
     monkeypatch.setattr(operators, "superpotential", shifted)

@@ -14,7 +14,10 @@ on numpy arrays, which the library's scalar series LU must match bit for
 bit. ``mp_w`` rebuilds a spec's w(z) end to end in mpmath (seed chain,
 Wronskians, g): the forward-error reference for the library's w.
 ``wronskian`` reads W, W' or W'' off a stack's series, for tests that
-compare derivative values.
+compare derivative values. ``g_from_quartet`` and ``pv_residual`` are the
+certificate's own g and PV residual at one point, with the exceptions the
+library's grids carry as masks (``PoleError``,
+``EquationSingularityError``), for tests that probe single points.
 """
 
 import math
@@ -28,6 +31,14 @@ mp.mp.dps = 50
 
 class OracleNoConvergence(ArithmeticError):
     """A high-precision series reached its term cap before converging."""
+
+
+class PoleError(ArithmeticError):
+    """g vanished at the requested point (movable pole of w)."""
+
+
+class EquationSingularityError(ArithmeticError):
+    """PV residual requested at w = 0 or w = 1 (the equation's singular locus)."""
 
 
 def mp_hyp1f1(a, b, x, max_terms=300):
@@ -199,9 +210,9 @@ def fd_schrodinger_residual(sol, x):
     u'' comes from the solution's own u' at nearby points, never from its
     ODE closure, so a (u, u') that solves no equation at E shows.
     """
-    u = sol.value_and_derivative(x)[0]
-    d2u = fd4_first(lambda t: sol.value_and_derivative(t)[1], x, 3e-4 * min(x, 1.0))
-    res = -0.5 * d2u + (sol.potential(x) - sol.energy) * u
+    u = sol.value_and_derivative((x,))[0, 0]
+    d2u = fd4_first(lambda t: sol.value_and_derivative((t,))[0, 1], x, 3e-4 * min(x, 1.0))
+    res = -0.5 * d2u + (sol.potential.deriv_jet((x,), 0)[0, 0] - sol.energy) * u
     return abs(res) / max(abs(u), abs(d2u), 1e-300)
 
 
@@ -346,7 +357,7 @@ def taylor_det_array(stack, x, order):
     m = stack.size
     a = [[None] * m for _ in range(m)]
     for c, s in enumerate(stack.solutions):
-        cur = s.taylor(x, m - 1 + order).astype(np.clongdouble)
+        cur = s.taylor((x,), m - 1 + order)[0].astype(np.clongdouble)
         for r in range(m):
             a[r][c] = cur[: order + 1].copy()
             cur = cur[1:] * np.arange(1, len(cur))
@@ -386,10 +397,9 @@ def g_route_b(spec, chain, x):
     """Alternative g: -x + 2(E0-eps1+k-1) F G / W(F,G).
 
     F = W(u_1..u_{k-1}), G = W(u_1..u_k, x^{l+1} e^{-x^2/4}); agrees with
-    the library's g_from_quartet because only logarithmic derivatives enter.
+    g_from_quartet because only logarithmic derivatives enter.
     """
     from susypv.oscillator import e0, physical_eigenfunction
-    from susypv.painleve import PoleError
     from susypv.susy import WronskianStack
 
     phi = physical_eigenfunction(1, 0, spec.ell)
@@ -400,6 +410,42 @@ def g_route_b(spec, chain, x):
         raise PoleError(f"W(F,G) vanishes at x={x}")
     coeff = 2.0 * (e0(spec.ell) - spec.eps1 + spec.k - 1.0)
     return -x + coeff * fj[0] * gj[0] / wfg
+
+
+def g_from_quartet(quartet, x):
+    """(g, g', g'') at one x from the slot-3/4 states: the certificate's g on a grid of one.
+
+    Raises SingularEvaluationError where V_k is singular and PoleError
+    where W(psi3, psi4) vanishes (the masks of the library's grid).
+    """
+    from susypv.painleve import _g_with_errors
+    from susypv.susy import raise_if_singular
+
+    xs = (x,)
+    with np.errstate(all="ignore"):
+        (g, g1, g2), _, singular, pole = _g_with_errors(quartet, xs)
+    raise_if_singular(xs, singular)
+    if pole[0]:
+        raise PoleError(f"W(psi3,psi4) vanishes near x={x}")
+    return complex(g[0]), complex(g1[0]), complex(g2[0])
+
+
+def pv_residual(w, w_z, w_zz, z, params):
+    """Normalized defect of the PV equation at one point: the certificate's residual.
+
+    |w'' - RHS| / max(|w''|, |RHS|, 1) with
+    RHS = (1/(2w) + 1/(w-1)) w'^2 - w'/z + (w-1)^2/z^2 (a w + b/w)
+          + c w/z + d w (w+1)/(w-1).
+    Raises EquationSingularityError on the singular locus w = 0 or 1.
+    """
+    from susypv.painleve import _residual_ext
+
+    cl = np.clongdouble
+    res, _, locus = _residual_ext(np.array([w], cl), np.array([w_z], cl), np.array([w_zz], cl),
+                                  np.array([z], float), params, 0.0, 0.0, 0.0)
+    if locus[0]:
+        raise EquationSingularityError(f"w={complex(w)} on the singular locus at z={z}")
+    return float(res[0])
 
 
 # -- exact-complex alpha route ------------------------------------------------

@@ -1,0 +1,86 @@
+"""Every evaluation takes a grid, and row i of a grid is the grid of one at xs[i].
+
+Solutions run a one-point kernel per x (1F1 seed, b+/- of the parent's
+jet, closed forms, the perp integrator) and close it on Python scalars, and
+RadialPotential writes each row from its closed form, so their rows match
+bit for bit. Ratio states, V_k and operator images come from array
+arithmetic over the grid; the series LU keeps each point's bits, but a
+numpy kernel may round a batch's body unlike its tail, so those rows are
+held to REL_TOL of the largest entry of the row.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from susypv.operators import AtomImage, SusyLadder, atom_b, default_test_seeds
+from susypv.oscillator import (
+    RadialPotential,
+    SeedSpec,
+    apply_b_plus,
+    physical_eigenfunction,
+)
+from susypv.painleve import default_z_grid
+from susypv.susy import extremal_quartet, radial_oscillator_quartet
+
+XS = tuple(math.sqrt(z) for z in default_z_grid(24))
+SPEC = SeedSpec.from_nu(2.0, 0.45, 3.0, k=3)
+REL_TOL = 1e-13
+
+
+def assert_rows_match(evaluate, rel_tol=None):
+    """Row i of evaluate(XS) equals evaluate((XS[i],))[0]: bit for bit when rel_tol is None."""
+    grid = evaluate(XS)
+    assert grid.shape[0] == len(XS)
+    for x, row in zip(XS, grid):
+        one = evaluate((x,))
+        assert one.shape == (1,) + row.shape
+        if rel_tol is None:
+            assert np.array_equal(one[0].view(np.uint64), row.view(np.uint64)), x
+        else:
+            assert np.all(np.abs(one[0] - row) <= rel_tol * np.max(np.abs(row))), x
+
+
+def solutions():
+    ladder = SusyLadder(SPEC)
+    return {
+        "SeedSolution": ladder.chain[0],
+        "_LadderedSolution b-": ladder.chain[2],
+        "_LadderedSolution b+": apply_b_plus(ladder.chain[0]),
+        "ClosedFormSolution": physical_eigenfunction(1, 2, SPEC.ell),
+        "PerpSolution": radial_oscillator_quartet(SPEC.ell).states[3],
+    }
+
+
+@pytest.mark.parametrize("name", list(solutions()))
+def test_solution_rows_bit_for_bit(name):
+    sol = solutions()[name]
+    assert_rows_match(sol.value_and_derivative)
+    assert_rows_match(lambda xs: sol.jet_values(xs, 6))
+    assert_rows_match(lambda xs: sol.taylor(xs, 6))
+
+
+def test_radial_potential_rows_bit_for_bit():
+    assert_rows_match(lambda xs: RadialPotential(SPEC.ell).deriv_jet(xs, 6))
+
+
+def test_partner_potential_rows():
+    for potential in SusyLadder(SPEC).potentials:
+        assert_rows_match(lambda xs: potential.deriv_jet(xs, 4), REL_TOL)
+
+
+def test_ratio_state_rows():
+    for state in extremal_quartet(SPEC).states:
+        assert_rows_match(state.value_and_derivative, REL_TOL)
+        assert_rows_match(lambda xs: state.taylor(xs, 4), REL_TOL)
+
+
+def test_atom_image_rows():
+    # images under A_1^+ (V_1's closure) and b^- (V_0's) of a generic seed
+    ladder = SusyLadder(SPEC)
+    f = default_test_seeds(SPEC.ell)[0]
+    for image in (AtomImage(f, ladder.atom_susy(1, +1), ladder.potentials[1], f.energy),
+                  AtomImage(f, atom_b(SPEC.ell, -1), ladder.potentials[0], f.energy - 1)):
+        assert_rows_match(image.value_and_derivative, REL_TOL)
+        assert_rows_match(lambda xs: image.jet_values(xs, 4), REL_TOL)

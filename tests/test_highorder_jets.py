@@ -45,7 +45,7 @@ def test_ratio_jet_matches_mp(x):
     chain = seed_chain(spec)
     target = physical_eigenfunction(1, 1, ell)
     state = transformed_state(PartnerPotential(chain), target)
-    got = derivs(state.taylor(x, order))
+    got = derivs(state.taylor((x,), order)[0])
 
     mix = chain[0].mixture
     u1 = mp_seed_jet(ell, eps, mix, x, order + 2 + 3)

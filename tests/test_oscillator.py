@@ -33,21 +33,21 @@ class TestMakeSeed:
         # eps = -l/2 + 1/4 makes the first 1F1 parameter vanish
         ell = 1.0
         u = SeedSolution(ell, -ell / 2 + 0.25, (1.0, 0.0))
-        for x in XS:
+        for x, v in zip(XS, u.value_and_derivative(XS)[:, 0]):
             ref = x**-ell * math.exp(-x * x / 4)
-            assert abs(u(x) - ref) < 1e-14 * abs(ref)
+            assert abs(v - ref) < 1e-14 * abs(ref)
 
     def test_branch2_ground_state_shape(self):
         ell = 1.0
         u = SeedSolution(ell, e0(ell), (0.0, 1.0))
-        vals = [u(x) / (x ** (ell + 1) * math.exp(-x * x / 4)) for x in XS]
+        vals = [v / (x ** (ell + 1) * math.exp(-x * x / 4))
+                for x, v in zip(XS, u.value_and_derivative(XS)[:, 0])]
         assert max(abs(v - vals[0]) for v in vals) < 1e-13 * abs(vals[0])
 
     def test_generic_seed_residual_against_independent_derivatives(self):
         ell, eps, mix = 1.0, 0.3, (1.0, 0.7)
         u = make_seed(SeedSpec(ell, eps, mix, 1, "real-physical"))
-        for x in XS:
-            jet = u.jet_values(x, 2)
+        for x, jet in zip(XS, u.jet_values(XS, 2)):
             b1, b2 = seed_branch_jet2(ell, eps, x)
             ref = [complex(mix[0] * b1[i] + mix[1] * b2[i]) for i in range(3)]
             scale = max(abs(ref[0]), abs(ref[2]))
@@ -70,14 +70,25 @@ class TestMakeSeed:
     def test_domain(self):
         u = SeedSolution(1.0, 0.3, (1.0, 0.0))
         with pytest.raises(DomainError):
-            u(-1.0)
+            u.value_and_derivative((-1.0,))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, x):
+        # NaN and inf fail the domain check before anything is evaluated there
+        seed = SeedSolution(1.0, 0.3, (1.0, 0.7))
+        for evaluate in (lambda: seed.value_and_derivative((1.0, x)),
+                         lambda: seed.jet_values((x,), 3),
+                         lambda: apply_b_minus(seed).value_and_derivative((x,)),
+                         lambda: physical_eigenfunction(1, 0, 1.0).value_and_derivative((x,)),
+                         lambda: seed.potential.deriv_jet((x,), 2)):
+            with pytest.raises(DomainError):
+                evaluate()
 
     def test_mixture_linearity(self):
         ua = SeedSolution(1.0, 0.3, (1.0, 0.7))
         ub = SeedSolution(1.0, 0.3, (0.5, 0.0))
         uc = SeedSolution(1.0, 0.3, (1.5, 0.7))
-        for x in XS:
-            ja, jb, jc = (s.jet_values(x, 1) for s in (ua, ub, uc))
+        for ja, jb, jc in zip(*(s.jet_values(XS, 1) for s in (ua, ub, uc))):
             assert abs(ja[0] + jb[0] - jc[0]) <= 1e-12 * max(1.0, abs(jc[0]))
             assert abs(ja[1] + jb[1] - jc[1]) <= 1e-12 * max(1.0, abs(jc[1]))
 
@@ -123,11 +134,11 @@ class TestNuLowerBound:
         ell, eps = 2.0, 0.5
         b = nu_lower_bound(ell, eps)
         u = SeedSolution(ell, eps, nu_to_mixture(b - 0.1, ell, eps))
-        vals = np.array([u(float(x)).real for x in default_x_grid()])
+        vals = u.value_and_derivative(tuple(default_x_grid().tolist()))[:, 0].real
         assert np.any(vals[:-1] * vals[1:] < 0), "expected a sign change"
         # and just above the bound: nodeless
         u2 = SeedSolution(ell, eps, nu_to_mixture(b + 0.05, ell, eps))
-        vals2 = np.array([u2(float(x)).real for x in default_x_grid()])
+        vals2 = u2.value_and_derivative(tuple(default_x_grid().tolist()))[:, 0].real
         assert not np.any(vals2[:-1] * vals2[1:] < 0)
 
     def test_make_seed_rejects_below_bound(self):
@@ -141,9 +152,9 @@ class TestLadder:
     def test_annihilates_ground(self):
         ground = physical_eigenfunction(1, 0, 1.0)
         lowered = apply_b_minus(ground)
-        for x in (0.6, 1.1, 1.9, 3.0, 4.4):
-            v, dv = lowered.value_and_derivative(x)
-            assert abs(v) + abs(dv) <= 1e-14 * max(map(abs, ground.jet_values(x, 2)))
+        xs = (0.6, 1.1, 1.9, 3.0, 4.4)
+        for (v, dv), jet in zip(lowered.value_and_derivative(xs), ground.jet_values(xs, 2)):
+            assert abs(v) + abs(dv) <= 1e-14 * max(map(abs, jet))
 
     @pytest.mark.parametrize("ell", [0.0, 1.3, 1.5, 2.5, 3.0])
     def test_members_are_pochhammer_mixtures(self, ell):
@@ -163,9 +174,11 @@ class TestLadder:
                 parent, member = member, apply_b_minus(member)
                 coeffs = tuple(c * (aj + i - 1) for c, aj in zip(coeffs, a))
                 ref = SeedSolution(ell, eps - i, coeffs)
-                for x in (0.7, 1.4, 2.6):
-                    got, want = member.value_and_derivative(x), ref.value_and_derivative(x)
-                    scale = abs(want[0]) + abs(want[1]) or max(map(abs, parent.jet_values(x, 2)))
+                xs = (0.7, 1.4, 2.6)
+                for x, got, want, jet in zip(xs, member.value_and_derivative(xs),
+                                             ref.value_and_derivative(xs),
+                                             parent.jet_values(xs, 2)):
+                    scale = abs(want[0]) + abs(want[1]) or max(map(abs, jet))
                     assert abs(got[0] - want[0]) + abs(got[1] - want[1]) <= 1e-11 * scale, \
                         (eps, mix, i, x)
                 if coeffs == (0, 0):
@@ -182,8 +195,9 @@ class TestLadder:
         # b+ b- on psi_{n=1, l=0} multiplies by n(n + 2 E0 - 1) = 3/2
         p1 = physical_eigenfunction(1, 1, 0.0)
         w = apply_b_plus(apply_b_minus(p1))
-        for x in (0.8, 1.5, 2.5):
-            assert abs(w(x) / p1(x) - 1.5) <= 1e-9
+        xs = (0.8, 1.5, 2.5)
+        for wv, pv in zip(w.value_and_derivative(xs)[:, 0], p1.value_and_derivative(xs)[:, 0]):
+            assert abs(wv / pv - 1.5) <= 1e-9
 
     def test_ladder_polynomial_identity(self):
         # b+ b- u = (eps - E0)(eps + E0 - 1) u for 5 generic seeds
@@ -196,9 +210,8 @@ class TestLadder:
             u = SeedSolution(ell, eps, (1.0, rng.uniform(-0.5, 0.5)))
             w = apply_b_plus(apply_b_minus(u))
             lam = (eps - ez) * (eps + ez - 1.0)
-            for x in (0.9, 1.7):
-                j = u.jet_values(x, 2)
-                got = w.value_and_derivative(x)[0]
+            xs = (0.9, 1.7)
+            for j, (got, _) in zip(u.jet_values(xs, 2), w.value_and_derivative(xs)):
                 scale = max(abs(j[0]), abs(j[2]), abs(got))
                 assert abs(got - lam * j[0]) <= 1e-8 * scale
 
@@ -211,9 +224,9 @@ class TestLadder:
             return u if member == "seed" else apply_b_minus(u)
 
         warm, fresh = build(), build()
-        for x in (0.3, 1.7, 4.2):
-            warm.jet_values(x, 2)
-            assert np.array_equal(warm.jet_values(x, 8), fresh.jet_values(x, 8))
+        xs = (0.3, 1.7, 4.2)
+        warm.jet_values(xs, 2)
+        assert np.array_equal(warm.jet_values(xs, 8), fresh.jet_values(xs, 8))
 
 
 class TestSeedChain:
@@ -284,9 +297,9 @@ class TestPhysicalEigenfunctions:
     def test_family1_n0(self):
         ell = 1.0
         s = physical_eigenfunction(1, 0, ell)
-        for x in (0.7, 1.9):
+        for x, v in zip((0.7, 1.9), s.value_and_derivative((0.7, 1.9))[:, 0]):
             ref = x ** (ell + 1) * math.exp(-x * x / 4)
-            assert abs(s(x) - ref) < 1e-13 * abs(ref)
+            assert abs(v - ref) < 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("family", [1, 2, 3, 4])
     def test_residuals_all_families(self, family):
@@ -304,8 +317,9 @@ class TestPhysicalEigenfunctions:
         assert f4.energy == -e0(ell)
         assert f3.energy == e0(ell) - 1.0
         x = 1.3
-        assert abs(f4(x) - x ** (ell + 1) * math.exp(x * x / 4)) < 1e-12 * abs(f4(x))
-        assert abs(f3(x) - x**-ell * math.exp(x * x / 4)) < 1e-12 * abs(f3(x))
+        v4, v3 = (f.value_and_derivative((x,))[0, 0] for f in (f4, f3))
+        assert abs(v4 - x ** (ell + 1) * math.exp(x * x / 4)) < 1e-12 * abs(v4)
+        assert abs(v3 - x**-ell * math.exp(x * x / 4)) < 1e-12 * abs(v3)
 
 
 class TestSpecValidation:

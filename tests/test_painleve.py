@@ -7,6 +7,7 @@ import pytest
 
 from susypv.oscillator import (
     NU_INF,
+    DomainError,
     SeedSolution,
     SeedSpec,
     _LadderedSolution,
@@ -18,17 +19,14 @@ from susypv.oscillator import (
 from susypv.painleve import (
     CANONICAL_ORDERINGS,
     DegenerateOutputError,
-    EquationSingularityError,
     GridSample,
     PVParams,
     classify_degenerate,
     default_z_grid,
-    g_from_quartet,
     normalize_ordering,
     params_from_energies,
     permute_quartet,
     pv_params,
-    pv_residual,
     solution_from_quartet,
     solve,
     w_gap,
@@ -42,7 +40,15 @@ from susypv.susy import (
     radial_oscillator_quartet,
 )
 
-from oracles import fd4_first, fd4_second, g_route_b, pv_params_exact
+from oracles import (
+    EquationSingularityError,
+    fd4_first,
+    fd4_second,
+    g_from_quartet,
+    g_route_b,
+    pv_params_exact,
+    pv_residual,
+)
 
 
 class TestGFromQuartet:
@@ -338,12 +344,23 @@ class TestKOneClosedRoute:
             sol = solve(spec)
             for z in (0.4, 1.7, 6.0, 15.0):
                 x = math.sqrt(z)
-                uv, ud = u.value_and_derivative(x)
+                uv, ud = u.value_and_derivative((x,))[0]
                 ref = 1.0 + 2 * z * uv / (2 * x * ud - (z + 2 * ell + 2) * uv)
                 s = sol.w_eval(z)
                 if s.flag != "ok":
                     continue
                 assert abs(s.w - ref) <= 1e-10 * max(1.0, abs(ref)), (ell, z)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_domain_error_before_evaluation(self, z):
+        # NaN and inf fail the domain check before any 1F1 is summed
+        sol = solve(SeedSpec.from_nu(1.0, 1.0, 1.0, k=1, mode="complex-over-real"))
+        with pytest.raises(DomainError):
+            sol.w_eval(z)
+        with pytest.raises(DomainError):
+            sol.residual_certificate([1.0, z])
 
 
 class TestWDerivatives:
@@ -371,14 +388,10 @@ class TestConcurrency:
 
 
 class TestCallBudget:
-    # each seed and ladder member is evaluated once per grid point, and
-    # each of the three stacks is factored once for the whole grid: the
-    # chain (for V_k and both slot denominators) and the two slot
-    # numerators (psi3's is the empty stack at k = 1, a 0 x 0 series LU
-    # that returns 1)
-    @pytest.mark.parametrize("k", [1, 3, 4])
-    def test_certificate_call_counts(self, k, monkeypatch):
-        sol = solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+    # each seed and ladder member is evaluated once per grid, and each
+    # stack is factored once per grid
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {}
 
         def count(cls, name):
@@ -393,11 +406,35 @@ class TestCallBudget:
         count(SeedSolution, "value_and_derivative")
         count(_LadderedSolution, "value_and_derivative")
         count(WronskianStack, "_taylor_det")
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_certificate_call_counts(self, k, calls):
+        # one grid; three stacks: the chain (for V_k and both slot
+        # denominators) and the two slot numerators (psi3's is the empty
+        # stack at k = 1, a 0 x 0 series LU that returns 1)
+        sol = solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+        calls.clear()
         sol.residual_certificate()
-        n = len(default_z_grid())
-        assert calls.get(SeedSolution, 0) == n
-        assert calls.get(_LadderedSolution, 0) == n * (k - 1)
+        assert calls.get(SeedSolution, 0) == 1
+        assert calls.get(_LadderedSolution, 0) == k - 1
         assert calls.get(WronskianStack, 0) == 3
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_construction_call_counts(self, k, calls):
+        # two grids: is_zero's four probes (slot numerators 3 and 4) and
+        # classify_degenerate's window (the chain and both slot numerators)
+        solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
+        assert calls.get(SeedSolution, 0) == 2
+        assert calls.get(_LadderedSolution, 0) == 2 * (k - 1)
+        assert calls.get(WronskianStack, 0) == 5
+
+    def test_verify_factorization_count(self, calls):
+        # each check evaluates its three sample points as one grid
+        from susypv.operators import run_all_checks
+
+        run_all_checks()
+        assert calls.get(WronskianStack, 0) == 23
 
 
 class TestSolve:

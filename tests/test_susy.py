@@ -90,8 +90,8 @@ def assert_same_bits(got, ref):
 def vk_residual(state, potential, energy, x):
     """Schrodinger residual of a ratio state, second derivative taken from
     the Wronskian ratio itself (independent of the ODE closure)."""
-    r = derivs(state.taylor(x, 2))
-    res = -0.5 * r[2] + (potential(x) - energy) * r[0]
+    r = derivs(state.taylor((x,), 2)[0])
+    res = -0.5 * r[2] + (potential.deriv_jet((x,), 0)[0, 0] - energy) * r[0]
     return abs(res) / max(abs(r[0]), abs(r[2]), 1e-300)
 
 
@@ -99,8 +99,7 @@ class TestWronskian:
     def test_single_function(self):
         u = make_seed(SeedSpec(1.0, 0.3, (1.0, 0.7), 1, "real-physical"))
         st = WronskianStack([u])
-        for x in (0.7, 1.9):
-            j = u.jet_values(x, 1)
+        for x, j in zip((0.7, 1.9), u.jet_values((0.7, 1.9), 1)):
             assert wronskian(st, x, 0) == j[0]
             assert wronskian(st, x, 1) == j[1]
 
@@ -108,8 +107,20 @@ class TestWronskian:
         u = make_seed(SeedSpec(1.0, 0.3, (1.0, 0.7), 1, "real-physical"))
         st = WronskianStack([u, u])
         x = 1.3
-        scale = st.row_scale(x)
+        scale = st.row_scale((x,))[0]
         assert abs(wronskian(st, x, 0)) <= 1e-14 * scale
+
+    def test_row_scale_is_the_row_norm_product(self):
+        # the batched norm sums in another order than one norm per row and
+        # x, so the loop is the reference, to a few ulps of the product
+        chain = seed_chain(SeedSpec.from_nu(2.0, 0.45, 3.0, k=4))
+        xs = (0.3, 1.1, 2.7, 4.4)
+        for m in (1, 2, 4):
+            st = WronskianStack(chain[:m])
+            for x, got in zip(xs, st.row_scale(xs)):
+                mat = np.column_stack([u.jet_values((x,), m - 1)[0] for u in chain[:m]])
+                ref = math.prod(float(np.linalg.norm(mat[r, :])) for r in range(m))
+                assert abs(got - ref) <= 8 * m * np.finfo(float).eps * ref, (m, x)
 
     def test_hand_determinant_of_growing_pair(self):
         # W(x^{l+1} e^{x^2/4}, x^{-l} e^{x^2/4}) = -(2l+1) e^{x^2/2}
@@ -138,7 +149,7 @@ class TestWronskian:
         st = WronskianStack(chain)
         for x in (0.8, 2.1):
             series = derivs(st.jet((x,), 2)[0])
-            leib = leibniz_wronskian_jet([u.jet_values(x, m + 1) for u in chain], 2)
+            leib = leibniz_wronskian_jet([u.jet_values((x,), m + 1)[0] for u in chain], 2)
             for d in (0, 1, 2):
                 assert wronskian(st, x, d) == series[d]
                 assert abs(series[d] - leib[d]) <= 1e-9 * max(1.0, abs(leib[d]))
@@ -146,10 +157,10 @@ class TestWronskian:
     def test_exact_common_node_matches_leibniz(self):
         x, order = COMMON_NODE_X, 6
         psi, phi, _ = common_node_columns()
-        assert psi.jet_values(x, 0)[0] == 0 and phi.jet_values(x, 0)[0] == 0
+        assert psi.jet_values((x,), 0)[0, 0] == 0 and phi.jet_values((x,), 0)[0, 0] == 0
         for cols in common_node_stacks():
             got = derivs(WronskianStack(cols).jet((x,), order)[0])
-            ref = leibniz_wronskian_jet([u.jet_values(x, len(cols) - 1 + order)
+            ref = leibniz_wronskian_jet([u.jet_values((x,), len(cols) - 1 + order)[0]
                                          for u in cols], order)
             scale = max(abs(ref))
             assert scale > 0
@@ -213,16 +224,17 @@ class TestPartnerPotential:
         from susypv.oscillator import RadialPotential
 
         v0 = RadialPotential(2.0)
-        for x in (0.4, 1.3, 3.0):
-            assert vp(x) == v0(x)
+        xs = (0.4, 1.3, 3.0)
+        assert np.array_equal(vp.deriv_jet(xs, 0), v0.deriv_jet(xs, 0))
 
     def test_k1_ground_seed_hand_expansion(self):
         # u = x^{l+1}e^{-x^2/4}: (ln u)'' = -(l+1)/x^2 - 1/2
         ell = 1.0
         vp = PartnerPotential([physical_eigenfunction(1, 0, ell)])
-        for x in (0.6, 1.7, 3.2):
+        xs = (0.6, 1.7, 3.2)
+        for x, v in zip(xs, vp.deriv_jet(xs, 0)[:, 0]):
             ref = x * x / 8 + ell * (ell + 1) / (2 * x * x) + (ell + 1) / (x * x) + 0.5
-            assert abs(vp(x) - ref) <= 1e-10 * abs(ref)
+            assert abs(v - ref) <= 1e-10 * abs(ref)
 
     def test_figure_regime_smooth(self):
         # k=1, l=2, eps=1/2 with the three plotted nu values, all above the
@@ -233,8 +245,9 @@ class TestPartnerPotential:
             vals = np.array([wronskian(st, float(x), 0).real for x in default_x_grid()])
             assert not np.any(vals[:-1] * vals[1:] < 0), nu
             vp = PartnerPotential(seed_chain(spec))
-            for x in np.linspace(0.3, 8.0, 40):
-                assert np.isfinite(vp(float(x)).real), (nu, x)
+            xs = tuple(np.linspace(0.3, 8.0, 40).tolist())
+            assert not vp.singular_at(xs).any(), nu
+            assert np.isfinite(vp.deriv_jet(xs, 0)[:, 0].real).all(), nu
 
     def test_nodeless_regimes(self):
         # the nu bound guards the first-order transformation; for k >= 2
@@ -257,9 +270,8 @@ class TestTransformedState:
     def test_empty_chain_is_identity(self):
         tgt = physical_eigenfunction(1, 1, 1.0)
         ts = transformed_state(PartnerPotential([], ell=1.0), tgt)
-        for x in (0.8, 1.9, 3.2):
-            v, d = ts.value_and_derivative(x)
-            rv, rd = tgt.value_and_derivative(x)
+        xs = (0.8, 1.9, 3.2)
+        for (v, d), (rv, rd) in zip(ts.value_and_derivative(xs), tgt.value_and_derivative(xs)):
             assert abs(v - rv) <= 1e-13 * max(1.0, abs(rv))
             assert abs(d - rd) <= 1e-13 * max(1.0, abs(rd))
 
@@ -268,10 +280,10 @@ class TestTransformedState:
         u1 = physical_eigenfunction(1, 0, ell)
         tgt = physical_eigenfunction(2, 0, ell)
         ts = transformed_state(PartnerPotential([u1]), tgt)
-        for x in (0.8, 1.3, 2.5):
+        xs = (0.8, 1.3, 2.5)
+        for x, (v, _) in zip(xs, ts.value_and_derivative(xs)):
             ref = -(2 * ell + 1) * math.exp(-x * x / 2) / (x ** (ell + 1)
                                                            * math.exp(-x * x / 4))
-            v, _ = ts.value_and_derivative(x)
             assert abs(v - ref) <= 1e-10 * abs(ref)
 
     def test_intertwining_in_action(self):
@@ -349,9 +361,10 @@ class TestExtremalQuartet:
         spec = SeedSpec.from_nu(1.0, 0.3, 0.7, k=1)
         q = extremal_quartet(spec)
         u = make_seed(spec)
-        for x in (0.9, 1.7):
-            v, _ = q.states[2].value_and_derivative(x)
-            assert abs(v * u(x) - 1.0) <= 1e-12
+        xs = (0.9, 1.7)
+        for (v, _), (uv, _) in zip(q.states[2].value_and_derivative(xs),
+                                   u.value_and_derivative(xs)):
+            assert abs(v * uv - 1.0) <= 1e-12
 
 
 class TestRadialOscillatorQuartet:
@@ -360,17 +373,16 @@ class TestRadialOscillatorQuartet:
             q = radial_oscillator_quartet(ell)
             psi, perp = q.states[2], q.states[3]
             node = math.sqrt(2 * ell + 3)
-            for x in (0.05, 0.5, 1.2, 2.0, node, node + 0.11, 4.0, 6.5, 8.0):
-                pv, pd = psi.value_and_derivative(x)
-                qv, qd = perp.value_and_derivative(x)
+            xs = (0.05, 0.5, 1.2, 2.0, node, node + 0.11, 4.0, 6.5, 8.0)
+            for x, (pv, pd), (qv, qd) in zip(xs, psi.value_and_derivative(xs),
+                                             perp.value_and_derivative(xs)):
                 assert abs(pv * qd - qv * pd - 1.0) <= 1e-9, (ell, x)
 
     def test_admixture_leaves_wronskian(self):
         q = radial_oscillator_quartet(1.0, perp_admixture=2.5)
         psi, perp = q.states[2], q.states[3]
-        for x in (0.9, 2.6, 4.8):
-            pv, pd = psi.value_and_derivative(x)
-            qv, qd = perp.value_and_derivative(x)
+        xs = (0.9, 2.6, 4.8)
+        for (pv, pd), (qv, qd) in zip(psi.value_and_derivative(xs), perp.value_and_derivative(xs)):
             assert abs(pv * qd - qv * pd - 1.0) <= 1e-9
 
     def test_perp_is_a_solution(self):
@@ -382,10 +394,10 @@ class TestRadialOscillatorQuartet:
             node = math.sqrt(2 * ell + 3)
             for x in (0.05, 0.8, node, 2.5, 4.2, 8.0):
                 assert fd_schrodinger_residual(perp, x) <= 1e-10
-                u, du = perp.value_and_derivative(x)
-                d2u = fd4_first(lambda t: perp.value_and_derivative(t)[1], x,
+                u, du = perp.value_and_derivative((x,))[0]
+                d2u = fd4_first(lambda t: perp.value_and_derivative((t,))[0, 1], x,
                                 1e-3 * min(x, 1.0))
-                res = -0.5 * d2u + (perp.potential(x) - perp.energy) * u
+                res = -0.5 * d2u + (perp.potential.deriv_jet((x,), 0)[0, 0] - perp.energy) * u
                 assert abs(res) <= 1e-7 * max(abs(u), abs(du), abs(d2u)), (ell, x)
 
     def test_energies(self):

@@ -6,7 +6,8 @@ would blind the per-layer metrics without any error. This test resolves
 every entry the way ``Tracer.install`` does: a plain name as a module
 attribute, a ``Class.method`` name in the class's own ``vars``. It also
 runs one grid task and one orderings task under the tracer, whose wrappers
-put the second argument of the repeat-counted layers in a set.
+put the second argument of the repeat-counted layers (a grid) in a set, and
+checks that the grid task calls the grid methods the tracer names.
 """
 
 import importlib
@@ -52,6 +53,7 @@ def test_traced_grid_and_orderings_tasks_complete():
     tracer.install()
     try:
         grid = run_spec(sp, pool("grid")[0], z_grid("grid"))
+        grid_calls = dict(tracer.summary()["calls"])
         orderings = run_orderings(sp, pool("orderings")[0], z_grid("orderings"),
                                   tracer.begin_task)
     finally:
@@ -60,3 +62,7 @@ def test_traced_grid_and_orderings_tasks_complete():
     assert grid.outcome == "certified"
     assert [o.outcome for o in orderings] == ["certified"] * 6
     assert tracer.summary()["calls"]["susy.WronskianStack.jet"] > 0
+    # the traced names are the grid methods, so the grid task passes through them
+    for name in ("susy.PartnerPotential.deriv_jet", "susy.WronskianRatioState.value_and_derivative",
+                 "susy.WronskianStack.row_scale"):
+        assert grid_calls[name] > 0, name
