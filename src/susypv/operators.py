@@ -17,6 +17,7 @@ a singular V_j of its ladder there as a FAIL with the error text.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -231,15 +232,20 @@ class CheckReport:
         return text + (f" ({self.details['error']})" if "error" in self.details else "")
 
 
-def default_test_seeds(ell: float) -> list[SeedSolution]:
-    """Reproducible generic seeds (fixed rng) used by the identity checks."""
+@functools.lru_cache(maxsize=16)
+def default_test_seeds(ell: float) -> tuple[SeedSolution, ...]:
+    """Reproducible generic seeds (fixed rng) used by the identity checks.
+
+    Memoized per l, so every check on one l shares the seeds and their
+    per-grid jet caches.
+    """
     rng = np.random.default_rng(174321)
     out = []
     for _ in range(_N_TEST_SEEDS):
         eps = complex(rng.uniform(-2.0, 0.4), 0.0)
         mix = (1.0 + 0.0j, complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3)))
         out.append(SeedSolution(ell, eps, mix))
-    return out
+    return tuple(out)
 
 
 def _rel_scale(provider, xs: tuple, applied: np.ndarray) -> np.ndarray:
@@ -264,9 +270,10 @@ def _identity_check(name: str, tolerance: float, ell: float, pairs,
                     ladder: SusyLadder | None = None) -> CheckReport:
     """Worst |lhs f - rhs f| / _rel_scale over (lhs, rhs) pairs, seeds and sample points."""
     worst = 0.0
+    seeds = default_test_seeds(ell)
     with np.errstate(all="ignore"):  # a singular point's values are dropped by _report
         for lhs, rhs in pairs:
-            for f in default_test_seeds(ell):
+            for f in seeds:
                 lv = lhs(f, _SAMPLE_XS)
                 err = np.abs(lv - rhs(f, _SAMPLE_XS)) / _rel_scale(f, _SAMPLE_XS, lv)
                 worst = max(worst, *err.tolist())

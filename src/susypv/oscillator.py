@@ -5,7 +5,9 @@ x > 0. Seeds are complex mixtures of the two confluent-hypergeometric
 branches; every solution object hands out derivative jets of any order on
 a grid of points (a tuple of floats), closed under its own Schrodinger
 equation (the potential derivatives are analytic, so the closure is
-exact). Each point runs a one-point kernel on Python scalars.
+exact). A seed sums its 1F1 rows over the whole grid in one kummer_1f1
+call; every point is then assembled, and every other solution evaluated,
+by a one-point kernel on Python scalars.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .specialfunctions import (
     _as_nonpositive_int,
     gamma,
     kummer_1f1,
-    kummer_1f1_dx,
     laguerre_l,
     parameter_pole,
 )
@@ -303,30 +304,53 @@ class SeedSolution(SchrodingerSolution):
         check_seed(ell, energy, mixture)
         super().__init__(ell, energy)
         self.mixture = (complex(mixture[0]), complex(mixture[1]))
-        self._a1, self._b1, self._a2, self._b2 = _branch_parameters(ell, self.energy)
+        a1, b1, a2, b2 = _branch_parameters(ell, self.energy)
+        # the 1F1 rows of the branches in use: M = 1F1(a, b) and, unless a = 0
+        # (M = 1, M' = 0), M' = (a/b) 1F1(a+1, b+1) as kummer_1f1_dx forms it
+        self._rows = []
+        self._branches = []  # per branch: (mu, row of M, a/b or None at a = 0)
+        for mu, a, b in ((self.mixture[0], a1, b1), (self.mixture[1], a2, b2)):
+            if mu == 0:
+                self._branches.append(None)
+                continue
+            self._rows.append((a, b))
+            a, b = complex(a), complex(b)
+            if _as_nonpositive_int(a) == 0:
+                self._branches.append((mu, len(self._rows) - 1, None))
+            else:
+                self._branches.append((mu, len(self._rows) - 1, a / b))
+                self._rows.append((a + 1.0, b + 1.0))
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        return per_point(xs, self._point)
+        """(u, u') at each x of xs: one kummer_1f1 call, then each point on Python scalars."""
+        for x in xs:
+            check_positive(x)
+        ys = [0.5 * x * x for x in xs]
+        m = (kummer_1f1([a for a, _ in self._rows], [b for _, b in self._rows], ys).T.tolist()
+             if self._rows else [()] * len(xs))
+        out = np.empty((len(xs), 2), dtype=complex)
+        for row, x, y, mx in zip(out, xs, ys, m):
+            row[:] = self._point(x, y, mx)
+        return out
 
-    def _point(self, x: float) -> tuple[complex, complex]:
-        """(u, u') at one x > 0, on Python scalars."""
-        mu1, mu2 = self.mixture
-        y = 0.5 * x * x
+    def _point(self, x: float, y: float, m: list) -> tuple[complex, complex]:
+        """(u, u') at one x > 0 from the row values m of the 1F1 call at y = x^2/2."""
         pref = x ** (-self.ell) * math.exp(-0.25 * x * x)
         dlog = -self.ell / x - 0.5 * x
         u = 0.0 + 0.0j
         du = 0.0 + 0.0j
-        if mu1 != 0:
-            m = kummer_1f1(self._a1, self._b1, y)
-            dm = kummer_1f1_dx(self._a1, self._b1, y)
-            b1 = pref * m
+        branch1, branch2 = self._branches
+        if branch1 is not None:
+            mu1, r, ab = branch1
+            dm = 0j if ab is None else ab * m[r + 1]
+            b1 = pref * m[r]
             u += mu1 * b1
             du += mu1 * (dlog * b1 + pref * dm * x)
-        if mu2 != 0:
-            m = kummer_1f1(self._a2, self._b2, y)
-            dm = kummer_1f1_dx(self._a2, self._b2, y)
+        if branch2 is not None:
+            mu2, r, ab = branch2
+            dm = 0j if ab is None else ab * m[r + 1]
             p2 = pref * y ** (self.ell + 0.5)
-            b2 = p2 * m
+            b2 = p2 * m[r]
             u += mu2 * b2
             du += mu2 * ((dlog + (2.0 * self.ell + 1.0) / x) * b2 + p2 * dm * x)
         return u, du

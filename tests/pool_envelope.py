@@ -9,9 +9,10 @@ library under this checkout's ``src/``, with ``pool_digest.outcomes``.
 
 ``record`` runs the pools once plain and once per salt of ``SALTS`` with
 every ``kummer_1f1`` value multiplied by (1 ± 2**-52), the sign the parity
-of ``hash((a, x, salt))``. Numbers hash alike in every process, so the nudge
-and the file are deterministic. It writes a JSON envelope: per task in pool
-order, the (class, masked set) pairs seen, plain first, and at each point
+of ``hash((a, x, salt))``; a grid call is nudged element by element, with
+its row's a and its point's x. Numbers hash alike in every process, so the
+nudge and the file are deterministic. It writes a JSON envelope: per task
+in pool order, the (class, masked set) pairs seen, plain first, and at each point
 unmasked in the plain run the plain w and its spread, the largest
 |w_nudged - w| over the nudged runs where that point is unmasked too.
 
@@ -27,6 +28,8 @@ import contextlib
 import json
 import sys
 
+import numpy as np
+
 from pool_digest import outcomes, sp
 from workloads import API_WORKLOADS, z_grid
 
@@ -37,12 +40,24 @@ REL_FLOOR = 1e-13
 
 @contextlib.contextmanager
 def nudged_kummer(salt: int):
-    """Every kummer_1f1 value times (1 ± ULP), on both names the library calls."""
+    """Every kummer_1f1 value times (1 ± ULP), on both names the library calls.
+
+    A grid call is nudged element by element: element (r, i) as the scalar
+    call at (a[r], x[i]) would be, its sign hashed from those Python scalars.
+    """
     modules = (sp.specialfunctions, sp.oscillator)
     plain = sp.specialfunctions.kummer_1f1
 
+    def nudge(value: complex, a, x) -> complex:
+        return value * (1.0 + ULP * (1 - 2 * (hash((a, x, salt)) & 1)))
+
     def kummer_1f1(a, b, x):
-        return plain(a, b, x) * (1.0 + ULP * (1 - 2 * (hash((a, x, salt)) & 1)))
+        value = plain(a, b, x)
+        if np.ndim(value) == 0:
+            return nudge(value, a, x)
+        xs = np.ravel(x).tolist()
+        return np.array([[nudge(v, ar, xi) for v, xi in zip(vals, xs)]
+                         for vals, ar in zip(value.tolist(), np.ravel(a).tolist())])
 
     for m in modules:
         m.kummer_1f1 = kummer_1f1

@@ -1,12 +1,15 @@
 """Every evaluation takes a grid, and row i of a grid is the grid of one at xs[i].
 
-Solutions run a one-point kernel per x (1F1 seed, b+/- of the parent's
-jet, closed forms, the perp integrator) and close it on Python scalars, and
-RadialPotential writes each row from its closed form, so their rows match
-bit for bit. Ratio states, V_k and operator images come from array
-arithmetic over the grid; the series LU keeps each point's bits, but a
-numpy kernel may round a batch's body unlike its tail, so those rows are
-held to REL_TOL of the largest entry of the row.
+A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call,
+batched above the crossover and looped per point below it, with the same
+bits either way; the other solutions run a one-point kernel per x (b+/- of
+the parent's jet, closed forms, the perp integrator). All of them assemble
+and close each point on Python scalars, and RadialPotential writes each
+row from its closed form, so their rows match bit for bit. Ratio states,
+V_k and operator images come from array arithmetic over the grid; the
+series LU keeps each point's bits, but a numpy kernel may round a batch's
+body unlike its tail, so those rows are held to REL_TOL of the largest
+entry of the row.
 """
 
 import math
@@ -16,12 +19,15 @@ import pytest
 
 from susypv.operators import AtomImage, SusyLadder, atom_b, default_test_seeds
 from susypv.oscillator import (
+    NU_INF,
     RadialPotential,
+    SeedSolution,
     SeedSpec,
     apply_b_plus,
     physical_eigenfunction,
 )
 from susypv.painleve import default_z_grid
+from susypv.specialfunctions import BATCH_MIN_SIZE
 from susypv.susy import extremal_quartet, radial_oscillator_quartet
 
 XS = tuple(math.sqrt(z) for z in default_z_grid(24))
@@ -46,6 +52,10 @@ def solutions():
     ladder = SusyLadder(SPEC)
     return {
         "SeedSolution": ladder.chain[0],
+        # one branch, two 1F1 rows (M and M'): the fewest a seed sums
+        "SeedSolution nu=inf": SeedSolution(2.0, 0.45, SeedSpec.from_nu(2.0, 0.45, NU_INF).mixture),
+        # eps1 = (1-2l)/4 + 2 and nu = 0: branch 1 only, with a1 = -2 and a1 + 1 = -1
+        "SeedSolution terminating": SeedSolution(2.0, 1.25, (1.0, 0.0)),
         "_LadderedSolution b-": ladder.chain[2],
         "_LadderedSolution b+": apply_b_plus(ladder.chain[0]),
         "ClosedFormSolution": physical_eigenfunction(1, 2, SPEC.ell),
@@ -59,6 +69,12 @@ def test_solution_rows_bit_for_bit(name):
     assert_rows_match(sol.value_and_derivative)
     assert_rows_match(lambda xs: sol.jet_values(xs, 6))
     assert_rows_match(lambda xs: sol.taylor(xs, 6))
+
+
+def test_seed_grids_are_batched():
+    # a seed with two 1F1 rows sums XS in one batched pass, and a grid of
+    # one through the one-point loop, so the seed rows above compare the two
+    assert 2 * len(XS) >= BATCH_MIN_SIZE > 4
 
 
 def test_radial_potential_rows_bit_for_bit():

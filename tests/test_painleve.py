@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from susypv import oscillator, specialfunctions
 from susypv.oscillator import (
     NU_INF,
     DomainError,
@@ -406,6 +407,14 @@ class TestCallBudget:
         count(SeedSolution, "value_and_derivative")
         count(_LadderedSolution, "value_and_derivative")
         count(WronskianStack, "_taylor_det")
+        kummer = specialfunctions.kummer_1f1
+
+        def kummer_1f1(*args):
+            calls["kummer_1f1"] = calls.get("kummer_1f1", 0) + 1
+            return kummer(*args)
+
+        for module in (specialfunctions, oscillator):  # every name the library calls it by
+            monkeypatch.setattr(module, "kummer_1f1", kummer_1f1)
         return calls
 
     @pytest.mark.parametrize("k", [1, 3, 4])
@@ -417,6 +426,7 @@ class TestCallBudget:
         calls.clear()
         sol.residual_certificate()
         assert calls.get(SeedSolution, 0) == 1
+        assert calls.get("kummer_1f1", 0) == 1  # every 1F1 row of the seed on the whole grid
         assert calls.get(_LadderedSolution, 0) == k - 1
         assert calls.get(WronskianStack, 0) == 3
 
@@ -430,11 +440,15 @@ class TestCallBudget:
         assert calls.get(WronskianStack, 0) == 5
 
     def test_verify_factorization_count(self, calls):
-        # each check evaluates its three sample points as one grid
-        from susypv.operators import run_all_checks
+        # each check evaluates its three sample points as one grid, and the
+        # checks on one l share its test seeds: 4 values of l x 3 seeds and
+        # the seeds of the 3 ladders, each evaluated once
+        from susypv.operators import default_test_seeds, run_all_checks
 
+        default_test_seeds.cache_clear()
         run_all_checks()
         assert calls.get(WronskianStack, 0) == 23
+        assert calls.get(SeedSolution, 0) == 15
 
 
 class TestSolve:

@@ -102,4 +102,13 @@ def test_nudge_is_one_ulp_deterministic_and_undone():
         again = oscillator.kummer_1f1(*args)
     assert once == again != plain(*args)
     assert abs(once - plain(*args)) <= 2.0**-51 * abs(plain(*args))
+    # a grid call: each element is the scalar nudge of that element
+    a_rows, b_rows = [0.5 + 0.25j, 1.5 + 0.25j, -0.75], [1.5, 2.5, 0.5]
+    ys = [0.5 * x * x for x in (0.3, 1.1, 2.0, 4.5)] * 5  # 60 elements: the batched sum
+    with nudged_kummer(7):
+        grid = oscillator.kummer_1f1(a_rows, b_rows, ys)
+        scalar = [[oscillator.kummer_1f1(a, b, y) for y in ys] for a, b in zip(a_rows, b_rows)]
+    assert grid.shape == (3, len(ys))
+    assert grid.tolist() == scalar
+    assert (grid != plain(a_rows, b_rows, ys)).all()
     assert oscillator.kummer_1f1 is specialfunctions.kummer_1f1 is plain

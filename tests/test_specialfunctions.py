@@ -5,7 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from susypv import specialfunctions
 from susypv.specialfunctions import (
+    BATCH_MIN_SIZE,
     GammaPoleError,
     NoConvergenceError,
     ParameterPoleError,
@@ -87,6 +89,100 @@ class TestKummer:
         v = kummer_1f1(0.25, 0.5, 35.0)
         ref = complex(mp_hyp1f1(0.25, 0.5, 35.0))
         assert abs(v - ref) <= 1e-12 * abs(ref)
+
+
+def hexes(values) -> list:
+    return [(float.hex(v.real), float.hex(v.imag)) for v in np.ravel(values).tolist()]
+
+
+def point_loop(a_rows, b_rows, xs):
+    """The (row, point) array of one-point kummer_1f1 calls, made point by point, row by row."""
+    return np.array([[kummer_1f1(a, b, x) for a, b in zip(a_rows, b_rows)] for x in xs]).T
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", hexes(fn(*args))
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def grid_points(n: int) -> list:
+    """n points mixing positive, negative and complex x, |x| <= 12."""
+    rng = np.random.default_rng(n)
+    kinds = [complex(rng.uniform(0.0, 12.0)), complex(rng.uniform(-12.0, 0.0)),
+             complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))]
+    return [kinds[i % 3] if i < 3 else complex(rng.uniform(-12, 12), rng.uniform(-4, 4) * (i % 2))
+            for i in range(n)]
+
+
+# generic rows (b = 0.75 + 3i scales _Py_c_quot by the imaginary part at small k),
+# terminating rows (a = -n, exactly and within INT_TOL, b past a pole it never reaches),
+# and a = 0 (1F1 = 1, also at b = -1)
+GRID_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5 - 0.75j), (0.0, -1.0),
+             (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.75, 0.75 + 3.0j), (-1.0, -2.0)]
+
+
+class TestKummerGrid:
+    """A grid call equals the one-point calls bit for bit, batched or looped."""
+
+    @pytest.fixture(params=["default", "batched", "chunked"])
+    def batch_min(self, request, monkeypatch):
+        if request.param != "default":  # small grids through the batched sum too
+            monkeypatch.setattr(specialfunctions, "BATCH_MIN_SIZE", 0)
+        if request.param == "chunked":  # a grid summed in passes of 5 elements
+            monkeypatch.setattr(specialfunctions, "_CHUNK", 5)
+        return specialfunctions.BATCH_MIN_SIZE
+
+    @pytest.mark.parametrize("npts", [1, 4, 16, 200])
+    @pytest.mark.parametrize("nrows", [1, 2, 3, 4])
+    def test_rows_bit_for_bit(self, npts, nrows, batch_min):
+        xs = grid_points(npts)
+        for first in range(0, len(GRID_ROWS), nrows):
+            rows = (GRID_ROWS * 2)[first:first + nrows]
+            a_rows, b_rows = [a for a, _ in rows], [b for _, b in rows]
+            got = kummer_1f1(a_rows, b_rows, xs)
+            assert got.shape == (nrows, npts)
+            assert hexes(got) == hexes(point_loop(a_rows, b_rows, xs)), rows
+
+    def test_real_grid_of_a_column(self, batch_min):
+        # parameter columns, a real float grid, and the seed's y range
+        a, b = np.array([[0.45 - 1.1j], [1.45 - 1.1j]]), np.array([[-1.5], [-0.5]])
+        ys = [0.5 * z for z in np.geomspace(0.1, 20.0, 40)]
+        got = kummer_1f1(a, b, ys)
+        assert hexes(got) == hexes(point_loop(a.ravel(), b.ravel(), ys))
+
+    def test_scalar_input_gives_a_scalar(self):
+        assert isinstance(kummer_1f1(0.5, 1.5, 2.0), complex)
+
+    @pytest.mark.parametrize("rows, xs", [
+        # a pole row fails at its first point, after the rows ahead of it there
+        # and before every later point
+        ([(0.3, 1.7), (0.5, -2.0)], grid_points(30)),
+        ([(0.5, 1.5), (0.5, -2.0)], [1.0, 2000.0] + grid_points(28)),
+        ([(0.5, 1.5), (0.3, 1.7), (0.5, -2.0)], [2000.0] + grid_points(29)),
+        # no convergence within MAX_TERMS, at one point of the grid
+        ([(0.5, 1.5), (1.0, 2.5)], grid_points(20) + [1500.0] + grid_points(9)),
+        ([(1.0, 2.5), (0.5, 1.5)], [-1500.0 + 3j] + grid_points(29)),
+        # finite parts of an infinite modulus: abs() raises OverflowError
+        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], grid_points(30)),
+    ])
+    def test_errors_match_the_point_loop(self, rows, xs, batch_min):
+        a_rows, b_rows = [a for a, _ in rows], [b for _, b in rows]
+        expected = outcome(point_loop, a_rows, b_rows, xs)
+        assert expected[0] != "ok"
+        assert outcome(kummer_1f1, a_rows, b_rows, xs) == expected
+
+    def test_batched_above_the_crossover(self, monkeypatch):
+        # above the crossover the one-point kernel runs only where Re x < 0
+        # takes Kummer's reflection
+        def fail(*args):
+            raise AssertionError("one-point kernel called")
+
+        xs = [complex(abs(x.real), x.imag) for x in grid_points(BATCH_MIN_SIZE)]
+        expected = hexes(point_loop([0.3 + 0.2j], [1.7], xs))
+        monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
+        assert hexes(kummer_1f1([0.3 + 0.2j], [1.7], xs)) == expected
 
 
 class TestKummerDerivative:
