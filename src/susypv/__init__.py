@@ -50,7 +50,6 @@ from .specialfunctions import (
     gamma,
     hermite_h,
     kummer_1f1,
-    kummer_1f1_dx,
     laguerre_l,
     log_gamma,
 )

@@ -5,9 +5,9 @@ x > 0. Seeds are complex mixtures of the two confluent-hypergeometric
 branches; every solution object hands out derivative jets of any order on
 a grid of points (a tuple of floats), closed under its own Schrodinger
 equation (the potential derivatives are analytic, so the closure is
-exact). A seed sums its 1F1 rows over the whole grid in one kummer_1f1
-call; every point is then assembled, and every other solution evaluated,
-by a one-point kernel on Python scalars.
+exact). A seed sums its 1F1 rows, real b at y = x^2/2 > 0, over the whole
+grid in one kummer_1f1 pass; every point is then assembled, and every
+other solution evaluated, by a one-point kernel on Python scalars.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ class SeedSolution(SchrodingerSolution):
         self.mixture = (complex(mixture[0]), complex(mixture[1]))
         a1, b1, a2, b2 = _branch_parameters(ell, self.energy)
         # the 1F1 rows of the branches in use: M = 1F1(a, b) and, unless a = 0
-        # (M = 1, M' = 0), M' = (a/b) 1F1(a+1, b+1) as kummer_1f1_dx forms it
+        # (M = 1, M' = 0), M' = (a/b) 1F1(a+1, b+1) by the contiguous relation
         self._rows = []
         self._branches = []  # per branch: (mu, row of M, a/b or None at a = 0)
         for mu, a, b in ((self.mixture[0], a1, b1), (self.mixture[1], a2, b2)):

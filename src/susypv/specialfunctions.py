@@ -7,17 +7,17 @@ that the Taylor series is only ever summed on the cancellation-free side.
 High-precision reference values live in the test suite, not here.
 
 ``kummer_1f1`` also sums parameter rows over a grid of points, each
-element with the bits of its one-point call. From BATCH_MIN_SIZE rows x
-points on, one numpy pass (``_sum_grid``, per _CHUNK elements) sums every
-element's series, with CPython's complex product and quotient written out
-on float64 parts; below it the one-point kernel loops over the elements.
+element with the bits of its one-point call. Real b rows at 0 < y < inf,
+from BATCH_MIN_SIZE rows x points on, go through one numpy pass
+(``_sum_grid``, per _CHUNK elements) with CPython's complex product
+written out on float64 parts; any other grid loops the one-point kernel.
 The crossover, measured for the rows of the l=2, eps1=0.45, nu=3 seed at
 y = z/2 on ``default_z_grid(n)`` (2-core x86-64, numpy 2.4, Python 3.11;
 medians of 41 interleaved calls, one-point loop vs one pass):
 
     rows x points    4 x 4    2 x 16   4 x 8    2 x 24   4 x 12   4 x 16   4 x 200
-    loop, ms         0.21     0.35     0.37     0.52     0.52     0.68     8.9
-    one pass, ms     0.42     0.44     0.44     0.49     0.47     0.49     2.8
+    loop, ms         0.20     0.39     0.39     0.58     0.54     0.68     8.1
+    one pass, ms     0.40     0.46     0.43     0.44     0.43     0.44     2.2
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "GammaPoleError",
     "parameter_pole",
     "kummer_1f1",
-    "kummer_1f1_dx",
     "log_gamma",
     "gamma",
     "rgamma",
@@ -46,7 +45,7 @@ MAX_TERMS = 500
 SERIES_TOL = 1e-16
 INT_TOL = 1e-12  # distance at which a parameter counts as an integer
 BATCH_MIN_SIZE = 48  # rows x points from which kummer_1f1 sums a grid in one pass
-_BLOCK = 24  # terms per block of _sum_grid when no estimate holds, and the least cap
+_BLOCK = 24  # terms per block of _sum_grid after the first, and the least cap
 _BLOCK_BUDGET = 4096  # terms x elements of a block longer than _BLOCK terms
 _CHUNK = 4096  # elements per _sum_grid pass: a block's arrays stay near 3 MB
 
@@ -127,6 +126,7 @@ def kummer_1f1(a, b, x):
     is the (row, point) array of 1F1(a[r], b[r]; x[i]), each element with
     the bits of its scalar call, and a failing grid raises the error the
     scalar calls, made point by point and row by row, would raise first.
+    Real b rows at real points 0 < x < inf are summed in one pass (above).
 
     Raises ParameterPoleError where ``parameter_pole(a, b)``.
     """
@@ -137,10 +137,11 @@ def kummer_1f1(a, b, x):
     if len(a_rows) != len(b_rows):
         raise ValueError(f"{len(a_rows)} rows of a but {len(b_rows)} of b")
     xs = np.ravel(np.asarray(x, dtype=complex))
-    if len(a_rows) * len(xs) < BATCH_MIN_SIZE:
-        sums = [[_kummer_point(a, b, x) for a, b in zip(a_rows, b_rows)] for x in xs.tolist()]
-        return np.array(sums, dtype=complex).reshape(len(xs), len(a_rows)).T.copy()
-    return _kummer_grid(a_rows, b_rows, xs)
+    if (len(a_rows) * len(xs) >= BATCH_MIN_SIZE and not any(b.imag for b in b_rows)
+            and np.all((xs.imag == 0) & (xs.real > 0) & (xs.real < math.inf))):
+        return _kummer_grid(a_rows, b_rows, xs.real)
+    sums = [[_kummer_point(a, b, x) for a, b in zip(a_rows, b_rows)] for x in xs.tolist()]
+    return np.array(sums, dtype=complex).reshape(len(xs), len(a_rows)).T.copy()
 
 
 def _kummer_point(a: complex, b: complex, x: complex) -> complex:
@@ -160,13 +161,12 @@ def _kummer_point(a: complex, b: complex, x: complex) -> complex:
     return _kahan_sum_terms(1.0 + 0.0j, lambda k: (a + k) * x / ((b + k) * (k + 1)))
 
 
-def _kummer_grid(a_rows: list, b_rows: list, xs: np.ndarray) -> np.ndarray:
-    """kummer_1f1 on rows x points through one ``_sum_grid`` pass.
+def _kummer_grid(a_rows: list, b_rows: list, ys: np.ndarray) -> np.ndarray:
+    """kummer_1f1 of complex a and real b rows at real points 0 < y < inf, in passes of _CHUNK.
 
     Element e = i * nrow + r is row r at point i, so the smallest failing
     element is the one the scalar calls meet first; a pole row fails at its
-    first point. Where Re x < 0 takes Kummer's reflection (a row that does
-    not terminate), the scalar kernel runs.
+    first point.
     """
     nrow, errors, n_rows = len(a_rows), {}, []
     for r, (a, b) in enumerate(zip(a_rows, b_rows)):
@@ -175,41 +175,36 @@ def _kummer_grid(a_rows: list, b_rows: list, xs: np.ndarray) -> np.ndarray:
             errors[r] = ParameterPoleError(f"1F1 lower parameter b={b} is a non-positive integer")
             na = 0
         n_rows.append(-1 if na is None else na)  # terms of a terminating row; -1: to convergence
-    n_rows = np.array(n_rows)
-    row, x = np.tile(np.arange(nrow), len(xs)), np.repeat(xs, nrow)
-    scalar = (x.real < 0.0) & (n_rows[row] < 0)
-    sums = np.ones(len(x), dtype=complex)
-    for e in np.flatnonzero(scalar).tolist():
-        try:
-            sums[e] = _kummer_point(a_rows[row[e]], b_rows[row[e]], complex(x[e]))
-        except (ArithmeticError, ValueError, NoConvergenceError) as exc:
-            errors[e] = exc
-    batch = np.flatnonzero(~scalar)
-    for part in (batch[i:i + _CHUNK] for i in range(0, len(batch), _CHUNK)):  # bounded memory
-        sums[part], failed = _sum_grid(np.array(a_rows), np.array(b_rows), n_rows, row[part],
-                                       x[part])
-        errors.update((int(part[j]), exc) for j, exc in failed.items())
+    n_rows, a, b = np.array(n_rows), np.array(a_rows), np.array(b_rows).real
+    row, y = np.tile(np.arange(nrow), len(ys)), np.repeat(ys, nrow)
+    sums = np.ones(len(y), dtype=complex)
+    for i in range(0, len(y), _CHUNK):  # bounded memory
+        sums[i:i + _CHUNK], failed = _sum_grid(a, b, n_rows, row[i:i + _CHUNK], y[i:i + _CHUNK])
+        errors.update((i + j, exc) for j, exc in failed.items())
     if errors:
         raise errors[min(errors)]
-    return sums.reshape(len(xs), nrow).T.copy()
+    return sums.reshape(len(ys), nrow).T.copy()
 
 
 def _sum_grid(a: np.ndarray, b: np.ndarray, n_terms: np.ndarray, row: np.ndarray,
-              x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Series of rows (a, b) at elements (row[e], x[e]) with ``_kahan_sum_terms``' bits.
+              y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Series of rows (a, b) at elements (row[e], y[e]) with ``_kahan_sum_terms``' bits.
 
     Row r sums exactly n_terms[r] >= 0 terms, or with -1 until two
     consecutive terms are small. Every complex operation is CPython's, on
     float64 real and imaginary parts: numpy's complex multiply may fuse
-    multiply-adds, and its divide multiplies by the reciprocal. Each block
-    of terms takes its ratios in one pass and then the terms and Kahan
-    steps term by term; each element's stop is read off the block, its sum
-    taken there, and finished elements drop out. Returns the sums and the
-    first error each failing element's scalar loop would raise.
+    multiply-adds. For real b and y, CPython's ratio
+    (a + k) y / ((b + k)(k + 1)) is ((a.real + k) y / d, (a.imag + 0.0) y / d)
+    with d = (b + k)(k + 1), but for the sign of a zero part (no sum keeps
+    it) and a part past the double range (the term is NaN either way).
+    Each block of terms takes its ratios in one pass and then the terms and
+    Kahan steps term by term; each element's stop is read off the block,
+    its sum taken there, and finished elements drop out. Returns the sums
+    and the first error each failing element's scalar loop would raise.
     """
-    sums, errors = np.ones(len(x), dtype=complex), {}
+    sums, errors = np.ones(len(y), dtype=complex), {}
     live = np.flatnonzero(n_terms[row] != 0)
-    row, x_re, x_im = row[live], x.real[live], x.imag[live]
+    row, y = row[live], y[live]
     # complex values as (real, imaginary) float rows: term, total, compensation
     term = np.zeros((2, 1, len(live)))
     term[0] = 1.0
@@ -217,28 +212,32 @@ def _sum_grid(a: np.ndarray, b: np.ndarray, n_terms: np.ndarray, row: np.ndarray
     prev_small = np.zeros(len(live), dtype=bool)  # the last term of the previous block was small
     k0 = 0
     # block lengths only set the pace (each element stops at its own term):
-    # the first from the largest |x|, the next from each element's last term
-    nk = _terms_of_exp(float(np.hypot(x_re, x_im).max())) if len(live) else 0
+    # the first runs to where e^max(y)'s series stops, the later ones _BLOCK terms
+    nk = _terms_of_exp(float(y.max())) if len(live) else 0
     with np.errstate(all="ignore"):  # a finished or failing element's later terms are dropped
         while len(live):
             conv = n_terms[row] < 0
             last = np.where(conv, MAX_TERMS, n_terms[row]) - 1  # the last k each element may take
             nk = min(nk, max(_BLOCK, _BLOCK_BUDGET // len(live)), int(last.max()) - k0 + 1)
+            k = np.arange(k0, k0 + nk, dtype=float)[:, None]
+            d = ((b + k) * (k + 1.0))[:, row]
+            q = np.empty((nk, 2, len(live)))
+            np.divide((a.real + k)[:, row] * y, d, out=q[:, 0])
+            np.divide((a.imag + 0.0)[row] * y, d, out=q[:, 1])
             # t q = (tr qr - ti qi, tr qi + ti qr) from one product (tr, ti) x ((qr, qi), (qi, qr))
-            q = _ratios(a, b, k0, nk, row, x_re, x_im)
             q = np.stack([q, q[:, ::-1]], axis=1)
             terms = np.empty((nk, 2, 1, len(live)))
             totals = np.empty_like(terms)
-            p, y = np.empty((2, 2, len(live))), np.empty_like(term)
+            p, dt = np.empty((2, 2, len(live))), np.empty_like(term)
             (rr, ri), (ii, ir) = p  # tr qr, tr qi; ti qi, ti qr
             for t, t_re, t_im, s, qj in zip(terms, terms[:, 0, 0], terms[:, 1, 0], totals, q):
                 np.multiply(term, qj, out=p)
                 np.subtract(rr, ii, out=t_re)
                 np.add(ri, ir, out=t_im)
-                np.subtract(t, comp, out=y)  # Kahan: y = t - comp, s = total + y,
-                np.add(total, y, out=s)  # comp = (s - total) - y
+                np.subtract(t, comp, out=dt)  # Kahan: dt = t - comp, s = total + dt,
+                np.add(total, dt, out=s)  # comp = (s - total) - dt
                 comp = np.subtract(s, total)
-                np.subtract(comp, y, out=comp)
+                np.subtract(comp, dt, out=comp)
                 term, total = t, s
             terms, totals = terms[:, :, 0], totals[:, :, 0]
             at = np.hypot(totals[:, 0], totals[:, 1])
@@ -248,8 +247,7 @@ def _sum_grid(a: np.ndarray, b: np.ndarray, n_terms: np.ndarray, row: np.ndarray
             stop[0] &= prev_small
             stop[1:] &= small[:-1]
             if k0 + nk > last.min():  # some element takes its last term in this block
-                ks = np.arange(k0, k0 + nk)[:, None]
-                stop = np.where(conv, stop & (ks <= last), ks == last)
+                stop = np.where(conv, stop & (k <= last), k == last)
             elif not conv.all():
                 stop &= conv
             stopped = stop.any(axis=0)
@@ -270,25 +268,17 @@ def _sum_grid(a: np.ndarray, b: np.ndarray, n_terms: np.ndarray, row: np.ndarray
                     else:
                         continue
                     stopped[e] = True
-            q_end, at_end, aterm_end = q[-1, 0], at[-1], aterm[-1]
             if stopped.any():
                 done = np.flatnonzero(stopped)
                 sums.real[live[done]] = totals[j_stop[done], 0, done]
                 sums.imag[live[done]] = totals[j_stop[done], 1, done]
                 keep = np.flatnonzero(~stopped)
-                live, row, x_re, x_im = live[keep], row[keep], x_re[keep], x_im[keep]
+                live, row, y = live[keep], row[keep], y[keep]
                 term, total, comp = term[..., keep], total[..., keep], comp[..., keep]
-                small, q_end = small[:, keep], q_end[:, keep]
-                at_end, aterm_end = at_end[keep], aterm_end[keep]
+                small = small[:, keep]
             prev_small = small[-1]
             k0 += nk
-            # the next block: terms until |term| <= SERIES_TOL |total|, were the
-            # last ratio to hold on (it shrinks, so this overestimates)
-            rate = np.log(np.hypot(q_end[0], q_end[1]))
-            need = np.where(rate < 0.0, np.log(SERIES_TOL * np.maximum(at_end, 1e-300) / aterm_end)
-                            / rate, math.inf)
-            worst = float(need.max()) if len(need) else 0.0
-            nk = math.ceil(max(worst, 0.0)) + 2 if worst < MAX_TERMS else _BLOCK
+            nk = _BLOCK
     return sums, errors
 
 
@@ -300,47 +290,6 @@ def _terms_of_exp(r: float) -> int:
         term *= r / k
         total += term
     return k + 2
-
-
-def _ratios(a: np.ndarray, b: np.ndarray, k0: int, nk: int, row: np.ndarray,
-            x_re: np.ndarray, x_im: np.ndarray) -> np.ndarray:
-    """(a + k) x / ((b + k)(k + 1)) for k = k0 .. k0 + nk - 1 at elements (row, x), CPython's bits.
-
-    Returns the (term, real/imaginary, element) array. Python promotes the
-    integer k to complex(k, 0) before each operation, so the literal zero
-    products stay in. _Py_c_quot scales by the larger part of the
-    denominator, and gives NaN if neither is larger; the denominator is
-    never 0, since parameter_pole rejects b = -k.
-    """
-    k = np.arange(k0, k0 + nk, dtype=float)[:, None]
-    ar, ai = a.real + k, a.imag + 0.0
-    br, bi = b.real + k, b.imag + 0.0
-    dr = br * (k + 1.0) - bi * 0.0
-    di = br * 0.0 + bi * (k + 1.0)
-    by_real = np.abs(dr) >= np.abs(di)
-    ratio = di / dr
-    ar, ratio, den = ar[:, row], ratio[:, row], (dr + di * ratio)[:, row]
-    nr = ar * x_re - ai[row] * x_im
-    ni = ar * x_im + ai[row] * x_re
-    q = np.empty((nk, 2, len(row)))
-    np.divide(nr + ni * ratio, den, out=q[:, 0])
-    np.divide(ni - nr * ratio, den, out=q[:, 1])
-    if not by_real.all():  # scale by the imaginary part where it is the larger
-        by_imag = (np.abs(di) >= np.abs(dr))[:, row]
-        ratio = dr / di
-        ratio, den, by_real = ratio[:, row], (dr * ratio + di)[:, row], by_real[:, row]
-        q[:, 0] = np.where(by_real, q[:, 0], np.where(by_imag, (nr * ratio + ni) / den, math.nan))
-        q[:, 1] = np.where(by_real, q[:, 1], np.where(by_imag, (ni * ratio - nr) / den, math.nan))
-    return q
-
-
-def kummer_1f1_dx(a: complex, b: complex, x: complex) -> complex:
-    """d/dx 1F1(a,b;x) via the contiguous relation (a/b) 1F1(a+1,b+1;x); 0 at a = 0."""
-    a = complex(a)
-    b = complex(b)
-    if _as_nonpositive_int(a) == 0:  # 1F1 = 1; at b = -1 the relation would hit a pole
-        return 0j
-    return (a / b) * kummer_1f1(a + 1.0, b + 1.0, x)
 
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey's set; ~15 significant digits).

@@ -1,8 +1,9 @@
 """Every evaluation takes a grid, and row i of a grid is the grid of one at xs[i].
 
-A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call,
-batched above the crossover and looped per point below it, with the same
-bits either way; the other solutions run a one-point kernel per x (b+/- of
+A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call: real
+b rows at y = x^2/2 > 0, the one shape summed in one pass, batched above
+the crossover and looped per point below it, with the same bits either
+way; the other solutions run a one-point kernel per x (b+/- of
 the parent's jet, closed forms, the perp integrator). All of them assemble
 and close each point on Python scalars, and RadialPotential writes each
 row from its closed form, so their rows match bit for bit. Ratio states,
@@ -17,16 +18,19 @@ import math
 import numpy as np
 import pytest
 
-from susypv.operators import AtomImage, SusyLadder, atom_b, default_test_seeds
+from susypv import oscillator, specialfunctions
+from susypv.operators import AtomImage, SusyLadder, atom_b, default_test_seeds, run_all_checks
 from susypv.oscillator import (
     NU_INF,
     RadialPotential,
     SeedSolution,
     SeedSpec,
     apply_b_plus,
+    e0,
+    make_seed,
     physical_eigenfunction,
 )
-from susypv.painleve import default_z_grid
+from susypv.painleve import default_z_grid, solve
 from susypv.specialfunctions import BATCH_MIN_SIZE
 from susypv.susy import extremal_quartet, radial_oscillator_quartet
 
@@ -100,3 +104,44 @@ def test_atom_image_rows():
                   AtomImage(f, atom_b(SPEC.ell, -1), ladder.potentials[0], f.energy - 1)):
         assert_rows_match(image.value_and_derivative, REL_TOL)
         assert_rows_match(lambda xs: image.jet_values(xs, 4), REL_TOL)
+
+
+def test_library_sends_only_the_batched_shape(monkeypatch):
+    # every kummer_1f1 call of solve, its certificate and verify's shift checks
+    # is a grid of real b rows at real points 0 < y < inf, the shape summed in
+    # one pass: a change that sent the seed down the one-point loop would keep
+    # every bit and lose only the time
+    calls = []
+
+    def record(a, b, x):
+        calls.append((a, b, x))
+        return kummer(a, b, x)
+
+    kummer = specialfunctions.kummer_1f1
+    for module in (specialfunctions, oscillator):  # every name the library calls it by
+        monkeypatch.setattr(module, "kummer_1f1", record)
+    ell = 2.0
+    specs = [SeedSpec.from_nu(ell, 0.45 + 0.3j, 0.8 - 0.5j, k=2),
+             SeedSpec.from_nu(ell, 0.45, NU_INF, k=3),
+             # t1's seed: eps1 = E0 and nu = inf, branch 2 with a2 = 0 (one terminating row)
+             SeedSpec.from_nu(ell, e0(ell), NU_INF, k=1, mode="complex-over-real")]
+    for spec in specs:
+        solve(spec, allow_degenerate=True).residual_certificate()
+    default_test_seeds.cache_clear()  # seeds that evaluated earlier keep their jets
+    run_all_checks(selected="shift")
+    assert len(calls) >= 2 * len(specs) + 3
+    for a, b, x in calls:
+        y = np.asarray(x)
+        assert np.ndim(a) == np.ndim(b) == y.ndim == 1
+        assert all(complex(v).imag == 0 for v in np.ravel(b)), b
+        assert np.isrealobj(y) and np.all((y > 0) & (y < math.inf)), x
+
+    monkeypatch.setattr(oscillator, "kummer_1f1", kummer)
+
+    def fail(*args):
+        raise AssertionError("one-point kernel called")
+
+    xs = tuple(math.sqrt(z) for z in default_z_grid())
+    monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
+    for spec in specs:
+        make_seed(spec).value_and_derivative(xs)

@@ -30,12 +30,14 @@ XS = (0.5, 1.0, 2.0, 5.0)
 
 class TestMakeSeed:
     def test_branch1_closed_form(self):
-        # eps = -l/2 + 1/4 makes the first 1F1 parameter vanish
-        ell = 1.0
-        u = SeedSolution(ell, -ell / 2 + 0.25, (1.0, 0.0))
-        for x, v in zip(XS, u.value_and_derivative(XS)[:, 0]):
-            ref = x**-ell * math.exp(-x * x / 4)
-            assert abs(v - ref) < 1e-14 * abs(ref)
+        # eps = -l/2 + 1/4 makes the first 1F1 parameter vanish: M = 1 and M' = 0,
+        # also at l = 3/2, where the lower parameter is b1 = -1
+        for ell in (1.0, 1.5):
+            u = SeedSolution(ell, -ell / 2 + 0.25, (1.0, 0.0))
+            for x, (v, dv) in zip(XS, u.value_and_derivative(XS)):
+                ref = x**-ell * math.exp(-x * x / 4)
+                assert abs(v - ref) < 1e-14 * abs(ref)
+                assert abs(dv - (-ell / x - x / 2) * ref) < 1e-14 * abs((-ell / x - x / 2) * ref)
 
     def test_branch2_ground_state_shape(self):
         ell = 1.0

@@ -1,9 +1,12 @@
 import cmath
 import math
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susypv import specialfunctions
 from susypv.specialfunctions import (
@@ -15,13 +18,12 @@ from susypv.specialfunctions import (
     gamma,
     hermite_h,
     kummer_1f1,
-    kummer_1f1_dx,
     laguerre_l,
     log_gamma,
     parameter_pole,
 )
 
-from oracles import OracleNoConvergence, fd4_first, mp_bessel_i, mp_hyp1f1
+from oracles import OracleNoConvergence, mp_bessel_i, mp_hyp1f1
 
 
 class TestKummer:
@@ -80,9 +82,9 @@ class TestKummer:
 
     @pytest.mark.parametrize("b", [-1.0, -3.0, 0.5, 2.5])
     def test_derivative_at_a_zero(self, b):
-        # 1F1(0, b; y) is the constant 1 wherever it is defined, b = -1 included
+        # 1F1(0, b; y) is the constant 1 wherever it is defined, b = -1 included,
+        # so a seed branch with a = 0 has M' = 0 (TestMakeSeed::test_branch1_closed_form)
         assert kummer_1f1(0.0, b, 1.7) == 1.0
-        assert kummer_1f1_dx(0.0, b, 1.7) == 0.0
 
     def test_large_argument_no_convergence_error_path(self):
         # |x| = 35 still converges inside the cap
@@ -107,8 +109,13 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def grid_points(n: int) -> list:
-    """n points mixing positive, negative and complex x, |x| <= 12."""
+def real_points(n: int) -> list:
+    """n real points 0 < y <= 12: the shape a seed sends, summed in one pass."""
+    return (12.0 - np.random.default_rng(n).uniform(0.0, 12.0, n)).tolist()
+
+
+def mixed_points(n: int) -> list:
+    """n points mixing positive, negative and complex x, |x| <= 12: looped per point."""
     rng = np.random.default_rng(n)
     kinds = [complex(rng.uniform(0.0, 12.0)), complex(rng.uniform(-12.0, 0.0)),
              complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))]
@@ -116,11 +123,25 @@ def grid_points(n: int) -> list:
             for i in range(n)]
 
 
-# generic rows (b = 0.75 + 3i scales _Py_c_quot by the imaginary part at small k),
-# terminating rows (a = -n, exactly and within INT_TOL, b past a pole it never reaches),
-# and a = 0 (1F1 = 1, also at b = -1)
-GRID_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5 - 0.75j), (0.0, -1.0),
-             (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.75, 0.75 + 3.0j), (-1.0, -2.0)]
+# real b as the seed has it: generic complex a, terminating rows (a = -n, exactly
+# and within INT_TOL, b past a pole it never reaches), and a = 0 (1F1 = 1, also at b = -1)
+REAL_B_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5), (0.0, -1.0),
+               (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.45 - 1.1j, -1.5), (-1.0, -2.0)]
+# complex b (b = 0.75 + 3i, b = 2.5 - 0.75i) makes a grid loop whatever its points
+MIXED_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5 - 0.75j), (0.0, -1.0),
+              (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.75, 0.75 + 3.0j), (-1.0, -2.0)]
+
+
+# random rows: complex |a| <= 30, or a = -n exactly and within INT_TOL (2e-12 is
+# outside); real b, half-integers and poles included
+A_VALUES = st.one_of(st.complex_numbers(max_magnitude=30.0),
+                     st.builds(lambda n, e: -n + e, st.integers(0, 30),
+                               st.sampled_from([0.0, 1e-13, -1e-13, 1e-13j, 1e-12, 2e-12])))
+B_VALUES = st.one_of(st.floats(-50.0, 52.0), st.integers(-100, 104).map(lambda n: n / 2))
+
+
+def column(rows) -> tuple[list, list]:
+    return [a for a, _ in rows], [b for _, b in rows]
 
 
 class TestKummerGrid:
@@ -137,13 +158,23 @@ class TestKummerGrid:
     @pytest.mark.parametrize("npts", [1, 4, 16, 200])
     @pytest.mark.parametrize("nrows", [1, 2, 3, 4])
     def test_rows_bit_for_bit(self, npts, nrows, batch_min):
-        xs = grid_points(npts)
-        for first in range(0, len(GRID_ROWS), nrows):
-            rows = (GRID_ROWS * 2)[first:first + nrows]
-            a_rows, b_rows = [a for a, _ in rows], [b for _, b in rows]
+        xs = real_points(npts)
+        for first in range(0, len(REAL_B_ROWS), nrows):
+            a_rows, b_rows = column((REAL_B_ROWS * 2)[first:first + nrows])
             got = kummer_1f1(a_rows, b_rows, xs)
             assert got.shape == (nrows, npts)
-            assert hexes(got) == hexes(point_loop(a_rows, b_rows, xs)), rows
+            assert hexes(got) == hexes(point_loop(a_rows, b_rows, xs)), (a_rows, b_rows)
+
+    @pytest.mark.parametrize("npts", [1, 16, 200])
+    def test_mixed_grids_equal_the_loop(self, npts, batch_min):
+        # complex b and points off the positive axis, mixed into real ones
+        xs = mixed_points(npts)
+        for rows, points in ((MIXED_ROWS, xs), (MIXED_ROWS, real_points(npts)),
+                             (REAL_B_ROWS, xs)):
+            for first in range(0, len(rows), 3):
+                a_rows, b_rows = column(rows[first:first + 3])
+                got = kummer_1f1(a_rows, b_rows, points)
+                assert hexes(got) == hexes(point_loop(a_rows, b_rows, points)), (a_rows, b_rows)
 
     def test_real_grid_of_a_column(self, batch_min):
         # parameter columns, a real float grid, and the seed's y range
@@ -158,49 +189,65 @@ class TestKummerGrid:
     @pytest.mark.parametrize("rows, xs", [
         # a pole row fails at its first point, after the rows ahead of it there
         # and before every later point
-        ([(0.3, 1.7), (0.5, -2.0)], grid_points(30)),
-        ([(0.5, 1.5), (0.5, -2.0)], [1.0, 2000.0] + grid_points(28)),
-        ([(0.5, 1.5), (0.3, 1.7), (0.5, -2.0)], [2000.0] + grid_points(29)),
+        ([(0.3, 1.7), (0.5, -2.0)], real_points(30)),
+        ([(0.5, 1.5), (0.5, -2.0)], [1.0, 2000.0] + real_points(28)),
+        ([(0.5, 1.5), (0.3, 1.7), (0.5, -2.0)], [2000.0] + real_points(29)),
         # no convergence within MAX_TERMS, at one point of the grid
-        ([(0.5, 1.5), (1.0, 2.5)], grid_points(20) + [1500.0] + grid_points(9)),
-        ([(1.0, 2.5), (0.5, 1.5)], [-1500.0 + 3j] + grid_points(29)),
-        # finite parts of an infinite modulus: abs() raises OverflowError
-        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], grid_points(30)),
+        ([(0.5, 1.5), (1.0, 2.5)], real_points(20) + [1500.0] + real_points(9)),
+        ([(1.0, 2.5), (0.5, 1.5)], [1500.0] + real_points(29)),
+        # finite parts of an infinite modulus: abs() raises OverflowError at
+        # y = 1; past y = 1.2 the row's terms are NaN (no convergence)
+        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], [1.0] + real_points(29)),
+        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], real_points(30)),
+        # the same failures on grids that loop
+        ([(1.0, 2.5), (0.5, 1.5)], [-1500.0 + 3j] + mixed_points(29)),
+        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], [1.0] + mixed_points(29)),
+        ([(0.3, 1.7 + 1j), (0.5, -2.0)], real_points(30)),
     ])
     def test_errors_match_the_point_loop(self, rows, xs, batch_min):
-        a_rows, b_rows = [a for a, _ in rows], [b for _, b in rows]
+        a_rows, b_rows = column(rows)
         expected = outcome(point_loop, a_rows, b_rows, xs)
         assert expected[0] != "ok"
         assert outcome(kummer_1f1, a_rows, b_rows, xs) == expected
 
     def test_batched_above_the_crossover(self, monkeypatch):
-        # above the crossover the one-point kernel runs only where Re x < 0
-        # takes Kummer's reflection
+        # real b rows on real points 0 < y < inf never reach the one-point kernel
         def fail(*args):
             raise AssertionError("one-point kernel called")
 
-        xs = [complex(abs(x.real), x.imag) for x in grid_points(BATCH_MIN_SIZE)]
-        expected = hexes(point_loop([0.3 + 0.2j], [1.7], xs))
+        xs = real_points(BATCH_MIN_SIZE)
+        a_rows, b_rows = column(REAL_B_ROWS)
+        expected = hexes(point_loop(a_rows, b_rows, xs))
         monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
-        assert hexes(kummer_1f1([0.3 + 0.2j], [1.7], xs)) == expected
+        assert hexes(kummer_1f1(a_rows, b_rows, xs)) == expected
 
+    @pytest.mark.parametrize("b, x", [(1.7 + 1e-3j, 1.0), (1.7, 0.0), (1.7, -1.0),
+                                      (1.7, 1.0 + 1e-3j), (1.7, math.inf)])
+    def test_other_grids_loop_above_the_crossover(self, b, x, monkeypatch):
+        # a complex b row or one point off 0 < y < inf: the one-point kernel, per element
+        xs = real_points(BATCH_MIN_SIZE - 1) + [x]
+        kernel, calls = specialfunctions._kummer_point, []
 
-class TestKummerDerivative:
-    def test_exponential(self):
-        x = 1.7
-        assert abs(kummer_1f1_dx(1.0, 1.0, x) - cmath.exp(x)) < 1e-12 * math.exp(x)
+        def count(*args):
+            calls.append(args)
+            return kernel(*args)
 
-    def test_at_zero(self):
-        a, b = 0.7 + 0.1j, 1.9
-        assert abs(kummer_1f1_dx(a, b, 0.0) - a / b) < 1e-15
+        monkeypatch.setattr(specialfunctions, "_kummer_point", count)
+        outcome(kummer_1f1, [0.3 + 0.2j, 0.3 + 0.2j], [1.7, b], xs)
+        assert len(calls) >= 2 * (len(xs) - 1)  # every element up to the last point
 
-    def test_finite_difference_sweep(self):
-        a, b, x0 = 0.8 - 0.4j, 1.3, 1.3
-        best = math.inf
-        for h in (1e-2, 3e-3, 1e-3):
-            fd = fd4_first(lambda t: kummer_1f1(a, b, t), x0, h)
-            best = min(best, abs(fd - kummer_1f1_dx(a, b, x0)))
-        assert best <= 1e-8
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(A_VALUES, B_VALUES), min_size=1, max_size=3),
+           ys=st.integers(1, 64).flatmap(lambda n: st.lists(
+               st.floats(0.0, 200.0, exclude_min=True), min_size=n, max_size=n)),
+           chunk=st.integers(1, 64))
+    def test_batched_pass_equals_the_loop(self, rows, ys, chunk):
+        # every element and the first error, whatever the pass and chunk sizes
+        a_rows, b_rows = column(rows)
+        with patch.object(specialfunctions, "BATCH_MIN_SIZE", 0), \
+                patch.object(specialfunctions, "_CHUNK", chunk):
+            expected = outcome(point_loop, a_rows, b_rows, ys)
+            assert outcome(kummer_1f1, a_rows, b_rows, ys) == expected
 
 
 class TestLogGamma:
