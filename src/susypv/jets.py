@@ -4,11 +4,10 @@ A jet ``f`` holds ``f[n] = f^(n)(x)`` at a point, its Taylor series
 ``c[n] = f^(n)(x) / n!``; on a grid of points, one row per point.
 Potentials hand out jets (``deriv_jet(xs, order)``), and so do solutions
 (``jet_values(xs, order)``), because the ODE closure runs on them
-(``binom`` feeds its Leibniz sum). Everything built from solutions
-(Wronskians, ratio states, superpotentials, operator images) is a series
-composed with the ``series_*`` helpers, and every state hands out its
-series through ``taylor(xs, order)``; the two conversions mark that
-boundary.
+(``oscillator.closure_jet``, over a whole grid). Everything built from
+solutions (Wronskians, ratio states, superpotentials, operator images) is
+a series composed with the ``series_*`` helpers, and every state hands out
+its series through ``taylor(xs, order)``; the conversions mark that boundary.
 Differentiation stays exact, so failures in identity checks point at
 formulas, not discretization.
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "binom",
     "factorials",
     "taylor_from_jet",
     "jet_from_taylor",
@@ -37,19 +35,7 @@ __all__ = [
     "series_diff",
 ]
 
-_BINOM_CACHE: dict[int, np.ndarray] = {}
 _FACT_CACHE: dict[int, np.ndarray] = {}
-
-
-def binom(n: int) -> np.ndarray:
-    """Row n of Pascal's triangle as float64 (exact up to n ~ 50)."""
-    row = _BINOM_CACHE.get(n)
-    if row is None:
-        row = np.ones(n + 1)
-        for k in range(1, n):
-            row[k] = row[k - 1] * (n - k + 1) / k
-        _BINOM_CACHE[n] = row
-    return row
 
 
 def factorials(n: int) -> np.ndarray:

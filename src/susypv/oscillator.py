@@ -5,9 +5,9 @@ x > 0. Seeds are complex mixtures of the two confluent-hypergeometric
 branches; every solution object hands out derivative jets of any order on
 a grid of points (a tuple of floats), closed under its own Schrodinger
 equation (the potential derivatives are analytic, so the closure is
-exact). A seed sums its 1F1 rows, real b at y = x^2/2 > 0, over the whole
-grid in one kummer_1f1 pass; every point is then assembled, and every
-other solution evaluated, by a one-point kernel on Python scalars.
+exact). A seed sums its 1F1 rows over the whole grid in one kummer_1f1
+pass and assembles each point on Python scalars; every jet above (u, u')
+is one closure_jet call per grid, with each point's scalar bits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import binom, taylor_from_jet
+from .jets import taylor_from_jet
 from .specialfunctions import (
     _as_nonpositive_int,
     gamma,
@@ -74,15 +74,6 @@ def check_positive(x: float, name: str = "x") -> None:
     """Evaluations live on finite x > 0 (on z > 0 for w); NaN and inf fail too."""
     if not 0 < x < math.inf:
         raise DomainError(f"evaluated at {name}={x}: not a finite {name} > 0")
-
-
-def per_point(xs: tuple, kernel) -> np.ndarray:
-    """(u, u') at each x of xs from a one-point kernel x -> (u, u'), one row per x."""
-    out = np.empty((len(xs), 2), dtype=complex)
-    for row, x in zip(out, xs):
-        check_positive(x)
-        row[:] = kernel(x)
-    return out
 
 
 def check_ranges(ell: float, eps1: complex = 0.0) -> None:
@@ -233,20 +224,54 @@ class SeedSpec:
         return SeedSpec(float(ell), complex(eps1), mix, k, mode, ordering)
 
 
+def closure_jet(vjet, start, energy: complex, order: int) -> np.ndarray:
+    """[u, u', ..., u^(order)] of the solutions with (u, u') = start, one row per point.
+
+    u^(n+2) = 2 sum_j C(n,j) V^(j) u^(n-j) - 2 energy u^(n), with vjet[i] =
+    [V, ..., V^(order-2)] at point i. It runs on float64 (re, im) parts, each
+    complex product a 2x2 real matrix times a vector, so every point gets
+    CPython's complex roundings (numpy's complex multiply fuses multiply-adds),
+    with the sum taken left to right onto +0. Overflow is quiet, as in Python.
+    """
+    jet = np.empty((order + 1, len(start)), dtype=complex)  # one row per derivative
+    jet[:2] = np.transpose(start)[: order + 1]
+    if order < 2:
+        return np.ascontiguousarray(jet.T)
+    u, e2 = jet.view(np.float64).reshape(order + 1, len(start), 2), 2.0 * complex(energy)
+    c = [[1.0] * (n + 1) + [0.0] * (order - 2 - n) for n in range(order - 1)]
+    for n, row in enumerate(c):  # Pascal's rows, C(n,j) = C(n,j-1) (n-j+1)/j in floats
+        for j in range(1, n):
+            row[j] = row[j - 1] * (n - j + 1) / j
+    v = np.asarray(vjet, complex)[:, : order - 1].T.copy().view(float).reshape(order - 1, -1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # C(n,j) V^(j) as CPython's float * complex: (c vr - 0 vi, c vi + 0 vr)
+        cv = np.array(c).reshape(order - 1, order - 1, 1, 1) * v + v[..., ::-1] * [-0.0, 0.0]
+        w = np.empty(cv.shape + (2,))  # the matrices [[re, -im], [im, re]]
+        w[..., 0], w[..., 0, 1], w[..., 1, 1] = cv, -cv[..., 1], cv[..., 0]
+        k = np.array([2.0, -0.0, 0.0, 2.0, e2.real, -e2.imag, e2.imag, e2.real]).reshape(2, 1, 2, 2)
+        sums = np.zeros((order + 1, len(start), 2))  # row 0 is the +0 each sum starts on
+        for n in range(order - 1):
+            prod = w[n, : n + 1] * u[n::-1, :, None, :]
+            np.add(prod[..., 0], prod[..., 1], out=sums[1 : n + 2])
+            np.add.accumulate(sums[: n + 2], out=sums[: n + 2])
+            sums[n + 2] = u[n]  # 2.0 * sum and (2.0 * energy) * u^(n) in one product
+            prod = k * sums[n + 1 : n + 3, :, None, :]
+            pair = prod[..., 0] + prod[..., 1]
+            np.subtract(pair[0], pair[1], out=u[n + 2])
+    return np.ascontiguousarray(jet.T)
+
+
 class SchrodingerSolution:
     """A solution of -u''/2 + V0 u = eps u exposing jets of any order on a grid.
 
     A grid is a tuple of floats, the key of the per-grid jet cache.
     Subclasses provide value_and_derivative(xs); jet_values and taylor
-    hand out everything above first order, from the ODE closure
-        u^(n+2) = 2 sum_j C(n,j) V0^(j) u^(n-j) - 2 eps u^(n),
-    which is exact because the potential derivatives are analytic. Each
-    point runs the closure on Python scalars, so a row of a grid has the
-    bits of a grid of one. Instances are immutable after construction; the
-    jet cache only grows (safe under the GIL for concurrent reads): it
-    keeps (u, u') from the first request on a grid, and a longer jet
-    extends the cached one through the closure instead of evaluating the
-    solution again.
+    hand out everything above first order from one closure_jet call per
+    grid, exact (the potential derivatives are analytic) and with each
+    point's bits. Instances are immutable after construction; the jet cache
+    only grows (safe under the GIL for concurrent reads): it keeps (u, u')
+    from the first request on a grid, and a longer jet extends the cached
+    one through the closure instead of evaluating the solution again.
     """
 
     def __init__(self, ell: float, energy: complex, potential: RadialPotential | None = None):
@@ -264,29 +289,11 @@ class SchrodingerSolution:
         cached = self._jet_cache.get(xs)
         if cached is not None and cached.shape[1] > order:
             return cached[:, : order + 1]
-        start = (self.value_and_derivative(xs) if cached is None else cached[:, :2]).tolist()
         n = max(order, 1)
-        vjets = self.potential.deriv_jet(xs, n - 2).tolist() if n >= 2 else [None] * len(xs)
-        vals = np.array([self.closure_jet(v, u0, u1, n) for v, (u0, u1) in zip(vjets, start)],
-                        dtype=complex).reshape(len(xs), n + 1)
-        self._jet_cache[xs] = vals
+        start = self.value_and_derivative(xs) if cached is None else cached[:, :2]
+        vjet = self.potential.deriv_jet(xs, n - 2) if n >= 2 else None
+        vals = self._jet_cache[xs] = closure_jet(vjet, start, self.energy, n)
         return vals[:, : order + 1]
-
-    def closure_jet(self, vjet: list, u0: complex, u1: complex, order: int) -> np.ndarray:
-        """Jet at one point of the solution with u = u0, u' = u1 there (uncached).
-
-        vjet holds the potential's derivatives at the point through
-        order - 2, as Python complex: the closure runs on Python scalars,
-        the numpy-scalar operations in order at 1/3 the cost.
-        """
-        vals = [complex(u0), complex(u1)][: order + 1]
-        for n in range(order - 1):
-            c = binom(n).tolist()
-            acc = 0.0 + 0.0j
-            for j in range(n + 1):
-                acc += c[j] * vjet[j] * vals[n - j]
-            vals.append(2.0 * acc - 2.0 * self.energy * vals[n])
-        return np.array(vals, dtype=complex)
 
     def taylor(self, xs: tuple, order: int) -> np.ndarray:
         """Taylor coefficients [u, u', u''/2, ..., u^(order)/order!] at each x of xs."""
@@ -328,10 +335,8 @@ class SeedSolution(SchrodingerSolution):
         ys = [0.5 * x * x for x in xs]
         m = (kummer_1f1([a for a, _ in self._rows], [b for _, b in self._rows], ys).T.tolist()
              if self._rows else [()] * len(xs))
-        out = np.empty((len(xs), 2), dtype=complex)
-        for row, x, y, mx in zip(out, xs, ys, m):
-            row[:] = self._point(x, y, mx)
-        return out
+        points = [self._point(x, y, mx) for x, y, mx in zip(xs, ys, m)]
+        return np.array(points, dtype=complex).reshape(len(xs), 2)
 
     def _point(self, x: float, y: float, m: list) -> tuple[complex, complex]:
         """(u, u') at one x > 0 from the row values m of the 1F1 call at y = x^2/2."""
@@ -364,7 +369,9 @@ class ClosedFormSolution(SchrodingerSolution):
         self._fn = fn
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        return per_point(xs, self._fn)
+        for x in xs:
+            check_positive(x)
+        return np.array([self._fn(x) for x in xs], dtype=complex).reshape(len(xs), 2)
 
 
 class _LadderedSolution(SchrodingerSolution):

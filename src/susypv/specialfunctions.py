@@ -72,6 +72,16 @@ def _as_nonpositive_int(z: complex) -> int | None:
     return None
 
 
+def _row_terms(a: complex, b: complex) -> int | None:
+    """n where a = -n ends the series of 1F1(a, b), else None; raises where no term is summed."""
+    if parameter_pole(a, b):
+        raise ParameterPoleError(f"1F1 lower parameter b={b} is a non-positive integer")
+    n = _as_nonpositive_int(a)
+    if n is not None and n > MAX_TERMS:  # the cap holds for terminating rows too
+        raise NoConvergenceError(f"a={a} gives a terminating series past {MAX_TERMS} terms")
+    return n
+
+
 def _kahan_sum_terms(first_term: complex, ratio, n_terms: int | None = None) -> complex:
     """Sum t0 + t1 + ... with t_{k+1} = t_k * ratio(k), compensated.
 
@@ -146,34 +156,25 @@ def kummer_1f1(a, b, x):
 
 def _kummer_point(a: complex, b: complex, x: complex) -> complex:
     """1F1(a, b; x) at one point, on Python complex scalars."""
-    if parameter_pole(a, b):
-        raise ParameterPoleError(f"1F1 lower parameter b={b} is a non-positive integer")
-    na = _as_nonpositive_int(a)
-    if na is not None:
-        # Terminating series; no reflection needed.
-        return _kahan_sum_terms(
-            1.0 + 0.0j,
-            lambda k: (a + k) * x / ((b + k) * (k + 1)),
-            n_terms=na,
-        )
-    if x.real < 0.0:
+    na = _row_terms(a, b)
+    if na is None and x.real < 0.0:  # a terminating series needs no reflection
         return cmath.exp(x) * _kummer_point(b - a, b, -x)
-    return _kahan_sum_terms(1.0 + 0.0j, lambda k: (a + k) * x / ((b + k) * (k + 1)))
+    return _kahan_sum_terms(1.0 + 0.0j, lambda k: (a + k) * x / ((b + k) * (k + 1)), na)
 
 
 def _kummer_grid(a_rows: list, b_rows: list, ys: np.ndarray) -> np.ndarray:
     """kummer_1f1 of complex a and real b rows at real points 0 < y < inf, in passes of _CHUNK.
 
     Element e = i * nrow + r is row r at point i, so the smallest failing
-    element is the one the scalar calls meet first; a pole row fails at its
-    first point.
+    element is the one the scalar calls meet first; a row that fails before
+    its first term (_row_terms) fails at its first point.
     """
     nrow, errors, n_rows = len(a_rows), {}, []
     for r, (a, b) in enumerate(zip(a_rows, b_rows)):
-        na = _as_nonpositive_int(a)
-        if parameter_pole(a, b):
-            errors[r] = ParameterPoleError(f"1F1 lower parameter b={b} is a non-positive integer")
-            na = 0
+        try:
+            na = _row_terms(a, b)
+        except (ParameterPoleError, NoConvergenceError) as exc:
+            errors[r], na = exc, 0
         n_rows.append(-1 if na is None else na)  # terms of a terminating row; -1: to convergence
     n_rows, a, b = np.array(n_rows), np.array(a_rows), np.array(b_rows).real
     row, y = np.tile(np.arange(nrow), len(ys)), np.repeat(ys, nrow)

@@ -24,8 +24,8 @@ of a solution of the base equation, and ``extremal_quartet`` builds the
 four extremal states that give w.
 
 The radial-oscillator quartet's second solution at E0 + 1 (PerpSolution)
-is integrated point by point, by Taylor steps on the same ODE-closure
-jets.
+is integrated by Taylor steps on the same ODE-closure jets, all points
+of a grid at once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .oscillator import (
     SchrodingerSolution,
     SeedSpec,
     apply_b_plus,
+    check_positive,
     check_ranges,
-    per_point,
+    closure_jet,
     physical_eigenfunction,
     seed_chain,
 )
@@ -319,7 +320,7 @@ class ExtremalQuartet:
     energies: tuple = field(init=False)
 
     def __post_init__(self):
-        # read once here, since _g_with_errors reads it at every point
+        # the slot energies, read by pv_params and once per grid by _g_with_errors
         self.energies = tuple(s.energy for s in self.states)
 
     def pair_34(self):
@@ -364,7 +365,8 @@ class PerpSolution(SchrodingerSolution):
     min(0.25, x/4); the order is the least N whose remainder on the x^-l
     branch, C(l+N, N) 4^-N, is below 1e-17. Checkpoints on a fixed lattice
     are stepped once, so a value is one step from the nearest checkpoint
-    whatever the order of requests, and nodes of psi need no care.
+    whatever the order of requests, and nodes of psi need no care. A grid's
+    points step at once: one closure_jet call per step.
     """
 
     def __init__(self, base: SchrodingerSolution, admixture: complex = 0.0):
@@ -374,38 +376,38 @@ class PerpSolution(SchrodingerSolution):
                            if math.lgamma(p + n + 1.0) - math.lgamma(p + 1.0) - math.lgamma(n + 1.0)
                            - n * math.log(4.0) < math.log(1e-17))
         psi, dpsi = base.value_and_derivative((1.0,))[0].tolist()
-        start = (admixture * psi, 1.0 / psi + admixture * dpsi)
-        points = {1.0: start}
-        for path in ([1.0 + 0.25 * j for j in range(1, 45)], [0.75**j for j in range(1, 17)]):
-            x0, state = 1.0, start
-            for x1 in path:
-                points[x1] = state = self._advance(x0, state, x1)
-                x0 = x1
+        start = np.array([[admixture * psi, 1.0 / psi + admixture * dpsi]])
+        # the two paths from x = 1, up by 0.25 and down by factors 0.75, stepped together
+        lattice = np.array([[1.0 + 0.25 * j, 0.75 ** min(j, 16)] for j in range(45)])
+        points, state = {1.0: start}, np.repeat(start, 2, axis=0)
+        for x0, x1 in zip(lattice, lattice[1:]):
+            state = self._advance(x0, state, x1)
+            points.update(zip(x1.tolist(), state[:, None]))
         self._xs = np.array(sorted(points))
-        self._states = [points[x] for x in self._xs]
+        self._states = np.concatenate([points[x] for x in self._xs])
 
-    def _advance(self, x0: float, state: tuple, x1: float) -> tuple[complex, complex]:
-        """Carry (u, u') from x0 to x1 by Taylor steps of at most min(0.25, x0/4)."""
-        n = self._order
-        u, du = state
-        while x0 != x1:
-            reach = min(0.25, 0.25 * x0) * (1.0 + 1e-12)
-            nxt = x1 if abs(x1 - x0) <= reach else x0 + math.copysign(reach, x1 - x0)
-            vjet = self.potential.deriv_jet((x0,), n - 2)[0].tolist()
-            jet, h = self.closure_jet(vjet, u, du, n), nxt - x0
-            u = du = jet[n]
+    def _advance(self, x0: np.ndarray, state: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        """Carry each row (u, u') from x0 to x1 by Taylor steps of at most min(0.25, x0/4)."""
+        n, x0, state = self._order, x0.copy(), state.copy()
+        live, div = np.flatnonzero(x0 != x1), np.arange(n, 0, -1.0)[:, None]
+        while len(live):
+            a, b = x0[live], x1[live]
+            reach = np.minimum(0.25, 0.25 * a) * (1.0 + 1e-12)
+            x0[live] = np.where(np.abs(b - a) <= reach, b, a + np.copysign(reach, b - a))
+            vjet, h = self.potential.deriv_jet(tuple(a.tolist()), n - 2), x0[live] - a
+            jet = closure_jet(vjet, state[live], self.energy, n).T
+            acc = jet[[n, n]]  # u, u' by Horner: * real h and / m round as on scalars
             for m in range(n - 1, 0, -1):
-                u = jet[m] + u * h / (m + 1)
-                du = jet[m] + du * h / m
-            u, x0 = jet[0] + u * h, nxt
-        return complex(u), complex(du)
+                acc = jet[m] + acc * h / div[n - 1 - m : n + 1 - m]
+            state[live] = np.stack([jet[0] + acc[0] * h, acc[1]], axis=1)
+            live = live[x0[live] != b]
+        return state
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        return per_point(xs, self._point)
-
-    def _point(self, x: float) -> tuple[complex, complex]:
-        i = int(np.argmin(np.abs(self._xs - x)))
-        return self._advance(float(self._xs[i]), self._states[i], float(x))
+        for x in xs:
+            check_positive(x)
+        nearest = np.abs(self._xs - np.array(xs)[:, None]).argmin(axis=1)
+        return self._advance(self._xs[nearest], self._states[nearest], np.array(xs, dtype=float))
 
 
 def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> ExtremalQuartet:

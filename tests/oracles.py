@@ -13,6 +13,8 @@ the tests hold the library's series arithmetic, series-LU Wronskian, g and
 on numpy arrays, which the library's scalar series LU must match bit for
 bit. ``mp_w`` rebuilds a spec's w(z) end to end in mpmath (seed chain,
 Wronskians, g): the forward-error reference for the library's w.
+``closure_jet_scalar`` is the ODE closure on Python complex scalars at
+one point, the reference the grid closure must match bit for bit.
 ``wronskian`` reads W, W' or W'' off a stack's series, for tests that
 compare derivative values. ``g_from_quartet`` and ``pv_residual`` are the
 certificate's own g and PV residual at one point, with the exceptions the
@@ -72,6 +74,28 @@ def mp_closure_jet(ell, energy, x, u, du, order):
             acc += mp.binomial(n, j) * vj[j] * vals[n - j]
         vals.append(2 * acc - 2 * mp.mpc(energy) * vals[n])
     return vals[: order + 1]
+
+
+def closure_jet_scalar(vjet, u0, u1, energy, order):
+    """The closure of oscillator.closure_jet at one point, on Python complex scalars.
+
+    The library's former per-point loop, kept as the reference the grid
+    closure must match bit for bit: vjet holds [V, V', ..., V^(order-2)],
+    C(n, j) comes from Pascal's multiplicative rule in float64, and each
+    sum starts at 0.0 + 0.0j.
+    """
+    energy = complex(energy)
+    vjet = [complex(v) for v in vjet]
+    vals = [complex(u0), complex(u1)][: order + 1]
+    for n in range(order - 1):
+        c = [1.0] * (n + 1)
+        for k in range(1, n):
+            c[k] = c[k - 1] * (n - k + 1) / k
+        acc = 0.0 + 0.0j
+        for j in range(n + 1):
+            acc += c[j] * vjet[j] * vals[n - j]
+        vals.append(2.0 * acc - 2.0 * energy * vals[n])
+    return vals
 
 
 def mp_seed_jet(ell, eps, mixture, x, order):

@@ -3,14 +3,14 @@
 A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call: real
 b rows at y = x^2/2 > 0, the one shape summed in one pass, batched above
 the crossover and looped per point below it, with the same bits either
-way; the other solutions run a one-point kernel per x (b+/- of
-the parent's jet, closed forms, the perp integrator). All of them assemble
-and close each point on Python scalars, and RadialPotential writes each
-row from its closed form, so their rows match bit for bit. Ratio states,
-V_k and operator images come from array arithmetic over the grid; the
-series LU keeps each point's bits, but a numpy kernel may round a batch's
-body unlike its tail, so those rows are held to REL_TOL of the largest
-entry of the row.
+way; b+/- of the parent's jet and the closed forms run a one-point kernel
+per x, and the perp integrator steps the whole grid at once. The closure
+(closure_jet) runs on the whole grid with each point's bits, and
+RadialPotential writes each row from its closed form, so their rows match
+bit for bit. Ratio states, V_k and operator images come from array
+arithmetic over the grid; the series LU keeps each point's bits, but a
+numpy kernel may round a batch's body unlike its tail, so those rows are
+held to REL_TOL of the largest entry of the row.
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from susypv import oscillator, specialfunctions
+from susypv import oscillator, specialfunctions, susy
 from susypv.operators import AtomImage, SusyLadder, atom_b, default_test_seeds, run_all_checks
 from susypv.oscillator import (
     NU_INF,
@@ -104,6 +104,33 @@ def test_atom_image_rows():
                   AtomImage(f, atom_b(SPEC.ell, -1), ladder.potentials[0], f.energy - 1)):
         assert_rows_match(image.value_and_derivative, REL_TOL)
         assert_rows_match(lambda xs: image.jet_values(xs, 4), REL_TOL)
+
+
+def test_closure_runs_once_per_grid(monkeypatch):
+    # jet_values makes one closure_jet call per cache miss, and the perp
+    # integrator steps every point of a grid at once; a per-point loop would
+    # keep every bit and multiply the calls by the grid size
+    calls = []
+
+    def record(vjet, start, energy, order):
+        calls.append(len(start))
+        return closure(vjet, start, energy, order)
+
+    closure = oscillator.closure_jet
+    perp = radial_oscillator_quartet(SPEC.ell).states[3]  # built unpatched: checkpoints uncounted
+    for module in (oscillator, susy):
+        monkeypatch.setattr(module, "closure_jet", record)
+    xs = tuple(np.geomspace(0.05, 16.0, 200).tolist())  # past the checkpoints at 12: 16 steps
+    seed = make_seed(SPEC)
+    for order in (2, 6, 4, 9, 9):
+        seed.jet_values(xs, order)
+    assert calls == [200] * 3  # the misses at orders 2, 6 and 9
+    steps = []
+    for grid in (xs[::10] + xs[-1:], xs):
+        calls.clear()
+        perp.value_and_derivative(grid)
+        steps.append(len(calls))
+    assert steps[0] == steps[1] == 16
 
 
 def test_library_sends_only_the_batched_shape(monkeypatch):

@@ -2,17 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from susypv.jets import (
-    binom,
     jet_from_taylor,
     series_diff,
     series_div,
     series_mul,
     taylor_from_jet,
 )
+from susypv.oscillator import closure_jet
 
-from oracles import jet_div, jet_log_deriv, jet_mul
+from oracles import closure_jet_scalar, jet_div, jet_log_deriv, jet_mul
+
+# a moderate part, or any double, or one of the values where signed zeros and
+# non-finite parts decide the bits
+PARTS = st.one_of(st.floats(-1e3, 1e3), st.floats(width=64),
+                  st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
 
 
 def exp_jet(x, n):
@@ -28,9 +36,36 @@ def power_jet(x, p, n):
     return out
 
 
+def complex_grid(draw, shape, real=False):
+    out = np.zeros(shape, dtype=complex)  # parts set directly: re + 1j * im would round
+    out.real = draw(arrays(np.float64, shape, elements=PARTS))
+    if not real:
+        out.imag = draw(arrays(np.float64, shape, elements=PARTS))
+    return out
+
+
+@st.composite
+def closure_cases(draw):
+    """(vjet, start, energy, order): real or complex V rows, complex start and energy."""
+    order, points = draw(st.integers(1, 40)), draw(st.integers(1, 50))
+    vjet = complex_grid(draw, (points, max(order - 1, 0)), real=draw(st.booleans()))
+    return vjet, complex_grid(draw, (points, 2)), complex(draw(PARTS), draw(PARTS)), order
+
+
+def hexes(values) -> list:
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
 class TestLeibniz:
-    def test_binom_row(self):
-        assert list(binom(4)) == [1, 4, 6, 4, 1]
+    @settings(max_examples=60, deadline=None)
+    @given(closure_cases())
+    def test_grid_closure_matches_scalar_loop(self, case):
+        # every row of the grid closure has the bits of the per-point loop
+        vjet, start, energy, order = case
+        grid = closure_jet(vjet, start, energy, order)
+        assert grid.shape == (len(start), order + 1)
+        for v, (u0, u1), row in zip(vjet, start, grid):
+            assert hexes(row) == hexes(closure_jet_scalar(v, u0, u1, energy, order))
 
     def test_product_of_known_jets(self):
         x, n = 1.3, 6

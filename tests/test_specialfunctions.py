@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from unittest.mock import patch
 
 import mpmath as mp
@@ -248,6 +249,29 @@ class TestKummerGrid:
                 patch.object(specialfunctions, "_CHUNK", chunk):
             expected = outcome(point_loop, a_rows, b_rows, ys)
             assert outcome(kummer_1f1, a_rows, b_rows, ys) == expected
+
+
+class TestTermCap:
+    """Terminating rows (a = -n) keep the MAX_TERMS cap of every other series."""
+
+    @pytest.mark.parametrize("a, b, x", [
+        (-1e308, 1.0, 1.0),  # one point
+        ([0.5, -1e308], [1.5, 1.0], real_points(30)),  # the batched pass
+        ([0.5, -501.0], [1.5, 1.0], mixed_points(30)),  # the loop
+    ])
+    def test_past_the_cap_raises_at_once(self, a, b, x):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergenceError, match="terminating series past 500 terms"):
+            kummer_1f1(a, b, x)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 125, 500])
+    def test_up_to_the_cap(self, n):
+        # 1F1(-n, 1; y) = L_n(y), summed in full; the grid keeps the point bits
+        ref = complex(mp.laguerre(n, 0, 0.01))
+        assert abs(kummer_1f1(-float(n), 1.0, 0.01) - ref) <= 1e-12 * max(1.0, abs(ref))
+        a_rows, b_rows, xs = [-float(n), 0.5], [1.0, 1.5], real_points(30)
+        assert outcome(kummer_1f1, a_rows, b_rows, xs) == outcome(point_loop, a_rows, b_rows, xs)
 
 
 class TestLogGamma:
