@@ -228,37 +228,38 @@ def closure_jet(vjet, start, energy: complex, order: int) -> np.ndarray:
     """[u, u', ..., u^(order)] of the solutions with (u, u') = start, one row per point.
 
     u^(n+2) = 2 sum_j C(n,j) V^(j) u^(n-j) - 2 energy u^(n), with vjet[i] =
-    [V, ..., V^(order-2)] at point i. It runs on float64 (re, im) parts, each
-    complex product a 2x2 real matrix times a vector, so every point gets
-    CPython's complex roundings (numpy's complex multiply fuses multiply-adds),
-    with the sum taken left to right onto +0. Overflow is quiet, as in Python.
+    [V, ..., V^(order-2)] at point i. It runs on float64 (re, im) pairs with
+    every complex product written out as CPython computes it (numpy's
+    complex multiply fuses multiply-adds), the sum taken left to right onto
+    +0, so each point gets the scalar loop's bits. Overflow is quiet, as in
+    Python. Memory is O(order * points): step n forms only its own terms.
     """
-    jet = np.empty((order + 1, len(start)), dtype=complex)  # one row per derivative
-    jet[:2] = np.transpose(start)[: order + 1]
+    def parts(rows):  # the (re, im) pair of each column of complex rows, as a view
+        return np.asarray(rows, complex)[..., None].view(np.float64).transpose(1, 2, 0)
+
+    u = np.empty((order + 1, 2, len(start)))
+    u[:2] = parts(start)[: order + 1]
     if order < 2:
-        return np.ascontiguousarray(jet.T)
-    u, e2 = jet.view(np.float64).reshape(order + 1, len(start), 2), 2.0 * complex(energy)
-    c = [[1.0] * (n + 1) + [0.0] * (order - 2 - n) for n in range(order - 1)]
-    for n, row in enumerate(c):  # Pascal's rows, C(n,j) = C(n,j-1) (n-j+1)/j in floats
-        for j in range(1, n):
-            row[j] = row[j - 1] * (n - j + 1) / j
-    v = np.asarray(vjet, complex)[:, : order - 1].T.copy().view(float).reshape(order - 1, -1, 2)
+        return np.ascontiguousarray(u.transpose(2, 0, 1)).view(complex)[..., 0]
+    v, e2 = parts(np.asarray(vjet)[:, : order - 1]), 2.0 * complex(energy)
+    zero, e_im = np.array([[-0.0], [0.0]]), np.array([[-e2.imag], [e2.imag]])
+    sums = np.zeros((order, 2, len(start)))  # row 0 is the +0 each sum starts on
     with np.errstate(over="ignore", invalid="ignore"):
-        # C(n,j) V^(j) as CPython's float * complex: (c vr - 0 vi, c vi + 0 vr)
-        cv = np.array(c).reshape(order - 1, order - 1, 1, 1) * v + v[..., ::-1] * [-0.0, 0.0]
-        w = np.empty(cv.shape + (2,))  # the matrices [[re, -im], [im, re]]
-        w[..., 0], w[..., 0, 1], w[..., 1, 1] = cv, -cv[..., 1], cv[..., 0]
-        k = np.array([2.0, -0.0, 0.0, 2.0, e2.real, -e2.imag, e2.imag, e2.real]).reshape(2, 1, 2, 2)
-        sums = np.zeros((order + 1, len(start), 2))  # row 0 is the +0 each sum starts on
+        zv = v[:, ::-1] * zero  # CPython's float * complex: c (vr, vi) = (c vr - 0 vi, c vi + 0 vr)
         for n in range(order - 1):
-            prod = w[n, : n + 1] * u[n::-1, :, None, :]
-            np.add(prod[..., 0], prod[..., 1], out=sums[1 : n + 2])
+            c = [1.0] * (n + 1)  # Pascal's row, C(n,j) = C(n,j-1) (n-j+1)/j in floats
+            for j in range(1, n):
+                c[j] = c[j - 1] * (n - j + 1) / j
+            cv = np.array(c)[:, None, None] * v[: n + 1] + zv[: n + 1]  # C(n,j) V^(j)
+            p = cv[:, :, None] * u[n::-1, None]  # p[j, a, b] = cv_a u^(n-j)_b
+            np.subtract(p[:, 0, 0], p[:, 1, 1], out=sums[1 : n + 2, 0])  # cr ur - ci ui
+            np.add(p[:, 0, 1], p[:, 1, 0], out=sums[1 : n + 2, 1])  # cr ui + ci ur
             np.add.accumulate(sums[: n + 2], out=sums[: n + 2])
-            sums[n + 2] = u[n]  # 2.0 * sum and (2.0 * energy) * u^(n) in one product
-            prod = k * sums[n + 1 : n + 3, :, None, :]
-            pair = prod[..., 0] + prod[..., 1]
-            np.subtract(pair[0], pair[1], out=u[n + 2])
-    return np.ascontiguousarray(jet.T)
+            acc, un = sums[n + 1], u[n]  # 2.0 * sum - (2.0 * energy) * u^(n)
+            twice = 2.0 * acc + acc[::-1] * zero  # (2 ar - 0 ai, 2 ai + 0 ar)
+            eu = e2.real * un + un[::-1] * e_im  # (er ur - ei ui, er ui + ei ur)
+            np.subtract(twice, eu, out=u[n + 2])
+    return np.ascontiguousarray(u.transpose(2, 0, 1)).view(complex)[..., 0]
 
 
 class SchrodingerSolution:

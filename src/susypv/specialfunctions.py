@@ -47,7 +47,7 @@ INT_TOL = 1e-12  # distance at which a parameter counts as an integer
 BATCH_MIN_SIZE = 48  # rows x points from which kummer_1f1 sums a grid in one pass
 _BLOCK = 24  # terms per block of _sum_grid after the first, and the least cap
 _BLOCK_BUDGET = 4096  # terms x elements of a block longer than _BLOCK terms
-_CHUNK = 4096  # elements per _sum_grid pass: a block's arrays stay near 3 MB
+_CHUNK = 4096  # elements per _sum_grid pass (points per PerpSolution pass): arrays stay small
 
 
 class ParameterPoleError(ValueError):

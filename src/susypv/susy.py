@@ -48,6 +48,7 @@ from .oscillator import (
     physical_eigenfunction,
     seed_chain,
 )
+from .specialfunctions import _CHUNK
 
 __all__ = [
     "SingularEvaluationError",
@@ -366,7 +367,7 @@ class PerpSolution(SchrodingerSolution):
     branch, C(l+N, N) 4^-N, is below 1e-17. Checkpoints on a fixed lattice
     are stepped once, so a value is one step from the nearest checkpoint
     whatever the order of requests, and nodes of psi need no care. A grid's
-    points step at once: one closure_jet call per step.
+    points step at once, _CHUNK at a time: one closure_jet call per step.
     """
 
     def __init__(self, base: SchrodingerSolution, admixture: complex = 0.0):
@@ -406,8 +407,9 @@ class PerpSolution(SchrodingerSolution):
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
         for x in xs:
             check_positive(x)
-        nearest = np.abs(self._xs - np.array(xs)[:, None]).argmin(axis=1)
-        return self._advance(self._xs[nearest], self._states[nearest], np.array(xs, dtype=float))
+        parts = np.split(np.array(xs, dtype=float), range(_CHUNK, len(xs), _CHUNK))  # bounded memory
+        near = [np.abs(self._xs - x[:, None]).argmin(axis=1) for x in parts]
+        return np.concatenate([self._advance(self._xs[i], self._states[i], x) for i, x in zip(near, parts)])
 
 
 def radial_oscillator_quartet(ell: float, perp_admixture: complex = 0.0) -> ExtremalQuartet:

@@ -133,6 +133,18 @@ def test_closure_runs_once_per_grid(monkeypatch):
     assert steps[0] == steps[1] == 16
 
 
+def test_perp_passes_keep_the_bits(monkeypatch):
+    # a long grid steps _CHUNK points at a time, so a step's jets stay
+    # bounded; every point is stepped alone, so the passes change no bit
+    perp = radial_oscillator_quartet(3.0).states[3]
+    xs = tuple(np.geomspace(0.05, 16.0, 23).tolist())
+    whole = perp.value_and_derivative(xs)
+    monkeypatch.setattr(susy, "_CHUNK", 5)
+    parts = perp.value_and_derivative(xs)
+    assert parts.shape == whole.shape == (23, 2)
+    assert parts.tobytes() == whole.tobytes()
+
+
 def test_library_sends_only_the_batched_shape(monkeypatch):
     # every kummer_1f1 call of solve, its certificate and verify's shift checks
     # is a grid of real b rows at real points 0 < y < inf, the shape summed in
