@@ -6,8 +6,15 @@ branches; every solution object hands out derivative jets of any order on
 a grid of points (a tuple of floats), closed under its own Schrodinger
 equation (the potential derivatives are analytic, so the closure is
 exact). A seed sums its 1F1 rows over the whole grid in one kummer_1f1
-pass and assembles each point on Python scalars; every jet above (u, u')
-is one closure_jet call per grid, with each point's scalar bits.
+pass and assembles (u, u') on the grid; every jet above (u, u') is one
+closure_jet call per grid. Each point keeps the bits of the former
+per-point code (tests/oracles.py) by one rule: numpy's float64 +, -, *, /
+and complex128 +, - round as CPython does, but complex * complex (fused
+multiply-adds), complex / real (a reciprocal multiply), numpy's SIMD ** and
+exp, and a product by a real factor below 1 whose part underflows to zero
+(its sign) do not. So such products are _times's, x^-l, e^{-x^2/4},
+y^{l+1/2}, x^3 and x^(j+2) are Python's ** and math.exp per point, and no
+complex array is divided by a real.
 """
 
 from __future__ import annotations
@@ -70,10 +77,13 @@ class ChainAnnihilationError(SeedSpecError):
     """A seed-chain member is identically zero."""
 
 
-def check_positive(x: float, name: str = "x") -> None:
-    """Evaluations live on finite x > 0 (on z > 0 for w); NaN and inf fail too."""
-    if not 0 < x < math.inf:
-        raise DomainError(f"evaluated at {name}={x}: not a finite {name} > 0")
+def check_positive(xs, name: str = "x") -> np.ndarray:
+    """The grid xs as float64; DomainError names its first point off finite x > 0 (z > 0 for w)."""
+    x = np.asarray(xs, dtype=float)
+    ok = (0 < x) & (x < math.inf)  # NaN fails both comparisons
+    if not ok.all():
+        raise DomainError(f"evaluated at {name}={xs[ok.argmin()]}: not a finite {name} > 0")
+    return x
 
 
 def check_ranges(ell: float, eps1: complex = 0.0) -> None:
@@ -123,22 +133,21 @@ class RadialPotential:
         self._c = self.ell * (self.ell + 1.0)
 
     def deriv_jet(self, xs: tuple, order: int) -> np.ndarray:
-        """[V0, V0', ..., V0^(order)] at each x of xs, one row per x."""
-        out = np.zeros((len(xs), order + 1), dtype=complex)
-        c = self._c
-        for row, x in zip(out, xs):
-            check_positive(x)
-            row[0] = x * x / 8.0 + 0.5 * c / (x * x)
-            if order >= 1:
-                row[1] = x / 4.0 - c / x**3
-            if order >= 2:
-                row[2] = 0.25 + 3.0 * c / x**4
-            # d^j x^-2 = (-1)^j (j+1)! x^-(j+2)
-            fac = 6.0  # (j+1)! at j = 2
-            for j in range(3, order + 1):
-                fac *= j + 1
-                row[j] = 0.5 * c * ((-1) ** j) * fac / x ** (j + 2)
-        return out
+        """[V0, V0', ..., V0^(order)] at each x of xs, one row per x, as float64."""
+        c, x = self._c, check_positive(xs)
+        # d^j x^-2 = (-1)^j (j+1)! x^-(j+2): V0^(j) = num[j-1] / x^(j+2) but for x/4 and 1/4
+        num, fac = [c, 3.0 * c], 6.0  # fac = (j+1)! at j = 2
+        for j in range(3, order + 1):
+            fac *= j + 1
+            num.append(0.5 * c * ((-1) ** j) * fac)
+        jet = np.empty((len(xs), order + 1))
+        jet[:, 1:] = np.reshape([p ** j for p in xs for j in range(3, order + 3)], (len(xs), order))
+        with np.errstate(all="ignore"):  # quiet where x^(j+2) overflows or underflows to 0
+            np.divide(num[:order], jet[:, 1:], out=jet[:, 1:])
+            jet[:, 0] = x * x / 8.0 + 0.5 * c / (x * x)
+        jet[:, 1:2] = x[:, None] / 4.0 - jet[:, 1:2]
+        jet[:, 2:3] += 0.25
+        return jet
 
     def singular_at(self, xs: tuple) -> np.ndarray:
         """V0 is regular on x > 0."""
@@ -224,42 +233,45 @@ class SeedSpec:
         return SeedSpec(float(ell), complex(eps1), mix, k, mode, ordering)
 
 
+def _times(a, b) -> np.ndarray:
+    """a * b as CPython computes it: (ar br - ai bi, ar bi + ai br) on float64 parts.
+
+    A real factor's imaginary part reads as +0, as in CPython's float * complex.
+    """
+    re, im = a.real * b.real, a.real * b.imag
+    re -= a.imag * b.imag
+    im += a.imag * b.real
+    out = re.astype(complex, order="C")
+    out.imag = im
+    return out
+
+
 def closure_jet(vjet, start, energy: complex, order: int) -> np.ndarray:
     """[u, u', ..., u^(order)] of the solutions with (u, u') = start, one row per point.
 
     u^(n+2) = 2 sum_j C(n,j) V^(j) u^(n-j) - 2 energy u^(n), with vjet[i] =
-    [V, ..., V^(order-2)] at point i. It runs on float64 (re, im) pairs with
-    every complex product written out as CPython computes it (numpy's
-    complex multiply fuses multiply-adds), the sum taken left to right onto
-    +0, so each point gets the scalar loop's bits. Overflow is quiet, as in
-    Python. Memory is O(order * points): step n forms only its own terms.
+    [V, ..., V^(order-2)] at point i. Each complex product is _times's and
+    each sum is taken left to right onto +0, so each point gets the scalar
+    loop's bits. Overflow is quiet, as in Python. Memory is
+    O(order * points): step n forms only its own terms.
     """
-    def parts(rows):  # the (re, im) pair of each column of complex rows, as a view
-        return np.asarray(rows, complex)[..., None].view(np.float64).transpose(1, 2, 0)
-
-    u = np.empty((order + 1, 2, len(start)))
-    u[:2] = parts(start)[: order + 1]
+    u = np.empty((order + 1, len(start)), dtype=complex)
+    u[:2] = np.asarray(start, dtype=complex).T[: order + 1]
     if order < 2:
-        return np.ascontiguousarray(u.transpose(2, 0, 1)).view(complex)[..., 0]
-    v, e2 = parts(np.asarray(vjet)[:, : order - 1]), 2.0 * complex(energy)
-    zero, e_im = np.array([[-0.0], [0.0]]), np.array([[-e2.imag], [e2.imag]])
-    sums = np.zeros((order, 2, len(start)))  # row 0 is the +0 each sum starts on
+        return np.ascontiguousarray(u.T)
+    v, e2 = np.asarray(vjet, dtype=complex)[:, : order - 1].T, 2.0 * complex(energy)
+    f = np.empty((order, len(start)), dtype=complex)  # step n's factors: C(n,j) V^(j), 2 energy
     with np.errstate(over="ignore", invalid="ignore"):
-        zv = v[:, ::-1] * zero  # CPython's float * complex: c (vr, vi) = (c vr - 0 vi, c vi + 0 vr)
         for n in range(order - 1):
             c = [1.0] * (n + 1)  # Pascal's row, C(n,j) = C(n,j-1) (n-j+1)/j in floats
             for j in range(1, n):
                 c[j] = c[j - 1] * (n - j + 1) / j
-            cv = np.array(c)[:, None, None] * v[: n + 1] + zv[: n + 1]  # C(n,j) V^(j)
-            p = cv[:, :, None] * u[n::-1, None]  # p[j, a, b] = cv_a u^(n-j)_b
-            np.subtract(p[:, 0, 0], p[:, 1, 1], out=sums[1 : n + 2, 0])  # cr ur - ci ui
-            np.add(p[:, 0, 1], p[:, 1, 0], out=sums[1 : n + 2, 1])  # cr ui + ci ur
-            np.add.accumulate(sums[: n + 2], out=sums[: n + 2])
-            acc, un = sums[n + 1], u[n]  # 2.0 * sum - (2.0 * energy) * u^(n)
-            twice = 2.0 * acc + acc[::-1] * zero  # (2 ar - 0 ai, 2 ai + 0 ar)
-            eu = e2.real * un + un[::-1] * e_im  # (er ur - ei ui, er ui + ei ur)
-            np.subtract(twice, eu, out=u[n + 2])
-    return np.ascontiguousarray(u.transpose(2, 0, 1)).view(complex)[..., 0]
+            np.multiply(np.array(c)[:, None], v[: n + 1], out=f[: n + 1])
+            f[n + 1] = e2
+            t = _times(f[: n + 2], u[[*range(n, -1, -1), n]])  # the Leibniz terms, then 2 energy u^(n)
+            acc = np.add.accumulate(t[: n + 1])[-1] + 0.0  # ((t0 + t1) + ...) + 0 = 0j + t0 + t1 + ...
+            u[n + 2] = 2.0 * acc - t[n + 1]
+    return np.ascontiguousarray(u.T)
 
 
 class SchrodingerSolution:
@@ -330,36 +342,28 @@ class SeedSolution(SchrodingerSolution):
                 self._rows.append((a + 1.0, b + 1.0))
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        """(u, u') at each x of xs: one kummer_1f1 call, then each point on Python scalars."""
-        for x in xs:
-            check_positive(x)
-        ys = [0.5 * x * x for x in xs]
-        m = (kummer_1f1([a for a, _ in self._rows], [b for _, b in self._rows], ys).T.tolist()
-             if self._rows else [()] * len(xs))
-        points = [self._point(x, y, mx) for x, y, mx in zip(xs, ys, m)]
-        return np.array(points, dtype=complex).reshape(len(xs), 2)
-
-    def _point(self, x: float, y: float, m: list) -> tuple[complex, complex]:
-        """(u, u') at one x > 0 from the row values m of the 1F1 call at y = x^2/2."""
-        pref = x ** (-self.ell) * math.exp(-0.25 * x * x)
+        """(u, u') at each x of xs: one kummer_1f1 call, then the grid in numpy."""
+        x = check_positive(xs)
+        y = 0.5 * x * x
+        if self._rows:
+            m = kummer_1f1([a for a, _ in self._rows], [b for _, b in self._rows], y)
+        pref = np.array([p ** (-self.ell) * math.exp(-0.25 * p * p) for p in xs])
         dlog = -self.ell / x - 0.5 * x
-        u = 0.0 + 0.0j
-        du = 0.0 + 0.0j
-        branch1, branch2 = self._branches
-        if branch1 is not None:
-            mu1, r, ab = branch1
-            dm = 0j if ab is None else ab * m[r + 1]
-            b1 = pref * m[r]
-            u += mu1 * b1
-            du += mu1 * (dlog * b1 + pref * dm * x)
-        if branch2 is not None:
-            mu2, r, ab = branch2
-            dm = 0j if ab is None else ab * m[r + 1]
-            p2 = pref * y ** (self.ell + 0.5)
-            b2 = p2 * m[r]
-            u += mu2 * b2
-            du += mu2 * ((dlog + (2.0 * self.ell + 1.0) / x) * b2 + p2 * dm * x)
-        return u, du
+        u = du = np.zeros(len(xs), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # quiet, as on Python scalars
+            for i, branch in enumerate(self._branches):
+                if branch is None:
+                    continue
+                mu, r, ab = branch
+                p, dl = pref, dlog
+                if i:  # branch 2: the factor (x^2/2)^(l+1/2) and its (2l+1)/x in the log-derivative
+                    p = pref * np.array([v ** (self.ell + 0.5) for v in y.tolist()])
+                    dl = dlog + (2.0 * self.ell + 1.0) / x
+                dm = 0j if ab is None else _times(ab, m[r + 1])
+                b = _times(p, m[r])
+                u = u + _times(mu, b)
+                du = du + _times(mu, _times(dl, b) + _times(_times(p, dm), x))
+        return np.stack([u, du], axis=1)
 
 
 class ClosedFormSolution(SchrodingerSolution):
@@ -370,8 +374,7 @@ class ClosedFormSolution(SchrodingerSolution):
         self._fn = fn
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        for x in xs:
-            check_positive(x)
+        check_positive(xs)
         return np.array([self._fn(x) for x in xs], dtype=complex).reshape(len(xs), 2)
 
 
@@ -385,15 +388,12 @@ class _LadderedSolution(SchrodingerSolution):
         self._sign = -1.0 if raise_energy else 1.0  # the sign replacing -/+ in b^-/+
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        out = np.empty((len(xs), 2), dtype=complex)
-        c = self.ell * (self.ell + 1.0)
-        s = self._sign
-        for row, x, u in zip(out, xs, self._parent.jet_values(xs, 3)):
-            p = x * x / 4.0 - c / (x * x) + 0.5 * s
-            dp = 0.5 * x + 2.0 * c / x**3
-            row[0] = 0.5 * (u[2] + s * x * u[1] + p * u[0])
-            row[1] = 0.5 * (u[3] + s * (u[1] + x * u[2]) + p * u[1] + dp * u[0])
-        return out
+        u = self._parent.jet_values(xs, 3).T
+        x, c, s = np.array(xs, dtype=float), self.ell * (self.ell + 1.0), self._sign
+        p = x * x / 4.0 - c / (x * x) + 0.5 * s
+        dp = 0.5 * x + 2.0 * c / np.array([v**3 for v in xs])
+        sx1, p0, x2, p1, dp0 = _times(np.array([s * x, p, x, p, dp]), u[[1, 0, 2, 1, 0]])
+        return _times(0.5, np.array([u[2] + sx1 + p0, u[3] + s * (u[1] + x2) + p1 + dp0]).T)
 
 
 def _nu_coefficient(ell: float, eps: complex) -> complex:

@@ -223,12 +223,11 @@ class PVSolution:
         poles rather than reported with meaningless residuals.
         """
         zs = [float(z) for z in zs]
-        for z in zs:
-            check_positive(z, "z")
+        z = check_positive(zs, "z")
         if self.classification != "generic":
             return [GridSample(z, math.nan + 0j, None, "degenerate") for z in zs]
         xs = tuple(math.sqrt(z) for z in zs)
-        x, z = np.array(xs), np.array(zs)
+        x = np.array(xs)
         cl = np.clongdouble
         with np.errstate(all="ignore"):  # masked points may divide by 0
             (g, g1, g2), (e_g, e_g1, e_g2), singular, pole = _g_with_errors(self.quartet, xs)

@@ -9,8 +9,10 @@ High-precision reference values live in the test suite, not here.
 ``kummer_1f1`` also sums parameter rows over a grid of points, each
 element with the bits of its one-point call. Real b rows at 0 < y < inf,
 from BATCH_MIN_SIZE rows x points on, go through one numpy pass
-(``_sum_grid``, per _CHUNK elements) with CPython's complex product
-written out on float64 parts; any other grid loops the one-point kernel.
+(``_sum_grid``, per _CHUNK elements); any other grid loops the one-point
+kernel. By oscillator's rounding rule (numpy's float64 arithmetic and complex
++, - are CPython's; complex * complex, complex / real, SIMD ** and exp are
+not), the pass writes CPython's complex product out on float64 parts.
 The crossover, measured for the rows of the l=2, eps1=0.45, nu=3 seed at
 y = z/2 on ``default_z_grid(n)`` (2-core x86-64, numpy 2.4, Python 3.11;
 medians of 41 interleaved calls, one-point loop vs one pass):
@@ -194,7 +196,7 @@ def _sum_grid(a: np.ndarray, b: np.ndarray, n_terms: np.ndarray, row: np.ndarray
     Row r sums exactly n_terms[r] >= 0 terms, or with -1 until two
     consecutive terms are small. Every complex operation is CPython's, on
     float64 real and imaginary parts: numpy's complex multiply may fuse
-    multiply-adds. For real b and y, CPython's ratio
+    multiply-adds (as oscillator._times). For real b and y, CPython's ratio
     (a + k) y / ((b + k)(k + 1)) is ((a.real + k) y / d, (a.imag + 0.0) y / d)
     with d = (b + k)(k + 1), but for the sign of a zero part (no sum keeps
     it) and a part past the double range (the term is NaN either way).

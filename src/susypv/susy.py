@@ -405,9 +405,7 @@ class PerpSolution(SchrodingerSolution):
         return state
 
     def value_and_derivative(self, xs: tuple) -> np.ndarray:
-        for x in xs:
-            check_positive(x)
-        parts = np.split(np.array(xs, dtype=float), range(_CHUNK, len(xs), _CHUNK))  # bounded memory
+        parts = np.split(check_positive(xs), range(_CHUNK, len(xs), _CHUNK))  # bounded memory
         near = [np.abs(self._xs - x[:, None]).argmin(axis=1) for x in parts]
         return np.concatenate([self._advance(self._xs[i], self._states[i], x) for i, x in zip(near, parts)])
 

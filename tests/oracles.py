@@ -98,6 +98,82 @@ def closure_jet_scalar(vjet, u0, u1, energy, order):
     return vals
 
 
+def seed_point_scalar(ell, energy, mixture, x):
+    """(u, u') of oscillator.SeedSolution at one x, on Python complex scalars.
+
+    The library's former per-point assembly, kept as the reference the grid
+    seed must match bit for bit. The 1F1 values come from one-point
+    kummer_1f1 calls, which have the grid call's bits; M' = (a/b) 1F1(a+1,
+    b+1) unless a = 0, where M = 1 and M' = 0.
+    """
+    from susypv.specialfunctions import kummer_1f1
+
+    ell, energy = float(ell), complex(energy)
+    branches = (((1.0 - 2.0 * ell - 4.0 * energy) / 4.0, (1.0 - 2.0 * ell) / 2.0),
+                ((3.0 + 2.0 * ell - 4.0 * energy) / 4.0, (3.0 + 2.0 * ell) / 2.0))
+    y = 0.5 * x * x
+    pref = x ** (-ell) * math.exp(-0.25 * x * x)
+    dlog = -ell / x - 0.5 * x
+    u = 0.0 + 0.0j
+    du = 0.0 + 0.0j
+    for i, (mu, (a, b)) in enumerate(zip(map(complex, mixture), branches)):
+        if mu == 0:
+            continue
+        m = kummer_1f1(a, b, y)
+        a, b = complex(a), complex(b)
+        at_zero = abs(a.imag) <= 1e-12 and abs(a.real) <= 1e-12  # a within INT_TOL of 0
+        dm = 0j if at_zero else a / b * kummer_1f1(a + 1.0, b + 1.0, y)
+        if i == 0:
+            b1 = pref * m
+            u += mu * b1
+            du += mu * (dlog * b1 + pref * dm * x)
+        else:
+            p2 = pref * y ** (ell + 0.5)
+            b2 = p2 * m
+            u += mu * b2
+            du += mu * ((dlog + (2.0 * ell + 1.0) / x) * b2 + p2 * dm * x)
+    return u, du
+
+
+def laddered_scalar(ell, sign, xs, jets):
+    """(u, u') of b^-/+ applied to a parent with 3-jets ``jets``, point by point.
+
+    The library's former _LadderedSolution loop (sign = +1 for b^-, -1 for
+    b^+), kept as the reference the grid expression must match bit for bit.
+    """
+    out = np.empty((len(xs), 2), dtype=complex)
+    c = ell * (ell + 1.0)
+    s = sign
+    for row, x, u in zip(out, xs, jets):
+        p = x * x / 4.0 - c / (x * x) + 0.5 * s
+        dp = 0.5 * x + 2.0 * c / x**3
+        row[0] = 0.5 * (u[2] + s * x * u[1] + p * u[0])
+        row[1] = 0.5 * (u[3] + s * (u[1] + x * u[2]) + p * u[1] + dp * u[0])
+    return out
+
+
+def radial_deriv_jet_scalar(ell, xs, order):
+    """[V0, V0', ..., V0^(order)] of RadialPotential(ell), point by point.
+
+    The library's former loop, kept as the reference the grid expression
+    must match bit for bit.
+    """
+    out = np.zeros((len(xs), order + 1), dtype=complex)
+    c = ell * (ell + 1.0)
+    for row, x in zip(out, xs):
+        row[0] = x * x / 8.0 + 0.5 * c / (x * x)
+        if order >= 1:
+            row[1] = x / 4.0 - c / x**3
+        if order >= 2:
+            row[2] = 0.25 + 3.0 * c / x**4
+        # d^j x^-2 = (-1)^j (j+1)! x^-(j+2)
+        fac = 6.0  # (j+1)! at j = 2
+        for j in range(3, order + 1):
+            fac *= j + 1
+            row[j] = 0.5 * c * ((-1) ** j) * fac / x ** (j + 2)
+    return out
+
+
 def mp_seed_jet(ell, eps, mixture, x, order):
     """Seed derivative jet built entirely in mpmath."""
     ell = mp.mpf(ell)

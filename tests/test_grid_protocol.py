@@ -3,14 +3,14 @@
 A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call: real
 b rows at y = x^2/2 > 0, the one shape summed in one pass, batched above
 the crossover and looped per point below it, with the same bits either
-way; b+/- of the parent's jet and the closed forms run a one-point kernel
-per x, and the perp integrator steps the whole grid at once. The closure
-(closure_jet) runs on the whole grid with each point's bits, and
-RadialPotential writes each row from its closed form, so their rows match
-bit for bit. Ratio states, V_k and operator images come from array
-arithmetic over the grid; the series LU keeps each point's bits, but a
-numpy kernel may round a batch's body unlike its tail, so those rows are
-held to REL_TOL of the largest entry of the row.
+way; the seed's assembly and b+/- of the parent's jet are grid
+expressions, the closed forms run a one-point kernel per x, and the perp
+integrator steps the whole grid at once. The closure (closure_jet) and
+RadialPotential's jet run on the whole grid with each point's bits, so
+their rows match bit for bit. Ratio states, V_k and operator images come
+from array arithmetic over the grid; the series LU keeps each point's
+bits, but a numpy kernel may round a batch's body unlike its tail, so
+those rows are held to REL_TOL of the largest entry of the row.
 """
 
 import math

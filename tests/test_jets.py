@@ -13,7 +13,7 @@ from susypv.jets import (
     series_mul,
     taylor_from_jet,
 )
-from susypv.oscillator import closure_jet
+from susypv.oscillator import _times, closure_jet
 
 from oracles import closure_jet_scalar, jet_div, jet_log_deriv, jet_mul
 
@@ -88,6 +88,33 @@ class TestLeibniz:
         ld = jet_log_deriv(f)
         assert abs(ld[0] - 4.0 / x) <= 1e-13
         assert abs(ld[1] + 4.0 / x**2) <= 1e-13
+
+
+class TestTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 40))
+    def test_complex_product_has_cpython_bits(self, data, size):
+        a = complex_grid(data.draw, (size,))
+        b = complex_grid(data.draw, (size,))
+        with np.errstate(all="ignore"):
+            got = _times(a, b)
+        assert hexes(got) == hexes(complex(x) * complex(y) for x, y in zip(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 40))
+    def test_real_factor_has_cpython_bits(self, data, size):
+        # a float64 factor, on either side, gets CPython's float * complex
+        a = data.draw(arrays(np.float64, size, elements=PARTS))
+        b = complex_grid(data.draw, (size,))
+        with np.errstate(all="ignore"):
+            got = [hexes(_times(a, b)), hexes(_times(b, a))]
+        assert got[0] == got[1] == hexes(float(x) * complex(y) for x, y in zip(a, b))
+
+    def test_underflow_to_zero_takes_cpythons_sign(self):
+        # 9e-206 * -2.4e-122 underflows to -0 and CPython adds +0 * 0, so the
+        # imaginary part is +0 (a fused multiply-add, as in numpy, keeps -0)
+        a, b = np.array([9.02609879e-206]), np.array([complex(0.0, -2.39506669e-122)])
+        assert hexes(_times(a, b)) == hexes([float(a[0]) * complex(b[0])]) == [("0x0.0p+0",) * 2]
 
 
 class TestSeries:

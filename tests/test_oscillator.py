@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from susypv.oscillator import (
     NU_INF,
     BranchDegeneracyError,
     ChainAnnihilationError,
     DomainError,
+    RadialPotential,
     SeedSolution,
     SeedSpec,
     SeedSpecError,
@@ -21,11 +24,30 @@ from susypv.oscillator import (
     physical_eigenfunction,
     seed_chain,
 )
+from susypv.painleve import solve
 from susypv.specialfunctions import gamma
 
-from oracles import default_x_grid, fd_schrodinger_residual, seed_branch_jet2
+from oracles import (
+    default_x_grid,
+    fd_schrodinger_residual,
+    laddered_scalar,
+    radial_deriv_jet_scalar,
+    seed_branch_jet2,
+    seed_point_scalar,
+)
+from test_jets import complex_grid, hexes
 
 XS = (0.5, 1.0, 2.0, 5.0)
+# l in [-1/2, 50], and every half-odd l there
+ELLS = st.one_of(st.floats(-0.5, 50.0), st.integers(0, 50).map(lambda n: n - 0.5))
+ENERGIES = st.builds(complex, st.floats(-60, 60), st.floats(-60, 60))  # |eps| <= 100
+MUS = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+MIXTURES = st.one_of(st.tuples(MUS, st.just(0j)), st.tuples(st.just(0j), MUS),
+                     st.tuples(MUS, MUS), st.just((0j, 0j)))
+
+
+def grids(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=50).map(tuple)
 
 
 class TestMakeSeed:
@@ -371,3 +393,83 @@ class TestSpecValidation:
         u = make_seed(spec)
         for x in (0.6, 1.2, 2.4):
             assert fd_schrodinger_residual(u, x) <= 1e-9
+
+
+class TestGridMatchesScalarLoops:
+    """The grid expressions have the bits of the former per-point loops (tests/oracles.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ELLS, st.data())
+    def test_seed(self, ell, data):
+        # a complex energy, or the one where a1 = 0 or a2 = 0 (M = 1, M' = 0)
+        eps = data.draw(st.one_of(ENERGIES, st.sampled_from([(1 - 2 * ell) / 4, (3 + 2 * ell) / 4])))
+        mixture = data.draw(MIXTURES)
+        try:
+            seed = SeedSolution(ell, eps, mixture)
+        except SeedSpecError:  # half-odd l with both branches, or branch 1 at a pole
+            assume(False)
+        xs = data.draw(grids(0.01, 10.0))
+        want = [seed_point_scalar(ell, eps, mixture, x) for x in xs]
+        assert hexes(seed.value_and_derivative(xs).ravel()) == hexes(np.ravel(want))
+
+    @staticmethod
+    def assert_ladder_matches(ell, raise_energy, xs, jets):
+        """b-/+ of a parent with the given 3-jets, on the grid and point by point."""
+        class Parent:
+            def jet_values(self, xs, order):
+                return jets[:, : order + 1]
+
+        parent = Parent()
+        parent.ell, parent.energy, parent.potential = ell, 0j, None
+        ladder = (apply_b_plus if raise_energy else apply_b_minus)(parent)
+        with np.errstate(all="ignore"):  # drawn parts overflow and meet inf * 0
+            got = ladder.value_and_derivative(xs)
+            want = laddered_scalar(ell, -1.0 if raise_energy else 1.0, xs, jets)
+        assert hexes(got.ravel()) == hexes(want.ravel())
+        return got
+
+    @settings(max_examples=100, deadline=None)
+    @given(ELLS, st.booleans(), st.data())
+    def test_ladder(self, ell, raise_energy, data):
+        xs = data.draw(grids(1e-30, 1e30))
+        self.assert_ladder_matches(ell, raise_energy, xs, complex_grid(data.draw, (len(xs), 4)))
+
+    def test_ladder_underflow_to_zero(self):
+        # p u0 at x = 0.1 underflows to a zero whose sign numpy's own product
+        # can get wrong (it fuses multiply-adds); on scalars the real part of b+ u is +0
+        jets = np.array([[-0.7j, 5e-324 - 0j, -5e-324 - 0.7j, -5e-324 + 0.3j]])
+        got = self.assert_ladder_matches(-0.5, True, (0.1,), jets)
+        assert got[0, 0].real.hex() == "0x0.0p+0"
+
+    @settings(max_examples=100, deadline=None)
+    @given(ELLS, st.integers(0, 40), grids(1e-7, 1e7))
+    def test_potential(self, ell, order, xs):
+        # V0^(j) overflows to inf for large j at small x, quietly in both
+        got = RadialPotential(ell).deriv_jet(xs, order)
+        assert got.dtype == np.float64 and got.shape == (len(xs), order + 1)
+        assert hexes(got.ravel()) == hexes(radial_deriv_jet_scalar(ell, xs, order).ravel())
+
+    def test_potential_where_the_power_underflows(self):
+        # x^6 underflows to 0 at x = 1e-100: the scalar loop raised ZeroDivisionError,
+        # the grid gives V0^(4) = inf, and nan at l = 0, where the numerator is 0 too
+        assert RadialPotential(2.0).deriv_jet((1e-100,), 4)[0, 4] == math.inf
+        assert math.isnan(RadialPotential(0.0).deriv_jet((1e-100,), 4)[0, 4])
+        with pytest.raises(ZeroDivisionError):
+            radial_deriv_jet_scalar(2.0, (1e-100,), 4)
+
+
+class TestOneDomainCheckPerGrid:
+    BAD = (0.0, -1.0, math.nan, math.inf)
+
+    @pytest.mark.parametrize("shift", range(len(BAD)))
+    def test_first_bad_point_is_named(self, shift):
+        bad = self.BAD[shift:] + self.BAD[:shift]
+        xs = (0.4, 1.7) + bad
+        seed = SeedSolution(1.0, 0.3, (1.0, 0.7))
+        pv = solve(SeedSpec.from_nu(2.0, 0.45, 3.0))
+        for name, evaluate in (("x", lambda: seed.jet_values(xs, 3)),
+                               ("x", lambda: seed.potential.deriv_jet(xs, 2)),
+                               ("z", lambda: pv.w_grid(xs))):
+            with pytest.raises(DomainError) as info:
+                evaluate()
+            assert str(info.value) == f"evaluated at {name}={bad[0]}: not a finite {name} > 0"
