@@ -13,8 +13,8 @@ and complex128 +, - round as CPython does, but complex * complex (fused
 multiply-adds), complex / real (a reciprocal multiply), numpy's SIMD ** and
 exp, and a product by a real factor below 1 whose part underflows to zero
 (its sign) do not. So such products are _times's, x^-l, e^{-x^2/4},
-y^{l+1/2}, x^3 and x^(j+2) are Python's ** and math.exp per point, and no
-complex array is divided by a real.
+y^{l+1/2}, x^3 and x^(j+2) are Python's ** and math.exp per point, and the
+jets divide no complex array by a real.
 """
 
 from __future__ import annotations
