@@ -50,7 +50,8 @@ MATCH_TOL = 1e-9  # w_gap at or below which a printed closed form counts as matc
 
 _POLE_TOL = 1e-10
 _SING_TOL = 1e-10
-_CLASSIFY_SAMPLES = 12  # points of the geometric window classify_degenerate probes
+_ZERO_PROBES = (0.7, 1.3, 2.4, 3.6)  # the first x of classify_degenerate's grid, for _is_zero
+_CLASSIFY_SAMPLES = 12  # x of its geometric window, after the probes on the same grid
 
 
 class DegenerateOutputError(RuntimeError):
@@ -125,11 +126,11 @@ def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     """g, g', g'' at each x of xs in extended precision, with error bounds.
 
     Returns the complex arrays (g, g', g''), their propagated absolute
-    errors, and two masks: `singular` where V_k is singular and `pole`
-    where W(psi3, psi4) vanishes; values there carry no meaning. The
-    log-derivative chain cancels badly near zeros of W(psi3, psi4); the
-    error estimates let the certificate mask points where the PV residual
-    cannot be resolved at the certificate tolerance.
+    errors, and two masks: `singular` where V_k is singular and `pole` where
+    W(psi3, psi4) vanishes or |g| < _POLE_TOL (1 + x), so w is not finite;
+    values there carry no meaning. The log-derivative chain cancels badly
+    near zeros of W(psi3, psi4); the error estimates let the certificate
+    mask points where the PV residual cannot be resolved at CERT_TOL.
     """
     s3, s4 = quartet.pair_34()
     e3, e4 = complex(quartet.energies[2]), complex(quartet.energies[3])
@@ -159,11 +160,11 @@ def _g_with_errors(quartet: ExtremalQuartet, xs: tuple):
     e_lh2 = (abs(om3 / omega) * rel_om
              + 3.0 * (abs(lh1m) * e_lh + abs(lh) * e_lh1m)
              + 6.0 * abs(lh) ** 2 * e_lh)
-    g = -np.array(xs, dtype=cl) - lh
+    g = (-np.array(xs, dtype=cl) - lh).astype(complex)
+    pole |= np.hypot(g.real, g.imag) < _POLE_TOL * (1.0 + np.array(xs))
     gp = -cl(1.0) - lh1
     gpp = -lh2
-    return ((g.astype(complex), gp.astype(complex), gpp.astype(complex)),
-            (e_lh, e_lh1, e_lh2), singular, pole)
+    return (g, gp.astype(complex), gpp.astype(complex)), (e_lh, e_lh1, e_lh2), singular, pole
 
 
 def _residual_ext(w, w_z, w_zz, z: np.ndarray, params: PVParams, e_w, e_wz, e_wzz):
@@ -232,7 +233,7 @@ class PVSolution:
         with np.errstate(all="ignore"):  # masked points may divide by 0
             (g, g1, g2), (e_g, e_g1, e_g2), singular, pole = _g_with_errors(self.quartet, xs)
             ag, ag1 = np.hypot(g.real, g.imag), np.hypot(g1.real, g1.imag)
-            pole |= singular | (ag < _POLE_TOL * (1.0 + x))
+            pole |= singular
             gx, g1x, g2x, xx = g.astype(cl), g1.astype(cl), g2.astype(cl), x.astype(cl)
             wx = cl(1.0) + xx / gx
             num = gx - xx * g1x
@@ -307,26 +308,24 @@ def w_gap(samples: list[GridSample], form) -> float | None:
 def classify_degenerate(quartet: ExtremalQuartet) -> str:
     """generic | w==1 | w==inf | w==0-shift | w==const.
 
-    A zero state in slot 3/4 means W == 0, i.e. g = infinity and w == 1.
-    Only Wronskian ratio states are asked (is_zero, a sampled test): the
-    closed-form and perp states of radial_oscillator_quartet are never
-    zero. Otherwise constancy and blow-up are detected on a geometric
-    sample of the window (constants other than 0 or 1 only arise from
-    quartets with coincident extremal data; they are excluded from the
-    residual suite like the other degenerate outputs).
+    One grid: the _ZERO_PROBES, then _CLASSIFY_SAMPLES points of the window
+    z in [0.4, 16]. A ratio state in slot 3/4 that is zero at every probe
+    row (_is_zero) means W == 0, i.e. g = infinity and w == 1. Otherwise
+    constancy and blow-up are detected at the window rows (constants other
+    than 0 or 1 only arise from quartets with coincident extremal data; they
+    are excluded from the residual suite like the other degenerate outputs).
     """
-    s3, s4 = quartet.pair_34()
-    if any(isinstance(s, WronskianRatioState) and s.is_zero() for s in (s3, s4)):
+    p = len(_ZERO_PROBES)
+    xs = _ZERO_PROBES + tuple(math.sqrt(z) for z in np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES))
+    if any(isinstance(s, WronskianRatioState) and _is_zero(s.num, xs) for s in quartet.pair_34()):
         return "w==1"
-    xs = tuple(math.sqrt(z) for z in np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES))
     with np.errstate(all="ignore"):
         (g, _, _), _, singular, pole = _g_with_errors(quartet, xs)
-    raise_if_singular(xs, singular)
-    x = np.array(xs)
-    keep = ~(pole | (abs(g) < _POLE_TOL * (1.0 + x)))  # w is finite there
+    raise_if_singular(xs[p:], singular[p:])
+    keep = ~pole[p:]  # w is finite there
     if not keep.any():
         return "w==inf"
-    ws = 1.0 + x[keep] / g[keep]
+    ws = 1.0 + np.array(xs[p:])[keep] / g[p:][keep]
     mean = ws.mean()
     spread = float(np.max(np.abs(ws - mean)))
     if spread < 1e-9 * max(1.0, abs(mean)):
@@ -336,6 +335,13 @@ def classify_degenerate(quartet: ExtremalQuartet) -> str:
             return "w==1"
         return "w==const"
     return "generic"
+
+
+def _is_zero(num, xs: tuple) -> bool:
+    """|W| of the stack num at most 1e-12 of its row scale at the probe rows (first rows) of xs."""
+    p = len(_ZERO_PROBES)  # asked at order 1, the order g needs next on xs: one factorization
+    f, scale = num.jet(xs, 1)[:p, 0], np.maximum(num.row_scale(xs)[:p], 1e-300)
+    return not (np.hypot(f.real, f.imag) > 1e-12 * scale).any()
 
 
 def solution_from_quartet(quartet: ExtremalQuartet, ordering: str = "1234") -> PVSolution:

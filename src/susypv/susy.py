@@ -283,13 +283,6 @@ class WronskianRatioState:
         """(value, derivative) at each x of xs, one row per x."""
         return self.taylor(xs, 1)
 
-    def is_zero(self) -> bool:
-        """Identically zero: |num| at most 1e-12 of its row scale at four probe points."""
-        xs = (0.7, 1.3, 2.4, 3.6)
-        f = self.num.jet(xs, 0)[:, 0]
-        scale = np.maximum(self.num.row_scale(xs), 1e-300)
-        return not (np.hypot(f.real, f.imag) > 1e-12 * scale).any()
-
 
 def transformed_state(potential: PartnerPotential,
                       target: SchrodingerSolution) -> WronskianRatioState:
@@ -309,10 +302,10 @@ def transformed_state(potential: PartnerPotential,
 class ExtremalQuartet:
     """Four states in a chosen ordering, plus their potential.
 
-    states expose value_and_derivative(xs) on a grid, and ratio states
-    also is_zero(). All four are formal eigenfunctions of the Hamiltonian
-    with potential `potential` (deriv_jet(xs, order) and singular_at(xs)),
-    and energies holds their energies in slot order.
+    states expose value_and_derivative(xs) on a grid. All four are formal
+    eigenfunctions of the Hamiltonian with potential `potential`
+    (deriv_jet(xs, order) and singular_at(xs)), and energies holds their
+    energies in slot order.
     """
 
     states: tuple

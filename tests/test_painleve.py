@@ -19,9 +19,12 @@ from susypv.oscillator import (
 )
 from susypv.painleve import (
     CANONICAL_ORDERINGS,
+    _CLASSIFY_SAMPLES,
+    _ZERO_PROBES,
     DegenerateOutputError,
     GridSample,
     PVParams,
+    _is_zero,
     classify_degenerate,
     default_z_grid,
     normalize_ordering,
@@ -259,6 +262,34 @@ class TestClassify:
         q = extremal_quartet(spec)
         assert classify_degenerate(permute_quartet(q, "3412")) == "w==inf"
 
+    @pytest.mark.parametrize("ell, eps, nu, k, verdicts", [
+        *[(2.0, 0.45, 3.0, k, ("generic",) * 6) for k in (1, 2, 3, 4)],
+        # sweep pool spec 300 (ordering 3421): w==1 from the zero test
+        (3.0, 1.7997 - 5.2432j, 1.5786 - 1.5701j, 4, ("generic",) * 3 + ("w==1",) * 3),
+    ])
+    def test_zero_test_reads_its_probes_from_the_one_grid(self, ell, eps, nu, k, verdicts):
+        # the probes lead the classification grid, and each slot numerator
+        # has there the bits of W and row scale of a grid of the probes alone
+        def bits(a):
+            return [t.hex() for v in np.asarray(a, dtype=complex).tolist() for t in (v.real, v.imag)]
+
+        grid = _ZERO_PROBES + tuple(math.sqrt(z) for z in np.geomspace(0.4, 16.0, _CLASSIFY_SAMPLES))
+        p = len(_ZERO_PROBES)
+        q = extremal_quartet(SeedSpec.from_nu(ell, eps, nu, k=k))
+        for label, verdict in zip(CANONICAL_ORDERINGS, verdicts):
+            pq = permute_quartet(q, label)
+            assert classify_degenerate(pq) == verdict, label
+            assert set(pq.potential.stack._jet_cache) <= {grid}
+            zero = []
+            for num in (s.num for s in pq.pair_34()):
+                assert set(num._jet_cache) <= {grid}, label
+                alone = WronskianStack(num.solutions)
+                assert bits(num.jet(grid, 1)[:p, 0]) == bits(alone.jet(_ZERO_PROBES, 0)[:, 0])
+                assert bits(num.row_scale(grid)[:p]) == bits(alone.row_scale(_ZERO_PROBES))
+                zero.append(_is_zero(num, grid))
+                assert zero[-1] == _is_zero(alone, _ZERO_PROBES)
+            assert any(zero) == (verdict == "w==1"), label
+
 
 class TestWEval:
     def test_half_for_growing_pair(self):
@@ -432,11 +463,21 @@ class TestCallBudget:
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_construction_call_counts(self, k, calls):
-        # two grids: is_zero's four probes (slot numerators 3 and 4) and
-        # classify_degenerate's window (the chain and both slot numerators)
+        # one grid, classify_degenerate's: the zero test's probes, then the
+        # window; the chain and both slot numerators are factored once on it
         solve(SeedSpec.from_nu(2.0, 0.45, 3.0, k=k))
-        assert calls.get(SeedSolution, 0) == 2
-        assert calls.get(_LadderedSolution, 0) == 2 * (k - 1)
+        assert calls.get(SeedSolution, 0) == 1
+        assert calls.get("kummer_1f1", 0) == 1
+        assert calls.get(_LadderedSolution, 0) == k - 1
+        assert calls.get(WronskianStack, 0) == 3
+
+    def test_six_orderings_classify_on_one_grid(self, calls):
+        # the chain and the four slot numerators, each factored once
+        q = extremal_quartet(SeedSpec.from_nu(2.0, 0.45, 3.0, k=3))
+        calls.clear()
+        for label in CANONICAL_ORDERINGS:
+            classify_degenerate(permute_quartet(q, label))
+        assert calls.get(SeedSolution, 0) == 1
         assert calls.get(WronskianStack, 0) == 5
 
     def test_verify_factorization_count(self, calls):
