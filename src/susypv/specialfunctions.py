@@ -7,19 +7,18 @@ that the Taylor series is only ever summed on the cancellation-free side.
 High-precision reference values live in the test suite, not here.
 
 ``kummer_1f1`` also sums parameter rows over a grid of points, each
-element with the bits of its one-point call. Real b rows at 0 < y < inf,
-from BATCH_MIN_SIZE rows x points on, go through one numpy pass
-(``_sum_grid``, per _CHUNK elements); any other grid loops the one-point
-kernel. By oscillator's rounding rule (numpy's float64 arithmetic and complex
-+, - are CPython's; complex * complex, complex / real, SIMD ** and exp are
-not), the pass writes CPython's complex product out on float64 parts.
-The crossover, measured for the rows of the l=2, eps1=0.45, nu=3 seed at
-y = z/2 on ``default_z_grid(n)`` (2-core x86-64, numpy 2.4, Python 3.11;
-medians of 41 interleaved calls, one-point loop vs one pass):
-
-    rows x points    4 x 4    2 x 16   4 x 8    2 x 24   4 x 12   4 x 16   4 x 200
-    loop, ms         0.20     0.39     0.39     0.58     0.54     0.68     8.1
-    one pass, ms     0.40     0.46     0.43     0.44     0.43     0.44     2.2
+element with the bits of its one-point call. The grid form takes the one
+shape the library sends, complex a and real b rows at real points
+0 < y < inf, and sums every such grid in one numpy pass (``_sum_grid``, per
+_CHUNK elements); any other grid is a ValueError. By oscillator's rounding
+rule (numpy's float64 arithmetic and complex +, - are CPython's;
+complex * complex, complex / real, SIMD ** and exp are not), the pass
+writes CPython's complex product out on float64 parts. No crossover to a
+per-point loop is kept, because small grids are rare: of the grid calls the
+benchmark pools make in full (480 grid, 240 orderings, 988 sweep), all are
+4 rows x 16 or 200 points but 35 sweep calls of 2 x 16, where the pass
+takes 0.41 ms against the loop's 0.38; ``verify`` makes 15 calls of 4 x 3
+a run, 0.38 ms against 0.18 (2-core x86-64, numpy 2.4, Python 3.11).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
 MAX_TERMS = 500
 SERIES_TOL = 1e-16
 INT_TOL = 1e-12  # distance at which a parameter counts as an integer
-BATCH_MIN_SIZE = 48  # rows x points from which kummer_1f1 sums a grid in one pass
 _BLOCK = 24  # terms per block of _sum_grid after the first, and the least cap
 _BLOCK_BUDGET = 4096  # terms x elements of a block longer than _BLOCK terms
 _CHUNK = 4096  # elements per _sum_grid pass (points per PerpSolution pass): arrays stay small
@@ -134,11 +132,12 @@ def kummer_1f1(a, b, x):
     cancellation-free side before the Taylor series is summed.
 
     Scalar a, b and x give a complex. Otherwise a and b hold one parameter
-    row each (a sequence or a column) and x is a grid of points: the result
-    is the (row, point) array of 1F1(a[r], b[r]; x[i]), each element with
-    the bits of its scalar call, and a failing grid raises the error the
-    scalar calls, made point by point and row by row, would raise first.
-    Real b rows at real points 0 < x < inf are summed in one pass (above).
+    row each (a sequence or a column), complex a and real b, and x is a grid
+    of real points 0 < x < inf: the result is the (row, point) array of
+    1F1(a[r], b[r]; x[i]), each element with the bits of its scalar call,
+    and a failing grid raises the error the scalar calls, made point by
+    point and row by row, would raise first. Any other grid raises
+    ValueError before a term is summed.
 
     Raises ParameterPoleError where ``parameter_pole(a, b)``.
     """
@@ -149,11 +148,10 @@ def kummer_1f1(a, b, x):
     if len(a_rows) != len(b_rows):
         raise ValueError(f"{len(a_rows)} rows of a but {len(b_rows)} of b")
     xs = np.ravel(np.asarray(x, dtype=complex))
-    if (len(a_rows) * len(xs) >= BATCH_MIN_SIZE and not any(b.imag for b in b_rows)
-            and np.all((xs.imag == 0) & (xs.real > 0) & (xs.real < math.inf))):
-        return _kummer_grid(a_rows, b_rows, xs.real)
-    sums = [[_kummer_point(a, b, x) for a, b in zip(a_rows, b_rows)] for x in xs.tolist()]
-    return np.array(sums, dtype=complex).reshape(len(xs), len(a_rows)).T.copy()
+    if any(b.imag for b in b_rows) or not np.all((xs.imag == 0) & (xs.real > 0)
+                                                  & (xs.real < math.inf)):
+        raise ValueError("a kummer_1f1 grid takes real b rows at real points 0 < x < inf")
+    return _kummer_grid(a_rows, b_rows, xs.real)
 
 
 def _kummer_point(a: complex, b: complex, x: complex) -> complex:
@@ -169,7 +167,7 @@ def _kummer_grid(a_rows: list, b_rows: list, ys: np.ndarray) -> np.ndarray:
 
     Element e = i * nrow + r is row r at point i, so the smallest failing
     element is the one the scalar calls meet first; a row that fails before
-    its first term (_row_terms) fails at its first point.
+    its first term (_row_terms) fails at its first point, so not on an empty grid.
     """
     nrow, errors, n_rows = len(a_rows), {}, []
     for r, (a, b) in enumerate(zip(a_rows, b_rows)):
@@ -184,7 +182,7 @@ def _kummer_grid(a_rows: list, b_rows: list, ys: np.ndarray) -> np.ndarray:
     for i in range(0, len(y), _CHUNK):  # bounded memory
         sums[i:i + _CHUNK], failed = _sum_grid(a, b, n_rows, row[i:i + _CHUNK], y[i:i + _CHUNK])
         errors.update((i + j, exc) for j, exc in failed.items())
-    if errors:
+    if errors and len(y):
         raise errors[min(errors)]
     return sums.reshape(len(ys), nrow).T.copy()
 

@@ -1,16 +1,16 @@
 """Every evaluation takes a grid, and row i of a grid is the grid of one at xs[i].
 
-A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call: real
-b rows at y = x^2/2 > 0, the one shape summed in one pass, batched above
-the crossover and looped per point below it, with the same bits either
-way; the seed's assembly and b+/- of the parent's jet are grid
-expressions, the closed forms run a one-point kernel per x, and the perp
-integrator steps the whole grid at once. The closure (closure_jet) and
-RadialPotential's jet run on the whole grid with each point's bits, so
-their rows match bit for bit. Ratio states, V_k and operator images come
-from array arithmetic over the grid; the series LU keeps each point's
-bits, but a numpy kernel may round a batch's body unlike its tail, so
-those rows are held to REL_TOL of the largest entry of the row.
+A seed sums its 1F1 rows over the whole grid in one kummer_1f1 call:
+real b rows at y = x^2/2 > 0, the one shape the grid form takes, summed
+in one pass with each point's bits; the seed's assembly and b+/- of the
+parent's jet are grid expressions, the closed forms run a one-point
+kernel per x, and the perp integrator steps the whole grid at once. The
+closure (closure_jet) and RadialPotential's jet run on the whole grid
+with each point's bits, so their rows match bit for bit. Ratio states,
+V_k and operator images come from array arithmetic over the grid; the
+series LU keeps each point's bits, but a numpy kernel may round a
+batch's body unlike its tail, so those rows are held to REL_TOL of the
+largest entry of the row.
 """
 
 import math
@@ -31,7 +31,6 @@ from susypv.oscillator import (
     physical_eigenfunction,
 )
 from susypv.painleve import default_z_grid, solve
-from susypv.specialfunctions import BATCH_MIN_SIZE
 from susypv.susy import extremal_quartet, radial_oscillator_quartet
 
 XS = tuple(math.sqrt(z) for z in default_z_grid(24))
@@ -73,12 +72,6 @@ def test_solution_rows_bit_for_bit(name):
     assert_rows_match(sol.value_and_derivative)
     assert_rows_match(lambda xs: sol.jet_values(xs, 6))
     assert_rows_match(lambda xs: sol.taylor(xs, 6))
-
-
-def test_seed_grids_are_batched():
-    # a seed with two 1F1 rows sums XS in one batched pass, and a grid of
-    # one through the one-point loop, so the seed rows above compare the two
-    assert 2 * len(XS) >= BATCH_MIN_SIZE > 4
 
 
 def test_radial_potential_rows_bit_for_bit():
@@ -147,18 +140,22 @@ def test_perp_passes_keep_the_bits(monkeypatch):
 
 def test_library_sends_only_the_batched_shape(monkeypatch):
     # every kummer_1f1 call of solve, its certificate and verify's shift checks
-    # is a grid of real b rows at real points 0 < y < inf, the shape summed in
-    # one pass: a change that sent the seed down the one-point loop would keep
-    # every bit and lose only the time
+    # is a grid of real b rows at real points 0 < y < inf, summed in one pass
+    # with no call of the one-point kernel, on grids of every size: the
+    # classification's 16 points, a single-row seed, verify's 3-point grids
     calls = []
 
     def record(a, b, x):
         calls.append((a, b, x))
         return kummer(a, b, x)
 
+    def fail(*args):
+        raise AssertionError("one-point kernel called")
+
     kummer = specialfunctions.kummer_1f1
     for module in (specialfunctions, oscillator):  # every name the library calls it by
         monkeypatch.setattr(module, "kummer_1f1", record)
+    monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
     ell = 2.0
     specs = [SeedSpec.from_nu(ell, 0.45 + 0.3j, 0.8 - 0.5j, k=2),
              SeedSpec.from_nu(ell, 0.45, NU_INF, k=3),
@@ -174,13 +171,3 @@ def test_library_sends_only_the_batched_shape(monkeypatch):
         assert np.ndim(a) == np.ndim(b) == y.ndim == 1
         assert all(complex(v).imag == 0 for v in np.ravel(b)), b
         assert np.isrealobj(y) and np.all((y > 0) & (y < math.inf)), x
-
-    monkeypatch.setattr(oscillator, "kummer_1f1", kummer)
-
-    def fail(*args):
-        raise AssertionError("one-point kernel called")
-
-    xs = tuple(math.sqrt(z) for z in default_z_grid())
-    monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
-    for spec in specs:
-        make_seed(spec).value_and_derivative(xs)

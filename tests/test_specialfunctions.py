@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from susypv import specialfunctions
 from susypv.specialfunctions import (
-    BATCH_MIN_SIZE,
     GammaPoleError,
     NoConvergenceError,
     ParameterPoleError,
@@ -115,22 +114,10 @@ def real_points(n: int) -> list:
     return (12.0 - np.random.default_rng(n).uniform(0.0, 12.0, n)).tolist()
 
 
-def mixed_points(n: int) -> list:
-    """n points mixing positive, negative and complex x, |x| <= 12: looped per point."""
-    rng = np.random.default_rng(n)
-    kinds = [complex(rng.uniform(0.0, 12.0)), complex(rng.uniform(-12.0, 0.0)),
-             complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0))]
-    return [kinds[i % 3] if i < 3 else complex(rng.uniform(-12, 12), rng.uniform(-4, 4) * (i % 2))
-            for i in range(n)]
-
-
 # real b as the seed has it: generic complex a, terminating rows (a = -n, exactly
 # and within INT_TOL, b past a pole it never reaches), and a = 0 (1F1 = 1, also at b = -1)
 REAL_B_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5), (0.0, -1.0),
                (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.45 - 1.1j, -1.5), (-1.0, -2.0)]
-# complex b (b = 0.75 + 3i, b = 2.5 - 0.75i) makes a grid loop whatever its points
-MIXED_ROWS = [(0.3 + 0.2j, 1.7), (-4.0, 0.5), (-1.25 + 0.5j, 2.5 - 0.75j), (0.0, -1.0),
-              (2.0, 0.5), (-2.0 + 1e-13, -3.0), (0.75, 0.75 + 3.0j), (-1.0, -2.0)]
 
 
 # random rows: complex |a| <= 30, or a = -n exactly and within INT_TOL (2e-12 is
@@ -146,19 +133,16 @@ def column(rows) -> tuple[list, list]:
 
 
 class TestKummerGrid:
-    """A grid call equals the one-point calls bit for bit, batched or looped."""
+    """A grid call equals the one-point calls bit for bit, in one pass or in chunks."""
 
-    @pytest.fixture(params=["default", "batched", "chunked"])
-    def batch_min(self, request, monkeypatch):
-        if request.param != "default":  # small grids through the batched sum too
-            monkeypatch.setattr(specialfunctions, "BATCH_MIN_SIZE", 0)
+    @pytest.fixture(params=["default", "chunked"])
+    def passes(self, request, monkeypatch):
         if request.param == "chunked":  # a grid summed in passes of 5 elements
             monkeypatch.setattr(specialfunctions, "_CHUNK", 5)
-        return specialfunctions.BATCH_MIN_SIZE
 
     @pytest.mark.parametrize("npts", [1, 4, 16, 200])
     @pytest.mark.parametrize("nrows", [1, 2, 3, 4])
-    def test_rows_bit_for_bit(self, npts, nrows, batch_min):
+    def test_rows_bit_for_bit(self, npts, nrows, passes):
         xs = real_points(npts)
         for first in range(0, len(REAL_B_ROWS), nrows):
             a_rows, b_rows = column((REAL_B_ROWS * 2)[first:first + nrows])
@@ -166,23 +150,16 @@ class TestKummerGrid:
             assert got.shape == (nrows, npts)
             assert hexes(got) == hexes(point_loop(a_rows, b_rows, xs)), (a_rows, b_rows)
 
-    @pytest.mark.parametrize("npts", [1, 16, 200])
-    def test_mixed_grids_equal_the_loop(self, npts, batch_min):
-        # complex b and points off the positive axis, mixed into real ones
-        xs = mixed_points(npts)
-        for rows, points in ((MIXED_ROWS, xs), (MIXED_ROWS, real_points(npts)),
-                             (REAL_B_ROWS, xs)):
-            for first in range(0, len(rows), 3):
-                a_rows, b_rows = column(rows[first:first + 3])
-                got = kummer_1f1(a_rows, b_rows, points)
-                assert hexes(got) == hexes(point_loop(a_rows, b_rows, points)), (a_rows, b_rows)
-
-    def test_real_grid_of_a_column(self, batch_min):
+    def test_real_grid_of_a_column(self, passes):
         # parameter columns, a real float grid, and the seed's y range
         a, b = np.array([[0.45 - 1.1j], [1.45 - 1.1j]]), np.array([[-1.5], [-0.5]])
         ys = [0.5 * z for z in np.geomspace(0.1, 20.0, 40)]
         got = kummer_1f1(a, b, ys)
         assert hexes(got) == hexes(point_loop(a.ravel(), b.ravel(), ys))
+
+    def test_empty_grid(self):
+        # no point, so no scalar call and no error, a pole row included
+        assert kummer_1f1([0.5, 0.5], [1.5, -2.0], []).shape == (2, 0)
 
     def test_scalar_input_gives_a_scalar(self):
         assert isinstance(kummer_1f1(0.5, 1.5, 2.0), complex)
@@ -200,42 +177,39 @@ class TestKummerGrid:
         # y = 1; past y = 1.2 the row's terms are NaN (no convergence)
         ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], [1.0] + real_points(29)),
         ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], real_points(30)),
-        # the same failures on grids that loop
-        ([(1.0, 2.5), (0.5, 1.5)], [-1500.0 + 3j] + mixed_points(29)),
-        ([(0.5, 1.5), (1.5e308 + 1.5e308j, 1.0)], [1.0] + mixed_points(29)),
-        ([(0.3, 1.7 + 1j), (0.5, -2.0)], real_points(30)),
     ])
-    def test_errors_match_the_point_loop(self, rows, xs, batch_min):
+    def test_errors_match_the_point_loop(self, rows, xs, passes):
         a_rows, b_rows = column(rows)
         expected = outcome(point_loop, a_rows, b_rows, xs)
         assert expected[0] != "ok"
         assert outcome(kummer_1f1, a_rows, b_rows, xs) == expected
 
-    def test_batched_above_the_crossover(self, monkeypatch):
-        # real b rows on real points 0 < y < inf never reach the one-point kernel
+    @pytest.mark.parametrize("npts", [1, 4, 16, 48])
+    def test_every_grid_is_batched(self, npts, monkeypatch):
+        # real b rows on real points 0 < y < inf, whatever their number, never
+        # reach the one-point kernel
         def fail(*args):
             raise AssertionError("one-point kernel called")
 
-        xs = real_points(BATCH_MIN_SIZE)
+        xs = real_points(npts)
         a_rows, b_rows = column(REAL_B_ROWS)
         expected = hexes(point_loop(a_rows, b_rows, xs))
         monkeypatch.setattr(specialfunctions, "_kummer_point", fail)
         assert hexes(kummer_1f1(a_rows, b_rows, xs)) == expected
 
     @pytest.mark.parametrize("b, x", [(1.7 + 1e-3j, 1.0), (1.7, 0.0), (1.7, -1.0),
-                                      (1.7, 1.0 + 1e-3j), (1.7, math.inf)])
-    def test_other_grids_loop_above_the_crossover(self, b, x, monkeypatch):
-        # a complex b row or one point off 0 < y < inf: the one-point kernel, per element
-        xs = real_points(BATCH_MIN_SIZE - 1) + [x]
-        kernel, calls = specialfunctions._kummer_point, []
+                                      (1.7, 1.0 + 1e-3j), (1.7, math.inf), (1.7, math.nan)])
+    def test_other_grids_are_rejected(self, b, x, monkeypatch):
+        # a complex b row or one point off 0 < y < inf is a plain ValueError
+        # (not the pole row's ParameterPoleError), raised before any term
+        def fail(*args):
+            raise AssertionError("summed")
 
-        def count(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(specialfunctions, "_kummer_point", count)
-        outcome(kummer_1f1, [0.3 + 0.2j, 0.3 + 0.2j], [1.7, b], xs)
-        assert len(calls) >= 2 * (len(xs) - 1)  # every element up to the last point
+        for name in ("_row_terms", "_sum_grid", "_kummer_point"):
+            monkeypatch.setattr(specialfunctions, name, fail)
+        with pytest.raises(ValueError, match="real b rows at real points 0 < x < inf") as info:
+            kummer_1f1([0.3 + 0.2j, 0.5, 0.3 + 0.2j], [1.7, -2.0, b], real_points(15) + [x])
+        assert type(info.value) is ValueError
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.tuples(A_VALUES, B_VALUES), min_size=1, max_size=3),
@@ -245,8 +219,7 @@ class TestKummerGrid:
     def test_batched_pass_equals_the_loop(self, rows, ys, chunk):
         # every element and the first error, whatever the pass and chunk sizes
         a_rows, b_rows = column(rows)
-        with patch.object(specialfunctions, "BATCH_MIN_SIZE", 0), \
-                patch.object(specialfunctions, "_CHUNK", chunk):
+        with patch.object(specialfunctions, "_CHUNK", chunk):
             expected = outcome(point_loop, a_rows, b_rows, ys)
             assert outcome(kummer_1f1, a_rows, b_rows, ys) == expected
 
@@ -256,8 +229,7 @@ class TestTermCap:
 
     @pytest.mark.parametrize("a, b, x", [
         (-1e308, 1.0, 1.0),  # one point
-        ([0.5, -1e308], [1.5, 1.0], real_points(30)),  # the batched pass
-        ([0.5, -501.0], [1.5, 1.0], mixed_points(30)),  # the loop
+        ([0.5, -1e308], [1.5, 1.0], real_points(30)),  # a grid
     ])
     def test_past_the_cap_raises_at_once(self, a, b, x):
         start = time.perf_counter()
