@@ -135,10 +135,19 @@ def column(rows) -> tuple[list, list]:
 class TestKummerGrid:
     """A grid call equals the one-point calls bit for bit, in one pass or in chunks."""
 
-    @pytest.fixture(params=["default", "chunked"])
+    @pytest.fixture(params=["default", "batched", "chunked"])
     def passes(self, request, monkeypatch):
+        """The grid call under test: as it is, without the one-point kernel, or in passes of 5."""
         if request.param == "chunked":  # a grid summed in passes of 5 elements
             monkeypatch.setattr(specialfunctions, "_CHUNK", 5)
+        if request.param != "batched":
+            return kummer_1f1
+
+        def batched(a, b, x):  # the grid call, with the one-point kernel forbidden
+            with patch.object(specialfunctions, "_kummer_point",
+                              side_effect=AssertionError("one-point kernel called")):
+                return kummer_1f1(a, b, x)
+        return batched
 
     @pytest.mark.parametrize("npts", [1, 4, 16, 200])
     @pytest.mark.parametrize("nrows", [1, 2, 3, 4])
@@ -146,7 +155,7 @@ class TestKummerGrid:
         xs = real_points(npts)
         for first in range(0, len(REAL_B_ROWS), nrows):
             a_rows, b_rows = column((REAL_B_ROWS * 2)[first:first + nrows])
-            got = kummer_1f1(a_rows, b_rows, xs)
+            got = passes(a_rows, b_rows, xs)
             assert got.shape == (nrows, npts)
             assert hexes(got) == hexes(point_loop(a_rows, b_rows, xs)), (a_rows, b_rows)
 
@@ -154,7 +163,7 @@ class TestKummerGrid:
         # parameter columns, a real float grid, and the seed's y range
         a, b = np.array([[0.45 - 1.1j], [1.45 - 1.1j]]), np.array([[-1.5], [-0.5]])
         ys = [0.5 * z for z in np.geomspace(0.1, 20.0, 40)]
-        got = kummer_1f1(a, b, ys)
+        got = passes(a, b, ys)
         assert hexes(got) == hexes(point_loop(a.ravel(), b.ravel(), ys))
 
     def test_empty_grid(self):
@@ -182,7 +191,7 @@ class TestKummerGrid:
         a_rows, b_rows = column(rows)
         expected = outcome(point_loop, a_rows, b_rows, xs)
         assert expected[0] != "ok"
-        assert outcome(kummer_1f1, a_rows, b_rows, xs) == expected
+        assert outcome(passes, a_rows, b_rows, xs) == expected
 
     @pytest.mark.parametrize("npts", [1, 4, 16, 48])
     def test_every_grid_is_batched(self, npts, monkeypatch):
